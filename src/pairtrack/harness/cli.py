@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: train, eval, gradcheck, ablate, gen-data. Exit codes:
-0 success, 2 configuration error, 3 numeric failure.
+0 success, 1 other package error, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,25 +21,6 @@ from .metrics import HEADER, format_record, write_metrics
 from .model import Tracker
 from .train import ablate, evaluate, train
 from .verify import end_to_end_gradient_check, frozen_backbone_check, unit_gradient_suite
-
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "steps": "steps",
-    "lr": "lr",
-    "n_experts": "n_experts",
-    "top_k": "top_k",
-    "reduction_g": "reduction_g",
-    "shared_m": "shared_m",
-    "epsilon_mode": "epsilon_mode",
-    "epsilon": "epsilon_value",
-    "lambda_iou": "lambda_iou",
-    "lambda_l1": "lambda_l1",
-    "alpha": "alpha",
-    "toggle_sdmoe": "toggle_sdmoe",
-    "toggle_mff": "toggle_mff",
-    "toggle_gram": "toggle_gram",
-    "toggle_mhg": "toggle_mhg",
-}
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -52,7 +34,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--shared-m", type=int, default=None, dest="shared_m")
     sp.add_argument("--epsilon-mode", choices=("auto", "fixed"), default=None,
                     dest="epsilon_mode")
-    sp.add_argument("--epsilon", type=float, default=None)
+    sp.add_argument("--epsilon", type=float, default=None, dest="epsilon_value")
     sp.add_argument("--lambda-iou", type=float, default=None, dest="lambda_iou")
     sp.add_argument("--lambda-l1", type=float, default=None, dest="lambda_l1")
     sp.add_argument("--alpha", type=float, default=None)
@@ -80,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, flag) for flag, key in _FLAG_TO_KEY.items()}
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
     return load_config(args.config, overrides)
 
 

@@ -26,7 +26,7 @@ from ..fusion import (
     multi_level_fuse,
 )
 from ..losses import Box
-from ..moe import BalanceStats, MoEAdapter, RouterDecision
+from ..moe import MoEAdapter, RouterDecision
 from ..numerics import (
     ParamStore,
     RngStream,
@@ -126,7 +126,6 @@ class ForwardOutput:
     center_map: Tensor | None = None
     balances: list[Tensor] = field(default_factory=list)
     decisions: list[RouterDecision] = field(default_factory=list)
-    stats: list[BalanceStats] = field(default_factory=list)
     expert_evals: list[int] = field(default_factory=list)
 
     def usage_histogram(self, n_experts: int) -> np.ndarray:
@@ -246,7 +245,6 @@ class Tracker:
                 tokens = result.output
                 out.balances.append(result.balance)
                 out.decisions.append(result.decision)
-                out.stats.append(result.stats)
                 out.expert_evals.append(result.n_expert_evals)
             if (i + 1) in self.cfg.level_taps:
                 levels.append(gather_rows(tokens, search_rows))

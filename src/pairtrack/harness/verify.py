@@ -38,9 +38,9 @@ from ..numerics import (
     pow_const,
     reciprocal,
     reshape,
+    routed_matmul,
     scale,
     scale_rows,
-    scatter_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -99,6 +99,9 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
     other = rng.uniform(-2, 2, (5, 4))
     idx_rows = np.array([2, 0, 4, 1])
     idx_cols = np.array([[0, 2], [1, 1], [3, 0], [2, 3], [0, 1]])
+    squares = rng.uniform(-1, 1, (2, 4, 4))
+    # weight 2 is never picked; x is both the routed input and weight 0
+    idx_weights = np.array([1, 0, 0, 1])
     cases: list[tuple[str, Callable, tuple, float, float]] = [
         ("add", lambda x: add(x, constant(other)), (5, 4), -2, 2),
         ("sub", lambda x: sub(x, constant(other)), (5, 4), -2, 2),
@@ -127,7 +130,8 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
         ("concat", lambda x: concat([x, constant(other)], axis=1), (5, 4), -2, 2),
         ("slice_cols", lambda x: slice_cols(x, 1, 3), (5, 4), -2, 2),
         ("gather_rows", lambda x: gather_rows(x, idx_rows), (5, 4), -2, 2),
-        ("scatter_rows", lambda x: scatter_rows(x, idx_rows, 7), (4, 3), -2, 2),
+        ("routed_matmul", lambda x: routed_matmul(x, [x, *map(constant, squares)], idx_weights),
+         (4, 4), -2, 2),
         ("gather_cols", lambda x: gather_cols(x, idx_cols), (5, 4), -2, 2),
         ("scale_rows", lambda x: scale_rows(x, constant(rows)), (5, 4), -2, 2),
         ("add_rowvec", lambda x: add_rowvec(x, constant(vec)), (5, 4), -2, 2),

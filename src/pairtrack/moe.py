@@ -9,12 +9,19 @@ The adapter combines two paths on top of a residual connection:
     single-matrix sub-experts mixed by a low-dimensional router, and one
     serial up-projection.
 
+Both branches record a fixed number of tape nodes whatever N and M are.
+The sparse branch gathers the T*K (token, pick) pairs into one matrix, runs
+each expert on its pair rows with ``routed_matmul``, scales rows by the
+router gate and sums each token's K rows with a constant one-hot matmul.
+The shared branch is one matmul: sum_m r_tm (h_t W_m) = (r_t (x) h_t) [W_1;
+...; W_M], with the outer product built from constant 0/1 matrices.
+
 Projections carry no biases so an all-zero adapter is exactly the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,14 +32,15 @@ from .numerics import (
     RngStream,
     Tensor,
     add,
+    concat,
     constant,
     gather_cols,
     gather_rows,
     matmul,
     mul,
     reshape,
+    routed_matmul,
     scale_rows,
-    scatter_rows,
     silu,
     smul,
     softmax,
@@ -111,7 +119,6 @@ class DenseSharedParams:
 class SparseMoEResult:
     output: Tensor
     balance: Tensor
-    stats: BalanceStats
     decision: RouterDecision
     n_expert_evals: int
 
@@ -156,11 +163,19 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     return loss, BalanceStats(f=f, p=p.data.copy(), token_count=t_count)
 
 
+def routed_experts(
+    tokens: Tensor, experts: list[SpecificExpertParams], expert: np.ndarray
+) -> Tensor:
+    """Gated projection (silu(x W_gate) * (x W_down)) W_up, row i by expert[i]."""
+    def project(x: Tensor, name: str) -> Tensor:
+        return routed_matmul(x, [getattr(e, name).tensor for e in experts], expert)
+
+    return project(mul(silu(project(tokens, "w_gate")), project(tokens, "w_down")), "w_up")
+
+
 def specific_expert(tokens: Tensor, params: SpecificExpertParams) -> Tensor:
-    """Gated projection: (silu(x W_gate) * (x W_down)) W_up."""
-    gated = mul(silu(matmul(tokens, params.w_gate.tensor)),
-                matmul(tokens, params.w_down.tensor))
-    return matmul(gated, params.w_up.tensor)
+    """One gated expert applied to every token."""
+    return routed_experts(tokens, [params], np.zeros(tokens.shape[0], dtype=np.int64))
 
 
 def sparse_moe(
@@ -179,25 +194,16 @@ def sparse_moe(
             f"expected {cfg.n_experts} expert parameter sets, got {len(experts)}"
         )
     decision = route(tokens, w_router, cfg)
-    balance, stats = balance_loss(decision, cfg)
-    t_count = tokens.shape[0]
-    output: Tensor | None = None
-    n_evals = 0
-    for n in range(cfg.n_experts):
-        rows = np.flatnonzero(np.any(decision.selected == n, axis=1))
-        if rows.size == 0:
-            continue
-        n_evals += int(rows.size)
-        expert_out = specific_expert(gather_rows(tokens, rows), experts[n])
-        sub_scores = gather_rows(decision.scores, rows)
-        gate_col = gather_cols(sub_scores, np.full((rows.size, 1), n, dtype=np.int64))
-        scaled = scale_rows(expert_out, reshape(gate_col, (rows.size,)))
-        placed = scatter_rows(scaled, rows, t_count)
-        output = placed if output is None else add(output, placed)
-    assert output is not None  # K >= 1 guarantees at least one selection
+    balance, _ = balance_loss(decision, cfg)
+    t_count, k = decision.selected.shape
+    # pair row t*K + i holds token t's i-th pick
+    pair_token = np.repeat(np.arange(t_count), k)
+    pair_out = routed_experts(gather_rows(tokens, pair_token), experts, decision.selected.ravel())
+    scaled = scale_rows(pair_out, reshape(decision.gate, (t_count * k,)))
+    combine = constant(np.repeat(np.eye(t_count), k, axis=1))  # sums token t's K rows
     return SparseMoEResult(
-        output=output, balance=balance, stats=stats,
-        decision=decision, n_expert_evals=n_evals,
+        output=matmul(combine, scaled), balance=balance,
+        decision=decision, n_expert_evals=t_count * k,
     )
 
 
@@ -205,24 +211,13 @@ def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
     """Serial-parallel shared branch; all sub-experts always run."""
     h = matmul(tokens, params.w_down.tensor)
     r = softmax(matmul(h, params.w_router.tensor), axis=1)
-    t_count = tokens.shape[0]
-    low: Tensor | None = None
-    for m, sub in enumerate(params.sub):
-        weight = reshape(
-            gather_cols(r, np.full((t_count, 1), m, dtype=np.int64)), (t_count,)
-        )
-        term = scale_rows(matmul(h, sub.tensor), weight)
-        low = term if low is None else add(low, term)
+    n_sub, hidden = len(params.sub), h.shape[1]
+    # column m*H + j of the outer product r_t (x) h_t is r_tm * h_tj
+    spread = np.repeat(np.eye(n_sub), hidden, axis=1)
+    tile = np.tile(np.eye(hidden), n_sub)
+    outer = mul(matmul(r, constant(spread)), matmul(h, constant(tile)))
+    low = matmul(outer, concat([sub.tensor for sub in params.sub], axis=0))
     return matmul(low, params.w_up.tensor)
-
-
-@dataclass
-class AdapterResult:
-    output: Tensor
-    balance: Tensor
-    stats: BalanceStats
-    decision: RouterDecision
-    n_expert_evals: int
 
 
 class MoEAdapter:
@@ -255,14 +250,11 @@ class MoEAdapter:
             w_up=store.uniform_init(f"{prefix}.shared.w_up", (h, d), h, rng),
         )
 
-    def __call__(self, tokens: Tensor) -> AdapterResult:
+    def __call__(self, tokens: Tensor) -> SparseMoEResult:
+        """The sparse result, with ``output`` the residual sum of both branches."""
         sparse = sparse_moe(tokens, self.experts, self.w_router, self.cfg)
         shared_out = dense_shared_moe(tokens, self.shared)
-        out = add(add(tokens, sparse.output), shared_out)
-        return AdapterResult(
-            output=out, balance=sparse.balance, stats=sparse.stats,
-            decision=sparse.decision, n_expert_evals=sparse.n_expert_evals,
-        )
+        return replace(sparse, output=add(add(tokens, sparse.output), shared_out))
 
 
 def adapter_param_count(cfg: MoEConfig) -> int:
@@ -270,8 +262,7 @@ def adapter_param_count(cfg: MoEConfig) -> int:
     d, h = cfg.model_dim, cfg.hidden_dim
     specific = cfg.n_experts * 3 * d * h
     router = d * cfg.n_experts
-    shared = 2 * d * h + cfg.n_shared * h * h + h * cfg.n_shared
-    return specific + router + shared
+    return specific + router + dense_shared_param_count(cfg)
 
 
 def dense_shared_param_count(cfg: MoEConfig) -> int:

@@ -28,9 +28,9 @@ from .tensor import (
     pow_const,
     reciprocal,
     reshape,
+    routed_matmul,
     scale,
     scale_rows,
-    scatter_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -48,8 +48,8 @@ __all__ = [
     "reciprocal", "pow_const", "log", "exp", "absolute", "clamp",
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
-    "gather_rows", "scatter_rows", "gather_cols", "scale_rows", "add_rowvec",
-    "matmul", "linear",
+    "gather_rows", "gather_cols", "scale_rows", "add_rowvec",
+    "matmul", "routed_matmul", "linear",
     "finite_diff_grad", "grad_max_rel_error",
     "save_checkpoint", "load_checkpoint",
 ]

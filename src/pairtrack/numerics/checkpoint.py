@@ -41,8 +41,11 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
     """Load values into an existing store; names and shapes must match."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
-    with open(blob_path, "rb") as blob:
-        raw = blob.read()
+    try:
+        with open(blob_path, "rb") as blob:
+            raw = blob.read()
+    except OSError as exc:
+        raise ContractError(f"cannot read checkpoint blob: {exc}") from exc
     with open(manifest_path, "r", encoding="utf-8") as mf:
         for line in mf:
             line = line.rstrip("\n")
@@ -52,6 +55,8 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
             shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
             offset = int(offset_text)
             n = int(np.prod(shape)) if shape else 1
+            if offset < 0 or offset + 8 * n > len(raw):
+                raise ContractError(f"checkpoint entry {name} runs past the blob's end")
             values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
             if name not in store:
                 raise ContractError(f"checkpoint names unknown parameter {name}")

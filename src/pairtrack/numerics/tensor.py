@@ -431,24 +431,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _node(a.data[idx], (a,), bw)
 
 
-def scatter_rows(a: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Embed rows of ``a`` into a zero matrix of ``n_rows`` rows at ``idx``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 2 or idx.ndim != 1 or idx.size != a.shape[0]:
-        raise ShapeError("scatter_rows expects a matrix and one index per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ShapeError(f"scatter_rows: index out of range for {n_rows} rows")
-    if np.unique(idx).size != idx.size:
-        raise ShapeError("scatter_rows: duplicate destination rows")
-    out_data = np.zeros((n_rows, a.shape[1]), dtype=np.float64)
-    out_data[idx] = a.data
-
-    def bw(g):
-        _accumulate(a, g[idx])
-
-    return _node(out_data, (a,), bw)
-
-
 def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     """Per-row column gather: out[t, k] = a[t, idx[t, k]]."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -508,6 +490,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return _node(a.data @ b.data, (a, b), bw)
+
+
+def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> Tensor:
+    """Per-row weight choice: out[i] = a[i] @ weights[expert[i]].
+
+    Rows are grouped by weight, one matmul per group. A weight that no row
+    picks does not run and is not a parent, so its gradient stays None.
+    """
+    expert = np.asarray(expert, dtype=np.int64)
+    if not weights:
+        raise ContractError("routed_matmul: empty weight list")
+    shapes = {w.shape for w in weights}
+    w_shape = weights[0].shape
+    if (a.ndim != 2 or expert.shape != (a.shape[0],) or len(shapes) != 1
+            or len(w_shape) != 2 or w_shape[0] != a.shape[1]):
+        raise ShapeError(
+            f"routed_matmul: input {a.shape}, weights {sorted(shapes)}, index {expert.shape}"
+        )
+    if expert.size and (expert.min() < 0 or expert.max() >= len(weights)):
+        raise ShapeError(f"routed_matmul: weight index out of range for {len(weights)} weights")
+    groups = [(w, rows) for n, w in enumerate(weights)
+              if (rows := np.flatnonzero(expert == n)).size]
+    out_data = np.zeros((a.shape[0], w_shape[1]), dtype=np.float64)
+    for w, rows in groups:
+        out_data[rows] = a.data[rows] @ w.data
+
+    def bw(g):
+        buf = np.zeros(a.shape, dtype=np.float64)
+        for w, rows in groups:
+            buf[rows] = g[rows] @ w.data.T
+            _accumulate(w, a.data[rows].T @ g[rows])
+        _accumulate(a, buf)
+
+    return _node(out_data, (a,) + tuple(w for w, _ in groups), bw)
 
 
 def linear(x: Tensor, w, b=None) -> Tensor:

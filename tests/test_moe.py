@@ -22,6 +22,7 @@ from pairtrack.moe import (
 from pairtrack.numerics import (
     ParamStore,
     RngStream,
+    Tensor,
     add,
     backward,
     constant,
@@ -233,30 +234,32 @@ def test_sparse_moe_identical_experts_symmetry():
 
 
 def test_sparse_moe_dense_evaluation_oracle():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
-    store = ParamStore()
-    rng = RngStream(13)
-    experts = [
-        _expert_from_arrays(
-            store, f"e{n}", rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 2)),
-            rng.uniform(-1, 1, (2, 8)),
-        )
-        for n in range(4)
-    ]
-    w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
-    toks = rng.uniform(-1, 1, (8, 8))
-    result = sparse_moe(constant(toks), experts, w_router, cfg)
-
-    # brute force: evaluate every expert densely in plain numpy, mask to top-1
+    # brute force: evaluate every expert densely in plain numpy, mask to top-K
     def expert_np(x, p):
         return (_silu(x @ p.w_gate.data) * (x @ p.w_down.data)) @ p.w_up.data
 
-    scores = result.decision.scores.data
-    expected = np.zeros_like(toks)
-    for t in range(8):
-        n = int(result.decision.selected[t, 0])
-        expected[t] = scores[t, n] * expert_np(toks[t : t + 1], experts[n])[0]
-    np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
+    for top_k in (1, 2):
+        cfg = MoEConfig(model_dim=8, n_experts=4, top_k=top_k, reduction=4)
+        store = ParamStore()
+        rng = RngStream(13)
+        experts = [
+            _expert_from_arrays(
+                store, f"e{n}", rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 2)),
+                rng.uniform(-1, 1, (2, 8)),
+            )
+            for n in range(4)
+        ]
+        w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
+        toks = rng.uniform(-1, 1, (8, 8))
+        result = sparse_moe(constant(toks), experts, w_router, cfg)
+
+        scores = result.decision.scores.data
+        expected = np.zeros_like(toks)
+        for t in range(8):
+            for n in result.decision.selected[t]:
+                expected[t] += scores[t, n] * expert_np(toks[t : t + 1], experts[n])[0]
+        np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
+        assert result.n_expert_evals == 8 * top_k
 
 
 @pytest.mark.parametrize("n_experts", [2, 4, 8])
@@ -362,6 +365,27 @@ def test_adapter_gradients_match_finite_differences():
         fd = finite_diff_grad(f, original, h=1e-5)
         err = grad_max_rel_error(p.tensor.grad, fd)
         assert err <= 1e-4, f"{p.name}: rel err {err:.2e}"
+
+
+def _recorded_nodes(out):
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+def test_adapter_tape_size_is_independent_of_expert_counts():
+    counts = set()
+    for n, m in ((2, 1), (4, 4), (8, 2)):
+        adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
+        tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
+        counts.add(_recorded_nodes(adapter(tokens).output))
+    assert len(counts) == 1, counts
 
 
 def test_adapter_param_count_matches_walker():

@@ -1,5 +1,7 @@
 """RNG determinism, parameter store contracts, checkpoint round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,27 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
     other.add("different", np.zeros((2,)))
     with pytest.raises(ContractError):
         load_checkpoint(other, str(tmp_path / "ck"))
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
+    from pairtrack.harness import load_config
+    from pairtrack.harness.cli import main
+    from pairtrack.harness.model import Tracker
+
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(
+        "model_dim = 16\ndepth = 2\nheads = 4\nreduction_g = 4\nn_experts = 2\n"
+        "shared_m = 2\ntemplate_size = 8\nsearch_size = 16\nhead_hidden = 16\n"
+        "n_eval = 4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    _, blob = save_checkpoint(Tracker(load_config(str(cfg_path))).store, str(out))
+    if damage == "missing":
+        os.remove(blob)
+    else:
+        with open(blob, "r+b") as fh:
+            fh.truncate(os.path.getsize(blob) // 2)
+    assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -30,9 +30,9 @@ from pairtrack.numerics import (
     pow_const,
     reciprocal,
     reshape,
+    routed_matmul,
     scale,
     scale_rows,
-    scatter_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -126,6 +126,37 @@ def test_linear_leading_broadcast():
     out = linear(constant(x), constant(w))
     assert out.shape == (2, 3, 6)
     np.testing.assert_allclose(out.data.reshape(6, 6), x.reshape(6, 4) @ w, atol=0)
+
+
+def test_routed_matmul_groups_rows_by_weight():
+    rng = RngStream(13)
+    a = rng.uniform(-1, 1, (5, 3))
+    weights = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for _ in range(3)]
+    expert = np.array([2, 0, 2, 2, 0])
+    out = routed_matmul(constant(a), weights, expert)
+    for i, n in enumerate(expert):
+        np.testing.assert_allclose(out.data[i], a[i] @ weights[n].data, atol=1e-15)
+    backward(tsum(out))
+    assert weights[1].grad is None  # never picked: not run, not a parent
+    assert weights[1] not in out._parents
+    np.testing.assert_allclose(weights[0].grad, a[[1, 4]].T @ np.ones((2, 2)), atol=1e-15)
+
+
+def test_routed_matmul_shape_and_index_errors():
+    a = constant(np.zeros((3, 4)))
+    w = [constant(np.zeros((4, 2))), constant(np.zeros((4, 2)))]
+    with pytest.raises(ShapeError):  # one index per row
+        routed_matmul(a, w, np.array([0, 1]))
+    with pytest.raises(ShapeError):  # inner dimensions disagree
+        routed_matmul(a, [constant(np.zeros((3, 2)))], np.zeros(3))
+    with pytest.raises(ShapeError):  # weights must share one shape
+        routed_matmul(a, [w[0], constant(np.zeros((4, 3)))], np.zeros(3))
+    with pytest.raises(ShapeError):  # index past the last weight
+        routed_matmul(a, w, np.array([0, 2, 1]))
+    with pytest.raises(ShapeError):  # negative index
+        routed_matmul(a, w, np.array([0, -1, 1]))
+    with pytest.raises(ContractError):
+        routed_matmul(a, [], np.zeros(3))
 
 
 def test_linear_shape_error():
@@ -238,7 +269,8 @@ UNARY_CASES = [
     (lambda x: slice_cols(x, 1, 3), (4, 5), (-2, 2)),
     (lambda x: clamp(x, -0.5, 0.5), (4, 4), (-2, 2)),
     (lambda x: gather_rows(x, np.array([2, 0, 2, 1])), (4, 3), (-2, 2)),
-    (lambda x: scatter_rows(x, np.array([3, 1, 0]), 5), (3, 4), (-2, 2)),
+    (lambda x: routed_matmul(x, [x, transpose(x), constant(np.eye(4))], np.array([2, 0, 1, 0])),
+     (4, 4), (-2, 2)),
     (lambda x: gather_cols(x, np.array([[0, 2], [1, 1], [3, 0]])), (3, 4), (-2, 2)),
 ]
 
