@@ -6,11 +6,19 @@ adapters, the multi-level/cross-modal fusion stage, and the center+box
 head. Every insertion is wired so that zeroing its parameters makes it
 drop out of the computation exactly, which keeps the frozen model's
 predictions intact at insertion time.
+
+A forward pass takes B samples at once. Their 2B token sequences are
+stacked sample-major and modality-minor (sample 0 R, sample 0 X, sample 1
+R, ...) into one [S, T, D] tensor, S = 2B, and patch embedding, the blocks
+and the adapters run once over the stack; attention puts the heads on a
+batch axis beside the sequences. Cross-modal fusion and the head run per
+sample on that sample's two sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,17 +34,19 @@ from ..fusion import (
     multi_level_fuse,
 )
 from ..losses import Box
-from ..moe import MoEAdapter, RouterDecision
+from ..moe import MoEAdapter
 from ..numerics import (
     ParamStore,
     RngStream,
     Tensor,
     add,
+    add_rowvec,
     concat,
     constant,
     gather_rows,
     linear,
     matmul,
+    mean,
     reshape,
     sigmoid,
     silu,
@@ -55,25 +65,26 @@ POOL_TEMPERATURE = 3.0
 CENTER_CORRECTION = 0.2  # max learned center offset around the soft-argmax
 
 
-def extract_patches(frame: np.ndarray, patch: int) -> np.ndarray:
-    """Non-overlapping patches in grid row-major order, [T, C*p*p]."""
-    c, h, w = frame.shape
+def extract_patches(frames: np.ndarray, patch: int) -> np.ndarray:
+    """Non-overlapping patches of [..., C, H, W] frames in grid row-major order, [..., T, C*p*p]."""
+    *lead, c, h, w = frames.shape
     if h % patch or w % patch:
         raise ContractError(f"frame {h}x{w} not divisible by patch size {patch}")
     gh, gw = h // patch, w // patch
-    tiles = frame.reshape(c, gh, patch, gw, patch)
-    tiles = tiles.transpose(1, 3, 0, 2, 4)  # gy, gx, c, py, px
-    return np.ascontiguousarray(tiles.reshape(gh * gw, c * patch * patch))
+    n = len(lead)
+    tiles = frames.reshape(*lead, c, gh, patch, gw, patch)
+    tiles = tiles.transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)  # ..., gy, gx, c, py, px
+    return np.ascontiguousarray(tiles.reshape(*lead, gh * gw, c * patch * patch))
 
 
-def patch_embed(frame: np.ndarray, w, b) -> Tensor:
-    """Flatten patches and project them to token vectors."""
-    return linear(constant(extract_patches(frame, _patch_from(w, frame))), w, b)
+def patch_embed(frames: np.ndarray, w, b) -> Tensor:
+    """Flatten patches of [..., C, H, W] frames and project them to token vectors."""
+    return linear(constant(extract_patches(frames, _patch_from(w, frames))), w, b)
 
 
-def _patch_from(w, frame) -> int:
+def _patch_from(w, frames) -> int:
     # patch size is implied by the projection's input width
-    c = frame.shape[0]
+    c = frames.shape[-3]
     d_in = (w.tensor if hasattr(w, "tensor") else w).shape[0]
     patch_sq = d_in // c
     patch = int(round(patch_sq**0.5))
@@ -104,34 +115,43 @@ class Block:
         self.w2 = weight("mlp.w2", (mlp_dim, dim), mlp_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        q = matmul(x, self.wq.tensor)
-        k = matmul(x, self.wk.tensor)
-        v = matmul(x, self.wv.tensor)
-        outs = []
-        inv_sqrt = 1.0 / np.sqrt(self.head_dim)
-        for h in range(self.heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
-            weights = softmax(smul(matmul(qh, transpose(kh)), inv_sqrt), axis=1)
-            outs.append(matmul(weights, vh))
-        x = add(x, matmul(concat(outs, axis=1), self.wo.tensor))
+        """Both residual branches on [S, T, D] sequences."""
+        x = add(x, self._attention(x))
         hidden = silu(matmul(x, self.w1.tensor))
         return add(x, matmul(hidden, self.w2.tensor))
+
+    def _attention(self, x: Tensor) -> Tensor:
+        # a method of its own, so the [S, H, T, T] map is freed before the MLP runs
+        n_seq, n_tok, dim = x.shape
+
+        def split_heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
+            return transpose(reshape(t, (n_seq, n_tok, self.heads, self.head_dim)), axes)
+
+        # scaling q rather than the scores keeps the scaled copy T/d times smaller
+        q = split_heads(smul(matmul(x, self.wq.tensor), 1.0 / np.sqrt(self.head_dim)),
+                        (0, 2, 1, 3))
+        k_t = split_heads(matmul(x, self.wk.tensor), (0, 2, 3, 1))
+        v = split_heads(matmul(x, self.wv.tensor), (0, 2, 1, 3))
+        weights = softmax(matmul(q, k_t), axis=-1)  # [S, H, T, T]
+        heads = transpose(matmul(weights, v), (0, 2, 1, 3))  # [S, T, H, d]
+        return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo.tensor)
 
 
 @dataclass
 class ForwardOutput:
+    """One sample's prediction; ``balance`` is the mean of its 2*depth balance terms."""
+
     box: Box | None = None
     box_tensor: Tensor | None = None
     center_map: Tensor | None = None
-    balances: list[Tensor] = field(default_factory=list)
-    decisions: list[RouterDecision] = field(default_factory=list)
+    balance: Tensor = field(default_factory=lambda: constant(np.asarray(0.0)))
+    selected: list[np.ndarray] = field(default_factory=list)  # [T, K] per adapter pass
     expert_evals: list[int] = field(default_factory=list)
 
     def usage_histogram(self, n_experts: int) -> np.ndarray:
         hist = np.zeros(n_experts, dtype=np.int64)
-        for decision in self.decisions:
-            hist += np.bincount(decision.selected.ravel(), minlength=n_experts)
+        for selected in self.selected:
+            hist += np.bincount(selected.ravel(), minlength=n_experts)
         return hist
 
 
@@ -229,39 +249,70 @@ class Tracker:
 
     # -- forward --------------------------------------------------------------
 
-    def _run_modality(self, template: np.ndarray, search: np.ndarray, out: ForwardOutput):
-        t_tokens = add(patch_embed(template, self.embed_w, self.embed_b),
-                       self.pos_template.tensor)
-        s_tokens = add(patch_embed(search, self.embed_w, self.embed_b),
-                       self.pos_search.tensor)
-        tokens = concat([t_tokens, s_tokens], axis=0)
-        search_rows = np.arange(self.cfg.n_template_tokens,
-                                self.cfg.n_template_tokens + self.cfg.n_search_tokens)
-        levels = []
+    def forward(self, samples: SyntheticSample | Sequence[SyntheticSample]):
+        """Predict one sample, or a list of samples in one pass.
+
+        Returns a ForwardOutput for one sample and a list of them, in order,
+        for a list.
+        """
+        single = isinstance(samples, SyntheticSample)
+        batch = [samples] if single else list(samples)
+        if not batch:
+            raise ContractError("forward: no samples")
+        outs = [ForwardOutput() for _ in batch]
+        features = self._backbone(batch, outs)
+        n_search = self.cfg.n_search_tokens
+        for i, out in enumerate(outs):
+            feat_r, feat_x = (gather_rows(features, np.arange(n_search) + n_search * seq)
+                              for seq in (2 * i, 2 * i + 1))
+            self._head(feat_r, feat_x, out)
+        return outs[0] if single else outs
+
+    def _backbone(self, batch: list[SyntheticSample], outs: list[ForwardOutput]) -> Tensor:
+        """Search-token features of all S = 2B sequences, [S * Ts, D], sequence-major.
+
+        Fills each output's balance, selected experts and evaluation counts.
+        """
+        cfg = self.cfg
+        templates = np.stack([f for s in batch for f in (s.template_r, s.template_x)])
+        searches = np.stack([f for s in batch for f in (s.search_r, s.search_x)])
+        tokens = concat([patch_embed(templates, self.embed_w, self.embed_b),
+                         patch_embed(searches, self.embed_w, self.embed_b)], axis=1)
+        n_seq, n_tok, d = tokens.shape
+        pos = concat([self.pos_template.tensor, self.pos_search.tensor], axis=0)
+        tokens = reshape(add_rowvec(reshape(tokens, (n_seq, n_tok * d)),
+                                    reshape(pos, (n_tok * d,))), (n_seq, n_tok, d))
+        search_rows = (n_tok * np.arange(n_seq)[:, None]
+                       + np.arange(cfg.n_template_tokens, n_tok)).ravel()
+
+        def search_tokens(x: Tensor) -> Tensor:
+            return gather_rows(reshape(x, (n_seq * n_tok, d)), search_rows)
+
+        levels, balances = [], []
         for i, block in enumerate(self.blocks):
             tokens = block(tokens)
             if self.adapters:
                 result = self.adapters[i](tokens)
                 tokens = result.output
-                out.balances.append(result.balance)
-                out.decisions.append(result.decision)
-                out.expert_evals.append(result.n_expert_evals)
-            if (i + 1) in self.cfg.level_taps:
-                levels.append(gather_rows(tokens, search_rows))
-        final = gather_rows(tokens, search_rows)
-        return final, levels
-
-    def _fuse_modality(self, final: Tensor, levels: list[Tensor]) -> Tensor:
+                balances.append(reshape(result.balance, (n_seq, 1)))
+                selected = result.sparse.decision.selected.reshape(n_seq, n_tok, -1)
+                for j, out in enumerate(outs):
+                    out.selected.extend(selected[2 * j:2 * j + 2])
+                    out.expert_evals.extend([result.sparse.n_expert_evals // n_seq] * 2)
+            if (i + 1) in cfg.level_taps:
+                levels.append(search_tokens(tokens))
+        if balances:
+            # row j lists sample j's terms: modality R's layers, then modality X's
+            terms = reshape(concat(balances, axis=1), (len(batch), 2 * len(balances)))
+            for j, out in enumerate(outs):
+                out.balance = mean(gather_rows(terms, np.array([j])))
+        features = search_tokens(tokens)
         if self.mff_w is not None:
-            return add(final, multi_level_fuse(levels, self.mff_w))
-        return final
+            features = add(features, multi_level_fuse(levels, self.mff_w))
+        return features
 
-    def forward(self, sample: SyntheticSample) -> ForwardOutput:
-        out = ForwardOutput()
-        final_r, levels_r = self._run_modality(sample.template_r, sample.search_r, out)
-        final_x, levels_x = self._run_modality(sample.template_x, sample.search_x, out)
-        feat_r = self._fuse_modality(final_r, levels_r)
-        feat_x = self._fuse_modality(final_x, levels_x)
+    def _head(self, feat_r: Tensor, feat_x: Tensor, out: ForwardOutput) -> None:
+        """Cross-modal fusion and the center/box head for one sample."""
         head_in = concat([feat_r, feat_x], axis=1)
 
         if self.fuse_w is not None:
@@ -299,7 +350,6 @@ class Tracker:
         out.box = Box(cx=cx, cy=cy, w=w, h=h)
         out.box_tensor = box_t
         out.center_map = center
-        return out
 
 
 def gaussian_center_map(side: int, box: Box) -> np.ndarray:

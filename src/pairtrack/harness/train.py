@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from ..losses import (
     total_loss,
     weighted_focal,
 )
-from ..numerics import Tensor, add, backward, constant, no_grad, smul
+from ..numerics import add, backward, no_grad, smul
 from .config import RunConfig
 from .data import SyntheticSample, complementary_split, generate_dataset
 from .metrics import MetricsRecord, usage_entropy
@@ -30,25 +31,24 @@ class TrackResult:
     output: ForwardOutput
 
 
-def _mean_balance(output: ForwardOutput) -> Tensor:
-    if not output.balances:
-        return constant(np.asarray(0.0))
-    acc = output.balances[0]
-    for b in output.balances[1:]:
-        acc = add(acc, b)
-    return smul(acc, 1.0 / len(output.balances))
+def forward_track(samples: SyntheticSample | Sequence[SyntheticSample], model: Tracker):
+    """Tracking forward pass plus the full loss bundle against gt.
 
-
-def forward_track(sample: SyntheticSample, model: Tracker) -> TrackResult:
-    """One tracking forward pass plus the full loss bundle against gt."""
-    output = model.forward(sample)
-    gt_map = gaussian_center_map(model.cfg.heatmap_side, sample.gt_box)
-    cls = weighted_focal(output.center_map, gt_map)
-    iou = giou_loss(output.box_tensor, sample.gt_box)
-    l1 = l1_box_loss(output.box_tensor, sample.gt_box)
-    eb = _mean_balance(output)
-    bundle = total_loss(cls, iou, l1, eb, model.cfg.loss_weights())
-    return TrackResult(box_prediction=output.box, bundle=bundle, output=output)
+    Takes one sample, or a list of them that the model runs in one pass;
+    returns a TrackResult, or a list of them in order.
+    """
+    single = isinstance(samples, SyntheticSample)
+    outputs = model.forward(samples)
+    batch, outputs = ([samples], [outputs]) if single else (samples, outputs)
+    results = []
+    for sample, output in zip(batch, outputs):
+        gt_map = gaussian_center_map(model.cfg.heatmap_side, sample.gt_box)
+        cls = weighted_focal(output.center_map, gt_map)
+        iou = giou_loss(output.box_tensor, sample.gt_box)
+        l1 = l1_box_loss(output.box_tensor, sample.gt_box)
+        bundle = total_loss(cls, iou, l1, output.balance, model.cfg.loss_weights())
+        results.append(TrackResult(box_prediction=output.box, bundle=bundle, output=output))
+    return results[0] if single else results
 
 
 @dataclass
@@ -60,15 +60,15 @@ class TrainResult:
 
 
 def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
-    """Mean loss bundle over samples in a fixed reduction order."""
+    """Mean loss bundle over samples, run in one pass, in a fixed reduction order."""
     components = {"cls": 0.0, "iou": 0.0, "l1": 0.0, "eb": 0.0, "total": 0.0}
     usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
     total_t = None
-    for sample in samples:
-        try:
-            result = forward_track(sample, model)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (training step {step})") from exc
+    try:
+        results = forward_track(samples, model)
+    except NumericError as exc:
+        raise NumericError(f"{exc} (training step {step})") from exc
+    for result in results:
         values = result.bundle.values()
         for name in components:
             value = values[name]

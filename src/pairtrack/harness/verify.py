@@ -102,6 +102,7 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
     squares = rng.uniform(-1, 1, (2, 4, 4))
     # weight 2 is never picked; x is both the routed input and weight 0
     idx_weights = np.array([1, 0, 0, 1])
+    stack = rng.uniform(-1, 1, (2, 5, 4))
     cases: list[tuple[str, Callable, tuple, float, float]] = [
         ("add", lambda x: add(x, constant(other)), (5, 4), -2, 2),
         ("sub", lambda x: sub(x, constant(other)), (5, 4), -2, 2),
@@ -137,6 +138,10 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
         ("add_rowvec", lambda x: add_rowvec(x, constant(vec)), (5, 4), -2, 2),
         ("matmul_left", lambda x: matmul(x, constant(w)), (5, 4), -2, 2),
         ("matmul_right", lambda x: matmul(constant(w.T), x), (4, 6), -2, 2),
+        ("matmul_stack_left", lambda x: matmul(x, constant(w)), (2, 5, 4), -2, 2),
+        ("matmul_stack_shared", lambda x: matmul(constant(stack), x), (4, 3), -2, 2),
+        ("matmul_stack_both", lambda x: matmul(x, x), (2, 3, 4, 4), -2, 2),
+        ("transpose_axes", lambda x: transpose(x, (2, 0, 1)), (2, 3, 4), -2, 2),
     ]
     results = []
     for i, (name, build, shape, low, high) in enumerate(cases):

@@ -9,19 +9,24 @@ The adapter combines two paths on top of a residual connection:
     single-matrix sub-experts mixed by a low-dimensional router, and one
     serial up-projection.
 
-Both branches record a fixed number of tape nodes whatever N and M are.
-The sparse branch gathers the T*K (token, pick) pairs into one matrix, runs
+The adapter takes a [..., T, D] stack of token sequences and runs both
+branches once over all of its rows. Both branches record a fixed number of
+tape nodes whatever N, M and the number of sequences are. The sparse branch
+gathers the rows*K (token, pick) pairs into one matrix, token-major, runs
 each expert on its pair rows with ``routed_matmul``, scales rows by the
-router gate and sums each token's K rows with a constant one-hot matmul.
-The shared branch is one matmul: sum_m r_tm (h_t W_m) = (r_t (x) h_t) [W_1;
-...; W_M], with the outer product built from constant 0/1 matrices.
+router gate, and sums each token's K rows by viewing the pairs as [rows, K,
+D] and summing over K. The shared branch is one matmul: sum_m r_tm (h_t
+W_m) = (r_t (x) h_t) [W_1; ...; W_M], with the outer product built from
+constant 0/1 matrices. The balance loss stays per sequence: f and p are
+taken over each sequence's own T tokens, so stacking sequences leaves every
+term as it was.
 
 Projections carry no biases so an all-zero adapter is exactly the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +102,6 @@ class BalanceStats:
 
     f: np.ndarray
     p: np.ndarray
-    token_count: int
 
 
 @dataclass
@@ -118,9 +122,17 @@ class DenseSharedParams:
 @dataclass
 class SparseMoEResult:
     output: Tensor
-    balance: Tensor
     decision: RouterDecision
     n_expert_evals: int
+
+
+@dataclass
+class AdapterResult:
+    """Residual output shaped like the input, one balance term per sequence."""
+
+    output: Tensor
+    balance: Tensor
+    sparse: SparseMoEResult
 
 
 def route(tokens: Tensor, w_router, cfg: MoEConfig) -> RouterDecision:
@@ -142,25 +154,27 @@ def route(tokens: Tensor, w_router, cfg: MoEConfig) -> RouterDecision:
 
 
 def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, BalanceStats]:
-    """Expert-level balance loss: sum_n f_n * p_n.
+    """Expert-level balance loss: sum_n f_n * p_n, one per sequence.
 
-    f_n scales the count of tokens assigned to expert n by N/(K*T); p_n is
-    the mean score of expert n. The counts are piecewise constant in the
+    The decision covers a [..., T] stack of sequences (scores [..., T, N],
+    selected [..., T, K]), and the loss has its leading shape. Per sequence,
+    f_n scales the count of tokens assigned to expert n by N/(K*T), and p_n
+    is the mean score of expert n. The counts are piecewise constant in the
     scores, so gradient flows only through p.
     """
-    t_count, n = decision.scores.shape
+    t_count, n = decision.scores.shape[-2:]
     if t_count == 0:
         raise ContractError("balance_loss: decision holds no tokens")
     if n != cfg.n_experts:
         raise ContractError(
             f"decision has {n} experts but config expects {cfg.n_experts}"
         )
-    k = decision.selected.shape[1]
-    counts = np.bincount(decision.selected.ravel(), minlength=n).astype(np.float64)
+    k = decision.selected.shape[-1]
+    counts = np.sum(decision.selected[..., None] == np.arange(n), axis=(-3, -2))
     f = counts * (n / (k * t_count))
-    p = smul(tsum(decision.scores, axis=0), 1.0 / t_count)
-    loss = tsum(mul(constant(f), p))
-    return loss, BalanceStats(f=f, p=p.data.copy(), token_count=t_count)
+    p = smul(tsum(decision.scores, axis=-2), 1.0 / t_count)
+    loss = tsum(mul(constant(f), p), axis=-1)
+    return loss, BalanceStats(f=f, p=p.data.copy())
 
 
 def routed_experts(
@@ -184,7 +198,7 @@ def sparse_moe(
     w_router,
     cfg: MoEConfig,
 ) -> SparseMoEResult:
-    """Top-K dispatch over the specific experts.
+    """Top-K dispatch of [rows, D] tokens over the specific experts.
 
     Experts that no token selected are never evaluated; the returned
     ``n_expert_evals`` counts (token, expert) pairs actually run.
@@ -194,17 +208,13 @@ def sparse_moe(
             f"expected {cfg.n_experts} expert parameter sets, got {len(experts)}"
         )
     decision = route(tokens, w_router, cfg)
-    balance, _ = balance_loss(decision, cfg)
-    t_count, k = decision.selected.shape
+    rows, k = decision.selected.shape
     # pair row t*K + i holds token t's i-th pick
-    pair_token = np.repeat(np.arange(t_count), k)
+    pair_token = np.repeat(np.arange(rows), k)
     pair_out = routed_experts(gather_rows(tokens, pair_token), experts, decision.selected.ravel())
-    scaled = scale_rows(pair_out, reshape(decision.gate, (t_count * k,)))
-    combine = constant(np.repeat(np.eye(t_count), k, axis=1))  # sums token t's K rows
-    return SparseMoEResult(
-        output=matmul(combine, scaled), balance=balance,
-        decision=decision, n_expert_evals=t_count * k,
-    )
+    scaled = scale_rows(pair_out, reshape(decision.gate, (rows * k,)))
+    output = tsum(reshape(scaled, (rows, k, tokens.shape[1])), axis=1)
+    return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 
 
 def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
@@ -229,7 +239,6 @@ class MoEAdapter:
 
     def __init__(self, store: ParamStore, prefix: str, cfg: MoEConfig, rng: RngStream):
         self.cfg = cfg
-        self.prefix = prefix
         d, h = cfg.model_dim, cfg.hidden_dim
         self.w_router = store.uniform_init(f"{prefix}.router.w", (d, cfg.n_experts), d, rng)
         self.experts = [
@@ -250,11 +259,20 @@ class MoEAdapter:
             w_up=store.uniform_init(f"{prefix}.shared.w_up", (h, d), h, rng),
         )
 
-    def __call__(self, tokens: Tensor) -> SparseMoEResult:
-        """The sparse result, with ``output`` the residual sum of both branches."""
-        sparse = sparse_moe(tokens, self.experts, self.w_router, self.cfg)
-        shared_out = dense_shared_moe(tokens, self.shared)
-        return replace(sparse, output=add(add(tokens, sparse.output), shared_out))
+    def __call__(self, tokens: Tensor) -> AdapterResult:
+        """Both branches over a [..., T, D] stack of sequences, as one set of rows."""
+        *lead, t_count, d = tokens.shape
+        rows = reshape(tokens, (tokens.size // d, d))
+        sparse = sparse_moe(rows, self.experts, self.w_router, self.cfg)
+        output = add(add(rows, sparse.output), dense_shared_moe(rows, self.shared))
+        decision = sparse.decision
+        per_sequence = RouterDecision(
+            scores=reshape(decision.scores, (*lead, t_count, self.cfg.n_experts)),
+            selected=decision.selected.reshape(*lead, t_count, self.cfg.top_k),
+            gate=reshape(decision.gate, (*lead, t_count, self.cfg.top_k)),
+        )
+        balance, _ = balance_loss(per_sequence, self.cfg)
+        return AdapterResult(output=reshape(output, tokens.shape), balance=balance, sparse=sparse)
 
 
 def adapter_param_count(cfg: MoEConfig) -> int:

@@ -38,7 +38,12 @@ def save_checkpoint(store: ParamStore, directory: str) -> tuple[str, str]:
 
 
 def load_checkpoint(store: ParamStore, directory: str) -> None:
-    """Load values into an existing store; names and shapes must match."""
+    """Load values into an existing store, all or nothing.
+
+    Every manifest line must hold a name, an integer shape and an integer
+    offset; every store parameter must appear exactly once, with its shape,
+    inside the blob. Any failure raises ContractError before a value is set.
+    """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
     try:
@@ -47,17 +52,31 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
     except OSError as exc:
         raise ContractError(f"cannot read checkpoint blob: {exc}") from exc
     with open(manifest_path, "r", encoding="utf-8") as mf:
-        for line in mf:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        lines = mf.read().splitlines()
+    values = {}
+    for number, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
             name, shape_text, offset_text = line.split("\t")
             shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
             offset = int(offset_text)
-            n = int(np.prod(shape)) if shape else 1
-            if offset < 0 or offset + 8 * n > len(raw):
-                raise ContractError(f"checkpoint entry {name} runs past the blob's end")
-            values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-            if name not in store:
-                raise ContractError(f"checkpoint names unknown parameter {name}")
-            store.set_values(name, values.reshape(shape))
+        except ValueError as exc:
+            raise ContractError(f"checkpoint manifest line {number} is malformed: {line!r}") from exc
+        if name not in store:
+            raise ContractError(f"checkpoint names unknown parameter {name}")
+        if name in values:
+            raise ContractError(f"checkpoint names parameter {name} twice")
+        if shape != store[name].shape:
+            raise ContractError(
+                f"checkpoint entry {name} has shape {shape}, the model {store[name].shape}"
+            )
+        n = int(np.prod(shape)) if shape else 1
+        if offset < 0 or offset + 8 * n > len(raw):
+            raise ContractError(f"checkpoint entry {name} runs past the blob's end")
+        values[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
+    missing = [p.name for p in store if p.name not in values]
+    if missing:
+        raise ContractError(f"checkpoint lacks parameters: {', '.join(missing)}")
+    for name, array in values.items():
+        store.set_values(name, array)

@@ -7,8 +7,9 @@ gradient accumulation is deterministic for a given forward pass.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated row/column helpers
-(``add_rowvec``, ``scale_rows``) and ``linear``'s leading-dimension
-flattening. Keeping the kernel surface small keeps shape bugs loud.
+(``add_rowvec``, ``scale_rows``), ``matmul`` of a stack of matrices by one
+shared matrix, and ``linear``'s leading-dimension flattening. Keeping the
+kernel surface small keeps shape bugs loud.
 """
 
 from __future__ import annotations
@@ -279,10 +280,17 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _node(np.clip(a.data, lo, hi), (a,), bw)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from a single exp(-|x|), which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    # e <= 1, so the numerator is 1 where x >= 0 and e elsewhere, without a branch per entry
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = _logistic(a.data)
 
     def bw(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -293,8 +301,7 @@ def sigmoid(a: Tensor) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     x = a.data
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    sig = _logistic(x)
 
     def bw(g):
         _accumulate(a, g * (sig + x * sig * (1.0 - sig)))
@@ -335,9 +342,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
     ax = axis % a.ndim
-    shifted = a.data - np.max(a.data, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / np.sum(e, axis=ax, keepdims=True)
+    out_data = a.data - np.max(a.data, axis=ax, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= np.sum(out_data, axis=ax, keepdims=True)
 
     def bw(g):
         inner = np.sum(g * out_data, axis=ax, keepdims=True)
@@ -363,14 +370,21 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes as numpy does; without ``axes`` a matrix's two axes swap."""
+    if axes is None:
+        if a.ndim != 2:
+            raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+        axes = (1, 0)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {a.shape}")
+    inverse = tuple(int(i) for i in np.argsort(axes))
 
     def bw(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.transpose(inverse))
 
-    return _node(np.ascontiguousarray(a.data.T), (a,), bw)
+    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -424,8 +438,14 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
     def bw(g):
+        # a row's first pick is assigned and its later picks are added in pick
+        # order; np.add.at alone is an order of magnitude slower on distinct rows
+        first = np.unique(idx, return_index=True)[1]
+        again = np.ones(idx.size, dtype=bool)
+        again[first] = False
         buf = np.zeros(a.shape, dtype=np.float64)
-        np.add.at(buf, idx, g)
+        buf[idx[first]] = g[first]
+        np.add.at(buf, idx[again], g[again])
         _accumulate(a, buf)
 
     return _node(a.data[idx], (a,), bw)
@@ -478,18 +498,35 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes of a [..., M, K] ``a``.
+
+    ``b`` is either one [K, N] matrix shared by every leading index of ``a``
+    (its gradient sums over them) or [..., K, N] with ``a``'s leading shape.
+    """
+    if a.ndim < 2 or b.ndim < 2 or (b.ndim > 2 and b.shape[:-2] != a.shape[:-2]):
+        raise ShapeError(f"matmul expects stacked matrices, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
+    if b.ndim > 2:
+        def bw_stacked(g):
+            if a.requires_grad:
+                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            if b.requires_grad:
+                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+
+        return _node(a.data @ b.data, (a, b), bw_stacked)
+
+    k, n = b.shape
+    rows = a.data.reshape(-1, k)  # one matrix product for the whole stack
 
     def bw(g):
+        g_rows = g.reshape(-1, n)
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, rows.T @ g_rows)
 
-    return _node(a.data @ b.data, (a, b), bw)
+    return _node((rows @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), bw)
 
 
 def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> Tensor:

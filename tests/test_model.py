@@ -12,8 +12,10 @@ from pairtrack.harness import (
     patch_embed,
     tiny_config,
 )
+from pairtrack.harness.model import ForwardOutput
+from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box
-from pairtrack.numerics import ParamStore, RngStream
+from pairtrack.numerics import ParamStore, RngStream, backward, smul
 
 
 def test_patch_count_shape_arithmetic():
@@ -136,3 +138,68 @@ def test_usage_histogram_matches_routed_tokens():
     hist = result.output.usage_histogram(cfg.n_experts)
     routed = (cfg.n_template_tokens + cfg.n_search_tokens) * 2 * cfg.depth * cfg.top_k
     assert hist.sum() == routed
+
+
+def _perturbed_tracker(cfg, scale=0.05):
+    """A tracker whose zero-initialised insertions are switched on."""
+    model = Tracker(cfg)
+    noise = RngStream(cfg.seed).child("perturb")
+    for p in model.store:
+        if p.trainable:
+            model.store.set_values(p.name, p.data + noise.normal(scale, p.shape))
+    return model
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def test_batched_forward_matches_single_calls():
+    cfg = tiny_config(seed=14, top_k=1)
+    model = _perturbed_tracker(cfg)
+    samples = generate_dataset(cfg, 4, "batched")
+    batched = forward_track(samples, model)
+    assert len(batched) == len(samples)
+    for sample, together in zip(samples, batched):
+        alone = forward_track(sample, model)
+        assert _rel_err(together.output.box_tensor.data, alone.output.box_tensor.data) <= 1e-12
+        assert _rel_err(together.output.center_map.data, alone.output.center_map.data) <= 1e-12
+        assert _rel_err(together.bundle.total.data, alone.bundle.total.data) <= 1e-12
+        assert together.output.expert_evals == alone.output.expert_evals
+        np.testing.assert_array_equal(together.output.usage_histogram(cfg.n_experts),
+                                      alone.output.usage_histogram(cfg.n_experts))
+
+    model.store.zero_grad()
+    backward(_batch_loss(model, samples, step=0)[0])
+    batch_grads = {p.name: p.grad.copy() for p in model.store if p.grad is not None}
+    model.store.zero_grad()
+    for sample in samples:
+        backward(smul(forward_track(sample, model).bundle.total, 1.0 / len(samples)))
+    single_grads = {p.name: p.grad for p in model.store if p.grad is not None}
+    assert batch_grads.keys() == single_grads.keys() and batch_grads
+    for name, grad in batch_grads.items():
+        assert _rel_err(grad, single_grads[name]) <= 1e-12, name
+
+
+def _recorded_nodes(out):
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+def test_backbone_tape_size_is_independent_of_batch_size():
+    cfg = tiny_config(seed=15)
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, 4, "tape")
+    counts = {}
+    for b in (1, 2, 4):
+        features = model._backbone(samples[:b], [ForwardOutput() for _ in range(b)])
+        assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
+        counts[b] = _recorded_nodes(features)
+    assert len(set(counts.values())) == 1, counts

@@ -388,6 +388,19 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
     assert len(counts) == 1, counts
 
 
+def test_adapter_on_stacked_sequences_matches_each_sequence_alone():
+    adapter, _, cfg = _make_adapter(d=12, n=4, k=2, g=4, m=2, seed=26)
+    stacked = RngStream(27).uniform(-1, 1, (3, 9, 12))
+    together = adapter(constant(stacked))
+    assert together.output.shape == (3, 9, 12) and together.balance.shape == (3,)
+    assert together.sparse.n_expert_evals == 3 * 9 * cfg.top_k
+    for s in range(3):
+        alone = adapter(constant(stacked[s]))
+        np.testing.assert_allclose(together.output.data[s], alone.output.data, rtol=0, atol=1e-14)
+        # f and p are taken over the sequence's own tokens, so the term is unchanged
+        assert together.balance.data[s] == alone.balance.item()
+
+
 def test_adapter_param_count_matches_walker():
     cfg = MoEConfig(model_dim=144, n_experts=4, top_k=1, reduction=12, n_shared=4)
     store = ParamStore()

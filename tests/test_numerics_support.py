@@ -101,7 +101,9 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
         load_checkpoint(other, str(tmp_path / "ck"))
 
 
-@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize(
+    "damage", ["missing", "truncated", "malformed", "dropped-line", "duplicate-line"]
+)
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
     from pairtrack.harness.cli import main
@@ -115,11 +117,20 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
         encoding="utf-8",
     )
     out = tmp_path / "run"
-    _, blob = save_checkpoint(Tracker(load_config(str(cfg_path))).store, str(out))
+    manifest, blob = save_checkpoint(Tracker(load_config(str(cfg_path))).store, str(out))
+    lines = open(manifest, encoding="utf-8").read().splitlines(keepends=True)
     if damage == "missing":
         os.remove(blob)
-    else:
+    elif damage == "truncated":
         with open(blob, "r+b") as fh:
             fh.truncate(os.path.getsize(blob) // 2)
+    else:
+        edited = {
+            "malformed": [lines[0].rsplit("\t", 1)[0] + "\n"] + lines[1:],
+            "dropped-line": lines[:-1],
+            "duplicate-line": lines + lines[:1],
+        }[damage]
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.writelines(edited)
     assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

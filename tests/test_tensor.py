@@ -63,6 +63,29 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
+def test_stacked_matmul_matches_per_matrix_products():
+    rng = RngStream(31)
+    a = rng.uniform(-1, 1, (2, 3, 4, 5))
+    shared = rng.uniform(-1, 1, (5, 2))
+    paired = rng.uniform(-1, 1, (2, 3, 5, 2))
+    by_shared = matmul(constant(a), constant(shared)).data
+    by_paired = matmul(constant(a), constant(paired)).data
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(by_shared[i, j], a[i, j] @ shared, atol=1e-14)
+            np.testing.assert_allclose(by_paired[i, j], a[i, j] @ paired[i, j], atol=1e-14)
+    with pytest.raises(ShapeError):
+        matmul(constant(a), constant(rng.uniform(-1, 1, (3, 2, 5, 2))))
+    with pytest.raises(ShapeError):
+        matmul(constant(a[0, 0]), constant(paired))
+    np.testing.assert_array_equal(transpose(constant(a), (0, 2, 3, 1)).data,
+                                  a.transpose(0, 2, 3, 1))
+    with pytest.raises(ShapeError):
+        transpose(constant(a), (0, 1, 2))
+    with pytest.raises(ShapeError):
+        transpose(constant(a))
+
+
 def test_matmul_associativity():
     rng = RngStream(11)
     for _ in range(10):
