@@ -49,10 +49,10 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
     try:
         with open(blob_path, "rb") as blob:
             raw = blob.read()
-    except OSError as exc:
-        raise ContractError(f"cannot read checkpoint blob: {exc}") from exc
-    with open(manifest_path, "r", encoding="utf-8") as mf:
-        lines = mf.read().splitlines()
+        with open(manifest_path, "r", encoding="utf-8") as mf:
+            lines = mf.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractError(f"cannot read checkpoint: {exc}") from exc
     values = {}
     for number, line in enumerate(lines, start=1):
         if not line:

@@ -102,7 +102,8 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "damage", ["missing", "truncated", "malformed", "dropped-line", "duplicate-line"]
+    "damage",
+    ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable"],
 )
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
@@ -118,13 +119,17 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     )
     out = tmp_path / "run"
     manifest, blob = save_checkpoint(Tracker(load_config(str(cfg_path))).store, str(out))
-    lines = open(manifest, encoding="utf-8").read().splitlines(keepends=True)
     if damage == "missing":
         os.remove(blob)
     elif damage == "truncated":
         with open(blob, "r+b") as fh:
             fh.truncate(os.path.getsize(blob) // 2)
+    elif damage == "undecodable":
+        with open(manifest, "r+b") as fh:
+            fh.write(b"\xff")
     else:
+        with open(manifest, encoding="utf-8") as fh:
+            lines = fh.readlines()
         edited = {
             "malformed": [lines[0].rsplit("\t", 1)[0] + "\n"] + lines[1:],
             "dropped-line": lines[:-1],
