@@ -5,6 +5,12 @@ Frobenius-normalized Gram matrix, blends with a learnable scalar, and fuses
 the two directions through a fully connected layer. The hypergraph half
 groups vertices by epsilon-balls in feature space and applies a residual
 degree-normalized convolution.
+
+The tape functions take one sample's [T, D] tokens or a [..., T, D] stack
+of samples, and treat every leading index as its own sample: one Gram
+matrix and norm per sample, one hypergraph per sample. Building a
+hypergraph is numpy work without a tape, so it stays per sample; the
+convolution is linear for fixed hypergraphs and runs as one stacked matmul.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .numerics import (
     mul,
     pow_const,
     reciprocal,
+    reshape,
     scale,
     transpose,
     tsum,
@@ -39,9 +46,9 @@ class ModalityKeys:
     k_x: Tensor
 
     def __post_init__(self):
-        if self.k_r.shape != self.k_x.shape or self.k_r.ndim != 2:
+        if self.k_r.shape != self.k_x.shape or self.k_r.ndim < 2:
             raise ShapeError(
-                f"modality keys must share a [T, D] shape, got "
+                f"modality keys must share a [..., T, D] shape, got "
                 f"{self.k_r.shape} and {self.k_x.shape}"
             )
 
@@ -56,10 +63,13 @@ class AlignWeights:
 
 @dataclass
 class GramBasis:
-    """Raw Gram g = k^T k, its Frobenius norm, and the normalized basis."""
+    """Raw Gram g = k^T k, its Frobenius norm, and the normalized basis.
+
+    For a stack, g and normalized are [..., D, D] and norm has the leading shape.
+    """
 
     g: Tensor
-    norm: float
+    norm: float | np.ndarray
     normalized: Tensor
 
 
@@ -89,26 +99,26 @@ def multi_level_fuse(levels: list[Tensor], w, b=None) -> Tensor:
             raise ContractError(
                 f"multi_level_fuse: shapes differ: {shape} vs {lvl.shape}"
             )
-    return linear(concat(levels, axis=1), w, b)
+    return linear(concat(levels, axis=-1), w, b)
 
 
 def gram_basis(k: Tensor) -> GramBasis:
-    """Gram matrix of key columns, Frobenius-normalized into a basis map."""
-    if k.ndim != 2 or k.shape[0] < 1:
-        raise ShapeError(f"gram_basis expects [T, D] keys with T >= 1, got {k.shape}")
-    g = matmul(transpose(k), k)
-    norm_sq = tsum(mul(g, g))
-    norm_value = float(np.sqrt(norm_sq.data))
-    if not norm_value > 0.0:
+    """Gram matrix of key columns, Frobenius-normalized into a basis map, per sample."""
+    if k.ndim < 2 or k.shape[-2] < 1:
+        raise ShapeError(f"gram_basis expects [..., T, D] keys with T >= 1, got {k.shape}")
+    lead, d = k.shape[:-2], k.shape[-1]
+    g = matmul(transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)), k)
+    norm_sq = tsum(reshape(mul(g, g), lead + (d * d,)), axis=-1)
+    norm_value = np.sqrt(norm_sq.data)
+    if not np.all(norm_value > 0.0):
         raise DegenerateInputError("gram_basis: zero-norm Gram (zero key matrix)")
-    norm_t = pow_const(norm_sq, 0.5)
-    normalized = scale(g, reciprocal(norm_t))
+    normalized = scale(g, reciprocal(pow_const(norm_sq, 0.5)))
     return GramBasis(g=g, norm=norm_value, normalized=normalized)
 
 
 def gram_map(k_src: Tensor, basis: GramBasis) -> Tensor:
     """Map tokens through the target modality's normalized Gram basis."""
-    if not basis.norm > 0.0:
+    if not np.all(np.asarray(basis.norm) > 0.0):
         raise DegenerateInputError("gram_map: degenerate basis")
     return matmul(k_src, basis.normalized)
 
@@ -125,7 +135,7 @@ def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w, fc_b=None) -> T
     basis_x = gram_basis(keys.k_x)
     f_x = align_fuse(keys.k_x, gram_map(keys.k_x, basis_r), weights.w_x)
     f_r = align_fuse(keys.k_r, gram_map(keys.k_r, basis_x), weights.w_r)
-    return linear(concat([f_x, f_r], axis=1), fc_w, fc_b)
+    return linear(concat([f_x, f_r], axis=-1), fc_w, fc_b)
 
 
 def build_hypergraph(x, epsilon: float) -> Hypergraph:
@@ -178,14 +188,26 @@ def propagation_matrix(hg: Hypergraph) -> np.ndarray:
     return (h / hg.d_v[:, None]) @ (h.T / hg.d_e[:, None])
 
 
-def hyperconv(x: Tensor, hg: Hypergraph, params: HyperConvParams) -> Tensor:
-    """Residual hypergraph convolution: x + P x Theta1 Theta2."""
-    if hg.incidence.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"hyperconv: {x.shape[0]} vertices vs incidence {hg.incidence.shape}"
-        )
-    if np.any(hg.d_v < 1) or np.any(hg.d_e < 1):
-        raise ContractError("hyperconv: hypergraph has a zero degree")
-    p = constant(propagation_matrix(hg))
+def hyperconv(x: Tensor, hg: Hypergraph | list[Hypergraph],
+              params: HyperConvParams) -> Tensor:
+    """Residual hypergraph convolution: x + P x Theta1 Theta2.
+
+    ``x`` is one sample's [V, D] features with one hypergraph, or a [B, V, D]
+    stack with a list of B hypergraphs, whose propagation matrices become one
+    [B, V, V] constant.
+    """
+    stacked = not isinstance(hg, Hypergraph)
+    graphs = list(hg) if stacked else [hg]
+    if x.ndim != (3 if stacked else 2) or (stacked and x.shape[0] != len(graphs)):
+        raise ShapeError(f"hyperconv: features {x.shape} for {len(graphs)} hypergraph(s)")
+    for graph in graphs:
+        if graph.incidence.shape[0] != x.shape[-2]:
+            raise ShapeError(
+                f"hyperconv: {x.shape[-2]} vertices vs incidence {graph.incidence.shape}"
+            )
+        if np.any(graph.d_v < 1) or np.any(graph.d_e < 1):
+            raise ContractError("hyperconv: hypergraph has a zero degree")
+    p = constant(np.stack([propagation_matrix(graph) for graph in graphs]) if stacked
+                 else propagation_matrix(hg))
     propagated = matmul(matmul(matmul(p, x), params.theta1.tensor), params.theta2.tensor)
     return add(x, propagated)

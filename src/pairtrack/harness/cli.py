@@ -13,8 +13,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, PairtrackError
+from ..errors import ConfigError, ContractError, NumericError, PairtrackError
 from ..numerics import load_checkpoint, save_checkpoint
+from ..numerics.checkpoint import MANIFEST_NAME
 from .config import RunConfig, load_config
 from .data import generate_dataset
 from .metrics import HEADER, format_record, write_metrics
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
         ("train", "train the tracker and write metrics plus a checkpoint"),
-        ("eval", "evaluate a (fresh or checkpointed) model on the eval split"),
+        ("eval", "evaluate the checkpoint under --out on the eval split"),
         ("gradcheck", "run the unit and end-to-end gradient suites"),
         ("ablate", "train the variant ladder and print the comparison table"),
         ("gen-data", "generate the synthetic dataset and write it to disk"),
@@ -80,11 +81,12 @@ def _cmd_train(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, out_dir: str) -> int:
+    # scoring the random initial weights would pass for a result
+    if not os.path.exists(os.path.join(out_dir, MANIFEST_NAME)):
+        raise ContractError(f"no checkpoint under {out_dir}; run train with --out {out_dir}")
     model = Tracker(cfg)
-    manifest = os.path.join(out_dir, "checkpoint.manifest")
-    if os.path.exists(manifest):
-        load_checkpoint(model.store, out_dir)
-        print(f"loaded checkpoint from {out_dir}")
+    load_checkpoint(model.store, out_dir)
+    print(f"loaded checkpoint from {out_dir}")
     record = evaluate(model, generate_dataset(cfg, cfg.n_eval, "eval"))
     sys.stdout.write(HEADER)
     sys.stdout.write(format_record(record))

@@ -11,13 +11,14 @@ A forward pass takes B samples at once. Their 2B token sequences are
 stacked sample-major and modality-minor (sample 0 R, sample 0 X, sample 1
 R, ...) into one [S, T, D] tensor, S = 2B, and patch embedding, the blocks
 and the adapters run once over the stack; attention puts the heads on a
-batch axis beside the sequences. Cross-modal fusion and the head run per
-sample on that sample's two sequences.
+batch axis beside the sequences. Cross-modal fusion and the head then run
+once on [B, Ts, D] stacks of the R and X search tokens, and predict [B, 4]
+boxes, [B, side, side] center maps and B balance terms. The tape of a pass
+does not depend on B, and one sample is the same code with B = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -137,22 +138,84 @@ class Block:
         return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo.tensor)
 
 
-@dataclass
-class ForwardOutput:
-    """One sample's prediction; ``balance`` is the mean of its 2*depth balance terms."""
+def row_of(stacked: Tensor, row: int) -> Tensor:
+    """Row ``row`` of a [B, ...] stack as a [...] tensor, recorded like any op."""
+    rest = stacked.shape[1:]
+    flat = reshape(stacked, (stacked.shape[0], int(np.prod(rest, dtype=np.int64))))
+    return reshape(gather_rows(flat, np.array([row])), rest)
 
-    box: Box | None = None
-    box_tensor: Tensor | None = None
-    center_map: Tensor | None = None
-    balance: Tensor = field(default_factory=lambda: constant(np.asarray(0.0)))
-    selected: list[np.ndarray] = field(default_factory=list)  # [T, K] per adapter pass
-    expert_evals: list[int] = field(default_factory=list)
+
+class _RowView:
+    """A tensor attribute that is a row of a stacked tensor, built on first read.
+
+    Rows that nobody reads add nothing to the tape. Assigning a tensor
+    replaces the row.
+    """
+
+    def __init__(self, default=None):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.name not in obj.__dict__:
+            source = obj._rows.get(self.name)
+            obj.__dict__[self.name] = (row_of(*source) if source is not None
+                                      else self.default() if self.default else None)
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        obj._rows.pop(self.name, None)
+        obj.__dict__[self.name] = value
+
+
+class ForwardOutput:
+    """One sample's prediction.
+
+    ``box_tensor`` is [4], ``center_map`` [side, side] and ``balance`` the
+    mean of the sample's 2*depth balance terms. A tracker sets them as rows
+    of its pass's stacked tensors, which ``stacked`` returns whole.
+    """
+
+    box_tensor = _RowView()
+    center_map = _RowView()
+    balance = _RowView(lambda: constant(np.asarray(0.0)))
+
+    def __init__(self):
+        self.box: Box | None = None
+        self.selected: list[np.ndarray] = []  # [T, K] per adapter pass
+        self.expert_evals: list[int] = []
+        self._rows: dict[str, tuple[Tensor, int]] = {}
+
+    def set_row(self, name: str, stacked: Tensor, row: int) -> None:
+        """Make attribute ``name`` row ``row`` of ``stacked``, without building it."""
+        self.__dict__.pop(name, None)
+        self._rows[name] = (stacked, row)
 
     def usage_histogram(self, n_experts: int) -> np.ndarray:
         hist = np.zeros(n_experts, dtype=np.int64)
         for selected in self.selected:
             hist += np.bincount(selected.ravel(), minlength=n_experts)
         return hist
+
+
+def stacked(outputs: Sequence[ForwardOutput], name: str) -> Tensor:
+    """The [B, ...] tensor whose rows are the outputs' attribute ``name``.
+
+    Outputs of one tracker pass share it, and no row is built; outputs filled
+    in by hand are stacked from their own tensors.
+    """
+    sources = [out._rows.get(name) for out in outputs]
+    whole = sources[0][0] if sources[0] is not None else None
+    if whole is not None and whole.shape[0] == len(outputs) and all(
+            source is not None and source[0] is whole and source[1] == i
+            for i, source in enumerate(sources)):
+        return whole
+    rows = [getattr(out, name) for out in outputs]
+    return concat([reshape(t, (1,) + t.shape) for t in rows], axis=0)
 
 
 class Tracker:
@@ -260,18 +323,15 @@ class Tracker:
         if not batch:
             raise ContractError("forward: no samples")
         outs = [ForwardOutput() for _ in batch]
-        features = self._backbone(batch, outs)
-        n_search = self.cfg.n_search_tokens
-        for i, out in enumerate(outs):
-            feat_r, feat_x = (gather_rows(features, np.arange(n_search) + n_search * seq)
-                              for seq in (2 * i, 2 * i + 1))
-            self._head(feat_r, feat_x, out)
+        self._head(self._backbone(batch, outs), outs)
         return outs[0] if single else outs
 
     def _backbone(self, batch: list[SyntheticSample], outs: list[ForwardOutput]) -> Tensor:
-        """Search-token features of all S = 2B sequences, [S * Ts, D], sequence-major.
+        """Search-token features of all S = 2B sequences, [S * Ts, D].
 
-        Fills each output's balance, selected experts and evaluation counts.
+        Rows run sample, token, modality, so viewed as [B, Ts, 2D] they hold
+        each token's R features, then its X features. Fills each output's
+        selected experts and evaluation counts, and sets its balance row.
         """
         cfg = self.cfg
         templates = np.stack([f for s in batch for f in (s.template_r, s.template_x)])
@@ -282,8 +342,9 @@ class Tracker:
         pos = concat([self.pos_template.tensor, self.pos_search.tensor], axis=0)
         tokens = reshape(add_rowvec(reshape(tokens, (n_seq, n_tok * d)),
                                     reshape(pos, (n_tok * d,))), (n_seq, n_tok, d))
-        search_rows = (n_tok * np.arange(n_seq)[:, None]
-                       + np.arange(cfg.n_template_tokens, n_tok)).ravel()
+        sample, token, modality = np.ix_(np.arange(len(batch)),
+                                         np.arange(cfg.n_template_tokens, n_tok), np.arange(2))
+        search_rows = (n_tok * (2 * sample + modality) + token).ravel()
 
         def search_tokens(x: Tensor) -> Tensor:
             return gather_rows(reshape(x, (n_seq * n_tok, d)), search_rows)
@@ -299,23 +360,29 @@ class Tracker:
                 for j, out in enumerate(outs):
                     out.selected.extend(selected[2 * j:2 * j + 2])
                     out.expert_evals.extend([result.sparse.n_expert_evals // n_seq] * 2)
-            if (i + 1) in cfg.level_taps:
+            if self.mff_w is not None and (i + 1) in cfg.level_taps:
                 levels.append(search_tokens(tokens))
         if balances:
             # row j lists sample j's terms: modality R's layers, then modality X's
             terms = reshape(concat(balances, axis=1), (len(batch), 2 * len(balances)))
-            for j, out in enumerate(outs):
-                out.balance = mean(gather_rows(terms, np.array([j])))
-        features = search_tokens(tokens)
-        if self.mff_w is not None:
-            features = add(features, multi_level_fuse(levels, self.mff_w))
-        return features
+            balance = mean(terms, axis=1)
+        else:
+            balance = constant(np.zeros(len(batch)))
+        for j, out in enumerate(outs):
+            out.set_row("balance", balance, j)
+        if self.mff_w is None:
+            return search_tokens(tokens)
+        # a tap on the last block has already gathered the final search tokens
+        last = levels[-1] if len(self.blocks) in cfg.level_taps else search_tokens(tokens)
+        return add(last, multi_level_fuse(levels, self.mff_w))
 
-    def _head(self, feat_r: Tensor, feat_x: Tensor, out: ForwardOutput) -> None:
-        """Cross-modal fusion and the center/box head for one sample."""
-        head_in = concat([feat_r, feat_x], axis=1)
+    def _head(self, features: Tensor, outs: list[ForwardOutput]) -> None:
+        """Cross-modal fusion and the center/box head, once for all B samples."""
+        n, side, d = len(outs), self.cfg.heatmap_side, self.cfg.model_dim
+        head_in = reshape(features, (n, self.cfg.n_search_tokens, 2 * d))
 
         if self.fuse_w is not None:
+            feat_r, feat_x = slice_cols(head_in, 0, d), slice_cols(head_in, d, 2 * d)
             if self.align is not None:
                 keys = ModalityKeys(
                     k_r=add(feat_r, linear(feat_r, self.key_w)),
@@ -323,33 +390,35 @@ class Tracker:
                 )
                 fused = cross_align(keys, self.align, self.fuse_w)
             else:
-                fused = linear(concat([feat_x, feat_r], axis=1), self.fuse_w)
+                fused = linear(concat([feat_x, feat_r], axis=-1), self.fuse_w)
             if self.conv is not None:
-                eps = (self.cfg.epsilon_value if self.cfg.epsilon_mode == "fixed"
-                       else auto_epsilon(fused))
-                fused = hyperconv(fused, build_hypergraph(fused, eps), self.conv)
+                graphs = [build_hypergraph(x, self.cfg.epsilon_value
+                                           if self.cfg.epsilon_mode == "fixed"
+                                           else auto_epsilon(x))
+                          for x in fused.data]
+                fused = hyperconv(fused, graphs, self.conv)
             head_in = add(head_in, linear(fused, self.out_w))
 
         trunk = silu(linear(head_in, self.head_w1, self.head_b1))
-        side = self.cfg.heatmap_side
-        center_logits = linear(trunk, self.center_w, self.center_b)
-        center = sigmoid(reshape(center_logits, (side, side)))
+        center_logits = linear(trunk, self.center_w, self.center_b)  # [B, Ts, 1]
+        center = sigmoid(reshape(center_logits, (n, side, side)))
         # pool token features weighted by sharpened center scores, so the box
         # decoder sees where the map peaks rather than a uniform average
-        attn = softmax(smul(transpose(center_logits), POOL_TEMPERATURE), axis=1)
+        attn = softmax(smul(transpose(center_logits, (0, 2, 1)), POOL_TEMPERATURE), axis=-1)
         pooled = matmul(attn, trunk)
-        coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y)
-        raw = linear(concat([pooled, coords], axis=1), self.box_w, self.box_b)
+        coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
+        raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)
         # center = soft-argmax plus a bounded learned correction; size from MLP
-        half = constant(np.full((1, 2), 0.5))
+        half = constant(np.full(coords.shape, 0.5))
         correction = smul(sub(sigmoid(slice_cols(raw, 0, 2)), half), CENTER_CORRECTION)
         centers = add(coords, correction)
         sizes = sigmoid(slice_cols(raw, 2, 4))
-        box_t = reshape(concat([centers, sizes], axis=1), (4,))
-        cx, cy, w, h = (float(v) for v in box_t.data)
-        out.box = Box(cx=cx, cy=cy, w=w, h=h)
-        out.box_tensor = box_t
-        out.center_map = center
+        boxes = reshape(concat([centers, sizes], axis=-1), (n, 4))
+        for i, out in enumerate(outs):
+            cx, cy, w, h = (float(v) for v in boxes.data[i])
+            out.box = Box(cx=cx, cy=cy, w=w, h=h)
+            out.set_row("box_tensor", boxes, i)
+            out.set_row("center_map", center, i)
 
 
 def gaussian_center_map(side: int, box: Box) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import ContractError, NumericError
 from ..losses import (
+    LOSS_NAMES,
     Box,
     LossBundle,
     box_iou,
@@ -17,37 +18,64 @@ from ..losses import (
     total_loss,
     weighted_focal,
 )
-from ..numerics import add, backward, no_grad, smul
+from ..numerics import backward, mean, no_grad
 from .config import RunConfig
 from .data import SyntheticSample, complementary_split, generate_dataset
 from .metrics import MetricsRecord, usage_entropy
-from .model import ForwardOutput, Tracker, gaussian_center_map
+from .model import ForwardOutput, Tracker, gaussian_center_map, row_of, stacked
 
 
-@dataclass
 class TrackResult:
-    box_prediction: Box
-    bundle: LossBundle
-    output: ForwardOutput
+    """One sample's predicted box, forward output and losses.
+
+    ``losses`` is the bundle of the whole ``forward_track`` call, [B]
+    tensors that its results share; ``bundle`` is this sample's row of it,
+    built on first read so that rows nobody reads add nothing to the tape.
+    """
+
+    def __init__(self, box_prediction: Box, output: ForwardOutput, losses: LossBundle,
+                 row: int):
+        self.box_prediction = box_prediction
+        self.output = output
+        self.losses = losses
+        self.row = row
+        self._bundle: LossBundle | None = None
+
+    @property
+    def bundle(self) -> LossBundle:
+        if self._bundle is None:
+            self._bundle = LossBundle(
+                *(row_of(getattr(self.losses, name), self.row) for name in LOSS_NAMES))
+        return self._bundle
+
+    def values(self) -> dict[str, float]:
+        """This sample's loss floats, read without building ``bundle``."""
+        return self.losses.values(self.row)
 
 
 def forward_track(samples: SyntheticSample | Sequence[SyntheticSample], model: Tracker):
     """Tracking forward pass plus the full loss bundle against gt.
 
-    Takes one sample, or a list of them that the model runs in one pass;
+    Takes one sample, or a list of them that the model runs in one pass,
+    and computes the losses once over the pass's stacked predictions;
     returns a TrackResult, or a list of them in order.
     """
     single = isinstance(samples, SyntheticSample)
     outputs = model.forward(samples)
-    batch, outputs = ([samples], [outputs]) if single else (samples, outputs)
-    results = []
-    for sample, output in zip(batch, outputs):
-        gt_map = gaussian_center_map(model.cfg.heatmap_side, sample.gt_box)
-        cls = weighted_focal(output.center_map, gt_map)
-        iou = giou_loss(output.box_tensor, sample.gt_box)
-        l1 = l1_box_loss(output.box_tensor, sample.gt_box)
-        bundle = total_loss(cls, iou, l1, output.balance, model.cfg.loss_weights())
-        results.append(TrackResult(box_prediction=output.box, bundle=bundle, output=output))
+    batch, outputs = ([samples], [outputs]) if single else (list(samples), outputs)
+    side = model.cfg.heatmap_side
+    gt_maps = np.stack([gaussian_center_map(side, sample.gt_box) for sample in batch])
+    gt_boxes = np.stack([sample.gt_box.as_array() for sample in batch])
+    boxes = stacked(outputs, "box_tensor")
+    losses = total_loss(
+        weighted_focal(stacked(outputs, "center_map"), gt_maps),
+        giou_loss(boxes, gt_boxes),
+        l1_box_loss(boxes, gt_boxes),
+        stacked(outputs, "balance"),
+        model.cfg.loss_weights(),
+    )
+    results = [TrackResult(output.box, output, losses, row)
+               for row, output in enumerate(outputs)]
     return results[0] if single else results
 
 
@@ -60,29 +88,25 @@ class TrainResult:
 
 
 def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
-    """Mean loss bundle over samples, run in one pass, in a fixed reduction order."""
-    components = {"cls": 0.0, "iou": 0.0, "l1": 0.0, "eb": 0.0, "total": 0.0}
+    """Mean loss over samples, run in one pass; component means summed in sample order."""
+    components = dict.fromkeys(LOSS_NAMES, 0.0)
     usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
-    total_t = None
     try:
         results = forward_track(samples, model)
     except NumericError as exc:
         raise NumericError(f"{exc} (training step {step})") from exc
     for result in results:
-        values = result.bundle.values()
-        for name in components:
-            value = values[name]
+        for name, value in result.values().items():
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss component '{name}' at step {step}"
                 )
             components[name] += value
         usage += result.output.usage_histogram(model.cfg.n_experts)
-        total_t = result.bundle.total if total_t is None else add(total_t, result.bundle.total)
     n = len(samples)
     for name in components:
         components[name] /= n
-    return smul(total_t, 1.0 / n), components, usage
+    return mean(results[0].losses.total), components, usage
 
 
 def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> MetricsRecord:
@@ -90,12 +114,12 @@ def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> M
     if not dataset:
         raise ContractError("evaluate: empty dataset")
     with no_grad():
-        components = {"cls": 0.0, "iou": 0.0, "l1": 0.0, "eb": 0.0, "total": 0.0}
+        components = dict.fromkeys(LOSS_NAMES, 0.0)
         usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
         ious = []
         for sample in dataset:
             result = forward_track(sample, model)
-            for name, value in result.bundle.values().items():
+            for name, value in result.values().items():
                 components[name] += value
             usage += result.output.usage_histogram(model.cfg.n_experts)
             ious.append(box_iou(result.box_prediction, sample.gt_box))

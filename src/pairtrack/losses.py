@@ -2,8 +2,13 @@
 
 Boxes use normalized center-size coordinates (cx, cy, w, h) in [0, 1]
 relative to the search region. The box losses run on tape tensors so the
-regression gradient reaches the model; ``Box`` values are converted to
-constants on entry.
+regression gradient reaches the model; ``Box`` values and arrays are
+converted to constants on entry.
+
+Every loss takes one sample or a stack of samples and reduces to the
+leading shape: a [4] box or an [H, W] map gives a scalar, a [B, 4] stack
+of boxes or a [B, H, W] stack of maps gives B values, each equal to the
+single-sample loss of its row. The tape a loss records does not depend on B.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .numerics import (
     mean,
     minimum,
     mul,
-    neg,
     pow_const,
     reciprocal,
     reshape,
@@ -76,9 +80,12 @@ class LossWeights:
             raise ContractError("loss weights must be nonnegative")
 
 
+LOSS_NAMES = ("cls", "iou", "l1", "eb", "total")
+
+
 @dataclass
 class LossBundle:
-    """Component losses plus their weighted total, all scalar tensors."""
+    """Component losses plus their weighted total, tensors of one leading shape."""
 
     cls: Tensor
     iou: Tensor
@@ -86,13 +93,12 @@ class LossBundle:
     eb: Tensor
     total: Tensor
 
-    def values(self) -> dict[str, float]:
+    def values(self, row: int | None = None) -> dict[str, float]:
+        """Floats of a scalar bundle, or of row ``row`` of a stacked one."""
         return {
-            "cls": self.cls.item(),
-            "iou": self.iou.item(),
-            "l1": self.l1.item(),
-            "eb": self.eb.item(),
-            "total": self.total.item(),
+            name: (getattr(self, name).item() if row is None
+                   else float(getattr(self, name).data[row]))
+            for name in LOSS_NAMES
         }
 
 
@@ -108,73 +114,88 @@ def box_iou(a: Box, b: Box) -> float:
 
 
 def _as_box_tensor(value) -> Tensor:
+    """Boxes as a [..., 4] tensor; a Box or an array becomes a constant."""
     if isinstance(value, Box):
-        return constant(value.as_array().reshape(1, 4))
+        return constant(value.as_array())
     t = value if isinstance(value, Tensor) else constant(value)
-    if t.size != 4:
-        raise ShapeError(f"box tensor must hold 4 values, got shape {t.shape}")
-    return t if t.shape == (1, 4) else reshape(t, (1, 4))
+    if t.ndim < 1 or t.shape[-1] != 4:
+        raise ShapeError(f"boxes must be [..., 4], got shape {t.shape}")
+    return t
 
 
-def _box_pieces(t: Tensor):
-    cx, cy, w, h = (slice_cols(t, i, i + 1) for i in range(4))
-    hw, hh = smul(w, 0.5), smul(h, 0.5)
-    return sub(cx, hw), sub(cy, hh), add(cx, hw), add(cy, hh), mul(w, h)
+def _ratio(num: Tensor, den: Tensor) -> Tensor:
+    """num / den, and 0 with no gradient where den is not positive."""
+    empty = ~(den.data > 0)
+    if not empty.any():
+        return mul(num, reciprocal(den))
+    keep = constant(~empty)
+    safe = add(mul(den, keep), constant(empty))  # 1 in empty rows keeps 1/den finite
+    return mul(mul(num, reciprocal(safe)), keep)
+
+
+def _area(sides: Tensor) -> Tensor:
+    """Width times height of [..., 2] sides, as [..., 1]."""
+    return mul(slice_cols(sides, 0, 1), slice_cols(sides, 1, 2))
 
 
 def giou_loss(pred, gt) -> Tensor:
-    """1 - GIoU as a scalar tensor in [0, 2].
+    """1 - GIoU per box, in [0, 2], over the leading shape of [..., 4] boxes.
 
     Zero-area cases stay total: IoU counts as 0 when the union is empty,
-    and the enclosure penalty as 0 when the enclosing box is empty.
+    and the enclosure penalty as 0 when the enclosing box is empty. The
+    ground truth is read as data; no gradient flows to it.
     """
     a = _as_box_tensor(pred)
-    b = _as_box_tensor(gt)
-    ax1, ay1, ax2, ay2, area_a = _box_pieces(a)
-    bx1, by1, bx2, by2, area_b = _box_pieces(b)
-    zero = constant(np.zeros((1, 1)))
-    iw = maximum(zero, sub(minimum(ax2, bx2), maximum(ax1, bx1)))
-    ih = maximum(zero, sub(minimum(ay2, by2), maximum(ay1, by1)))
-    inter = mul(iw, ih)
+    gt_t = _as_box_tensor(gt)
+    if gt_t.shape != a.shape:
+        raise ShapeError(f"giou: pred {a.shape} vs gt {gt_t.shape}")
+    # corners as [..., 2] (x, y) pairs; the ground truth needs no tape
+    center_a, size_a = slice_cols(a, 0, 2), slice_cols(a, 2, 4)
+    half_a = smul(size_a, 0.5)
+    lo_a, hi_a = sub(center_a, half_a), add(center_a, half_a)
+    area_a = _area(size_a)
+    b = gt_t.data
+    half_b = b[..., 2:] * 0.5
+    lo_b, hi_b = constant(b[..., :2] - half_b), constant(b[..., :2] + half_b)
+    area_b = constant(b[..., 2:3] * b[..., 3:])
+    zero = constant(np.zeros(lo_b.shape))
+    inter = _area(maximum(zero, sub(minimum(hi_a, hi_b), maximum(lo_a, lo_b))))
     union = sub(add(area_a, area_b), inter)
-    cw = sub(maximum(ax2, bx2), minimum(ax1, bx1))
-    ch = sub(maximum(ay2, by2), minimum(ay1, by1))
-    c_area = mul(cw, ch)
-    iou = mul(inter, reciprocal(union)) if union.data.item() > 0 else zero
-    penalty = (
-        mul(sub(c_area, union), reciprocal(c_area)) if c_area.data.item() > 0 else zero
-    )
-    giou = sub(iou, penalty)
-    one = constant(np.ones((1, 1)))
-    return reshape(sub(one, giou), ())
+    c_area = _area(sub(maximum(hi_a, hi_b), minimum(lo_a, lo_b)))
+    giou = sub(_ratio(inter, union), _ratio(sub(c_area, union), c_area))
+    one = constant(np.ones(giou.shape))
+    return reshape(sub(one, giou), a.shape[:-1])
 
 
 def l1_box_loss(pred, gt) -> Tensor:
-    """Mean absolute difference over the four box coordinates."""
-    return reshape(mean(absolute(sub(_as_box_tensor(pred), _as_box_tensor(gt)))), ())
+    """Mean absolute difference over the four box coordinates, per box."""
+    return mean(absolute(sub(_as_box_tensor(pred), _as_box_tensor(gt))), axis=-1)
 
 
 def weighted_focal(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Center-map focal loss normalized by the number of positive cells.
+    """Center-map focal loss normalized by the number of positive cells, per map.
 
-    Cells with gt exactly 1 are positives; elsewhere the penalty is damped
-    by (1 - gt)^4. Predictions are clamped to [1e-6, 1 - 1e-6] before logs.
+    ``pred`` and ``gt`` are [..., H, W]. Cells with gt exactly 1 are
+    positives; elsewhere the penalty is damped by (1 - gt)^4. Predictions
+    are clamped to [1e-6, 1 - 1e-6] before logs.
     """
     gt = np.asarray(gt, dtype=np.float64)
-    if gt.shape != pred.shape:
+    if gt.shape != pred.shape or gt.ndim < 2:
         raise ShapeError(f"focal: pred {pred.shape} vs gt {gt.shape}")
     if gt.min() < 0 or gt.max() > 1:
         raise ContractError("focal: gt map must lie in [0, 1]")
+    cells = gt.shape[:-2] + (gt.shape[-2] * gt.shape[-1],)
+    gt = gt.reshape(cells)
     pos_mask = (gt == 1.0).astype(np.float64)
-    n_pos = pos_mask.sum()
-    if n_pos == 0:
+    n_pos = pos_mask.sum(axis=-1)
+    if np.any(n_pos == 0):
         raise ContractError("focal: gt map has no positive location")
-    p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    one = constant(np.ones_like(gt))
-    pos_term = mul(mul(log(p), pow_const(sub(one, p), 2.0)), constant(pos_mask))
+    p = clamp(reshape(pred, cells), PROB_EPS, 1.0 - PROB_EPS)
+    q = sub(constant(np.ones(cells)), p)
+    pos_term = mul(mul(log(p), pow_const(q, 2.0)), constant(pos_mask))
     neg_weight = ((1.0 - gt) ** 4) * (1.0 - pos_mask)
-    neg_term = mul(mul(log(sub(one, p)), pow_const(p, 2.0)), constant(neg_weight))
-    return smul(neg(add(tsum(pos_term), tsum(neg_term))), 1.0 / n_pos)
+    neg_term = mul(mul(log(q), pow_const(p, 2.0)), constant(neg_weight))
+    return mul(add(tsum(pos_term, axis=-1), tsum(neg_term, axis=-1)), constant(-1.0 / n_pos))
 
 
 def _check_finite(name: str, value: Tensor) -> None:
@@ -184,7 +205,7 @@ def _check_finite(name: str, value: Tensor) -> None:
 
 def total_loss(cls: Tensor, iou: Tensor, l1: Tensor, eb: Tensor,
                weights: LossWeights) -> LossBundle:
-    """Weighted sum: cls + lambda_iou * iou + lambda_l1 * l1 + alpha * eb."""
+    """Weighted sum: cls + lambda_iou * iou + lambda_l1 * l1 + alpha * eb, elementwise."""
     for name, value in (("cls", cls), ("iou", iou), ("l1", l1), ("eb", eb)):
         _check_finite(name, value)
     total = add(

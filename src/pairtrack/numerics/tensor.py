@@ -6,10 +6,14 @@ output node. ``backward`` replays the tape in a fixed topological order, so
 gradient accumulation is deterministic for a given forward pass.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
-shapes, and the only broadcast forms are the dedicated row/column helpers
-(``add_rowvec``, ``scale_rows``), ``matmul`` of a stack of matrices by one
-shared matrix, and ``linear``'s leading-dimension flattening. Keeping the
-kernel surface small keeps shape bugs loud.
+shapes, and the only broadcast forms are the dedicated helpers (``scale``
+by a factor per leading index, ``scale_rows``, ``add_rowvec`` over any
+leading shape) and ``matmul`` of a stack of matrices by one shared matrix.
+Keeping the kernel surface small keeps shape bugs loud.
+
+A gradient is kept without a copy when it first arrives, so it may alias
+another node's gradient. A node owns its gradient, and adds into it in
+place, only after a second contribution made it a fresh array.
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ def _as_f64(values) -> np.ndarray:
 class Tensor:
     """A dense real array plus an optional gradient and tape linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_f64(values)
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -86,10 +91,14 @@ def _accumulate(t: Tensor, delta: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: delta may alias an upstream gradient buffer
-        t.grad = np.array(delta, dtype=np.float64)
-    else:
+        # no copy: delta may alias another gradient, so t does not own it
+        t.grad = np.asarray(delta, dtype=np.float64)
+        t._owns_grad = False
+    elif t._owns_grad:
         t.grad += delta
+    else:
+        t.grad = t.grad + delta
+        t._owns_grad = True
 
 
 def _node(
@@ -133,6 +142,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            # parents may now alias this gradient; a later backward must not write into it
+            node._owns_grad = False
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -214,15 +225,19 @@ def neg(a: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a tensor by a scalar Tensor (gradient flows to both)."""
-    if s.shape != ():
-        raise ShapeError(f"scale: scalar factor must have shape (), got {s.shape}")
+    """Multiply a by s, one factor per leading index: s has a leading part of a's shape.
+
+    A scalar s scales the whole tensor; gradient flows to both.
+    """
+    if s.shape != a.shape[:s.ndim]:
+        raise ShapeError(f"scale: factor shape {s.shape} does not lead {a.shape}")
+    factor = s.data.reshape(s.shape + (1,) * (a.ndim - s.ndim))
 
     def bw(g):
-        _accumulate(a, g * s.data)
-        _accumulate(s, np.sum(g * a.data))
+        _accumulate(a, g * factor)
+        _accumulate(s, np.sum((g * a.data).reshape(s.shape + (-1,)), axis=-1))
 
-    return _node(a.data * s.data, (a, s), bw)
+    return _node(a.data * factor, (a, s), bw)
 
 
 def reciprocal(a: Tensor) -> Tensor:
@@ -416,17 +431,18 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols expects a matrix, got shape {a.shape}")
-    if not 0 <= start < stop <= a.shape[1]:
+    """Columns [start, stop) of the last axis of a [..., N] tensor."""
+    if a.ndim < 1:
+        raise ShapeError("slice_cols expects at least one axis, got a scalar")
+    if not 0 <= start < stop <= a.shape[-1]:
         raise ShapeError(f"slice_cols: range [{start}, {stop}) invalid for {a.shape}")
 
     def bw(g):
         buf = np.zeros(a.shape, dtype=np.float64)
-        buf[:, start:stop] = g
+        buf[..., start:stop] = g
         _accumulate(a, buf)
 
-    return _node(np.ascontiguousarray(a.data[:, start:stop]), (a,), bw)
+    return _node(np.ascontiguousarray(a.data[..., start:stop]), (a,), bw)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -481,15 +497,15 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-D vector to every row of a [T, D] matrix."""
-    if a.ndim != 2 or v.ndim != 1 or v.shape[0] != a.shape[1]:
+    """Add a length-D vector to every row of a [..., D] tensor."""
+    if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:
         raise ShapeError(f"add_rowvec: got {a.shape} and {v.shape}")
 
     def bw(g):
         _accumulate(a, g)
-        _accumulate(v, np.sum(g, axis=0))
+        _accumulate(v, np.sum(g.reshape(-1, v.shape[0]), axis=0))
 
-    return _node(a.data + v.data[None, :], (a, v), bw)
+    return _node(a.data + v.data, (a, v), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +580,7 @@ def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> T
 
 
 def linear(x: Tensor, w, b=None) -> Tensor:
-    """Affine map over the trailing dimension, broadcast over leading dims.
+    """Affine map over the trailing dimension of a [..., d_in] input.
 
     ``w`` and ``b`` may be Tensors or Parameters (anything with ``.tensor``).
     """
@@ -573,16 +589,11 @@ def linear(x: Tensor, w, b=None) -> Tensor:
     if wt.ndim != 2:
         raise ShapeError(f"linear: weight must be a matrix, got {wt.shape}")
     d_in = wt.shape[0]
-    if x.ndim == 0 or x.shape[-1] != d_in:
-        raise ShapeError(f"linear: input {x.shape} does not end in d_in={d_in}")
-    lead = x.shape[:-1]
-    n_lead = int(np.prod(lead)) if lead else 1
-    x2 = x if x.ndim == 2 else reshape(x, (n_lead, d_in))
-    out = matmul(x2, wt)
+    if x.ndim < 2 or x.shape[-1] != d_in:
+        raise ShapeError(f"linear: input {x.shape} is not [..., d_in={d_in}]")
+    out = matmul(x, wt)
     if bt is not None:
         if bt.shape != (wt.shape[1],):
             raise ShapeError(f"linear: bias shape {bt.shape} != ({wt.shape[1]},)")
         out = add_rowvec(out, bt)
-    if x.ndim != 2:
-        out = reshape(out, lead + (wt.shape[1],))
     return out

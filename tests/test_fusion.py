@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairtrack.errors import ContractError, DegenerateInputError
+from pairtrack.errors import ContractError, DegenerateInputError, ShapeError
 from pairtrack.fusion import (
     AlignWeights,
     GramBasis,
@@ -90,6 +90,22 @@ def test_gram_is_symmetric_psd():
 def test_gram_basis_degenerate_input():
     with pytest.raises(DegenerateInputError):
         gram_basis(constant(np.zeros((4, 3))))
+
+
+def test_gram_basis_on_a_stack_equals_per_sample_calls():
+    keys = RngStream(23).uniform(-1, 1, (3, 5, 4))
+    basis = gram_basis(constant(keys))
+    assert basis.normalized.shape == (3, 4, 4) and basis.norm.shape == (3,)
+    for i in range(3):
+        alone = gram_basis(constant(keys[i]))
+        np.testing.assert_array_equal(basis.g.data[i], alone.g.data)
+        np.testing.assert_array_equal(basis.normalized.data[i], alone.normalized.data)
+        assert basis.norm[i] == alone.norm
+    for i in range(3):
+        zeroed = keys.copy()
+        zeroed[i] = 0.0  # one degenerate sample fails the whole stack
+        with pytest.raises(DegenerateInputError):
+            gram_basis(constant(zeroed))
 
 
 def test_gram_map_isotropic_basis_is_scalar_multiple():
@@ -302,6 +318,25 @@ def test_hyperconv_permutation_equivariance():
     order = np.argsort(RngStream(19).uniform(0, 1, (8,)))
     permuted = hyperconv(constant(x[order]), build_hypergraph(x[order], eps), params)
     assert np.max(np.abs(permuted.data - base.data[order])) <= 1e-12
+
+
+def test_stacked_fusion_equals_per_sample_calls():
+    rng = RngStream(24)
+    store, _, weights, fc_w = _align_setup(25, t=6, d=4)
+    k_r, k_x = rng.uniform(-1, 1, (3, 6, 4)), rng.uniform(-1, 1, (3, 6, 4))
+    aligned = cross_align(ModalityKeys(k_r=constant(k_r), k_x=constant(k_x)), weights, fc_w)
+    graphs = [build_hypergraph(x, auto_epsilon(x)) for x in aligned.data]
+    params = _conv_params(store, 4, rng)
+    out = hyperconv(aligned, graphs, params)
+    assert out.shape == (3, 6, 4)
+    for i in range(3):
+        alone = cross_align(ModalityKeys(k_r=constant(k_r[i]), k_x=constant(k_x[i])),
+                            weights, fc_w)
+        np.testing.assert_allclose(aligned.data[i], alone.data, rtol=0, atol=1e-14)
+        expected = hyperconv(alone, graphs[i], params)
+        np.testing.assert_allclose(out.data[i], expected.data, rtol=0, atol=1e-14)
+    with pytest.raises(ShapeError):  # one hypergraph per sample
+        hyperconv(aligned, graphs[:2], params)
 
 
 def test_gsahf_zero_init_path_reduces_to_concat_fc():

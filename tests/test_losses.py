@@ -22,7 +22,9 @@ from pairtrack.numerics import (
     constant,
     finite_diff_grad,
     grad_max_rel_error,
+    mul,
     no_grad,
+    tsum,
 )
 
 
@@ -152,6 +154,40 @@ def test_giou_gradient_matches_finite_differences():
 
     fd = finite_diff_grad(f, pred0, h=1e-6)
     assert grad_max_rel_error(pred.grad, fd) <= 1e-4
+
+
+def test_losses_on_a_stack_equal_single_calls():
+    rng = RngStream(7)
+    # the last row is a zero-area box on a zero-area truth: empty union and enclosure
+    preds = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
+    boxes = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
+    maps = rng.uniform(0.05, 0.95, (3, 4, 4))
+    gt_maps = rng.uniform(0.0, 0.9, (3, 4, 4))
+    gt_maps[0, 1, 2] = gt_maps[1, 0, 0] = gt_maps[1, 3, 3] = gt_maps[2, 2, 1] = 1.0
+    for loss, pred, gt in ((giou_loss, preds, boxes), (l1_box_loss, preds, boxes),
+                           (weighted_focal, maps, gt_maps)):
+        together = loss(constant(pred), gt)
+        assert together.shape == (3,)
+        for i in range(3):
+            assert together.data[i] == loss(constant(pred[i]), gt[i]).item(), (loss, i)
+    assert giou_loss(constant(preds), boxes).data[2] == 1.0
+
+
+def test_giou_gradient_on_a_stack_with_a_zero_area_row():
+    rng = RngStream(8)
+    preds = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
+    gt = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
+    u = rng.uniform(0.5, 1.5, (3,))
+    pred = Tensor(preds, requires_grad=True)
+    backward(tsum(mul(giou_loss(pred, gt), constant(u))))
+
+    def f(values):
+        with no_grad():
+            return float(np.sum(giou_loss(Tensor(values), gt).data * u))
+
+    fd = finite_diff_grad(f, preds, h=1e-6)
+    assert grad_max_rel_error(pred.grad, fd) <= 1e-4
+    np.testing.assert_array_equal(pred.grad[2], np.zeros(4))
 
 
 def test_l1_box_loss_cases():

@@ -203,3 +203,11 @@ def test_backbone_tape_size_is_independent_of_batch_size():
         assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
         counts[b] = _recorded_nodes(features)
     assert len(set(counts.values())) == 1, counts
+
+
+def test_step_tape_size_is_independent_of_batch_size():
+    cfg = tiny_config(seed=16)
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, 4, "step-tape")
+    counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
+    assert len(set(counts.values())) == 1, counts

@@ -103,7 +103,8 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "damage",
-    ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable"],
+    ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable",
+     "no-checkpoint"],
 )
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
@@ -120,6 +121,9 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     out = tmp_path / "run"
     manifest, blob = save_checkpoint(Tracker(load_config(str(cfg_path))).store, str(out))
     if damage == "missing":
+        os.remove(blob)
+    elif damage == "no-checkpoint":  # eval must not score the random initial weights
+        os.remove(manifest)
         os.remove(blob)
     elif damage == "truncated":
         with open(blob, "r+b") as fh:

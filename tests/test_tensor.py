@@ -355,6 +355,82 @@ def test_scale_and_scale_rows_factor_gradients():
         _check_op(build_rows, (5,), seed=700 + seed)
 
 
+def test_scale_by_a_factor_per_leading_index():
+    rng = RngStream(410)
+    a = rng.uniform(-2, 2, (3, 4, 2))
+    s = rng.uniform(-2, 2, (3,))
+    out = scale(constant(a), constant(s))
+    np.testing.assert_array_equal(out.data, a * s[:, None, None])
+    with pytest.raises(ShapeError):  # the factor must lead a's shape
+        scale(constant(a), constant(np.ones(2)))
+
+
+def _grads_of(build_and_run):
+    """Every tensor's gradient after ``build_and_run()``, which returns the tensors."""
+    return [None if t.grad is None else t.grad.copy() for t in build_and_run()]
+
+
+def _aliasing_graphs():
+    rng = RngStream(420)
+    x0 = rng.uniform(-1, 1, (2, 3))
+    u1 = rng.uniform(-1, 1, (2, 3))
+    u2 = rng.uniform(-1, 1, (3, 2))
+    u3 = rng.uniform(-1, 1, (4, 3))
+
+    def twice_added():
+        x = Tensor(x0, requires_grad=True)
+        y = add(x, x)
+        z = mul(y, constant(u1))
+        backward(tsum(z))
+        return [x, y, z]
+
+    def views():
+        # x's first gradient is a view of r's; concat hands it two slices of c's
+        x = Tensor(x0, requires_grad=True)
+        r = reshape(x, (3, 2))
+        c = concat([x, x], axis=0)
+        loss = add(tsum(mul(r, constant(u2))), tsum(mul(c, constant(u3))))
+        backward(loss)
+        return [x, r, c, loss]
+
+    def backward_twice():
+        # r owns its summed gradient, and x's first gradient is a view of it
+        x = Tensor(x0, requires_grad=True)
+        r = reshape(x, (3, 2))
+        y = add(r, r)
+        loss = tsum(mul(y, constant(u2)))
+        backward(loss)
+        backward(loss)
+        return [x, r, y, loss]
+
+    def shared_leaf():
+        x = Tensor(x0, requires_grad=True)
+        first = smul(x, 2.0)
+        second = reshape(x, (6,))
+        backward(tsum(mul(first, constant(u1))))
+        backward(tsum(second))
+        return [x, first, second]
+
+    return [twice_added, views, backward_twice, shared_leaf]
+
+
+def test_gradients_that_alias_match_copying_accumulation(monkeypatch):
+    import pairtrack.numerics.tensor as tensor_module
+
+    fresh = [_grads_of(graph) for graph in _aliasing_graphs()]
+
+    def copying_accumulate(t, delta):
+        # the reference rule: every first gradient is a private copy
+        if t.requires_grad:
+            t.grad = np.array(delta, dtype=np.float64) if t.grad is None else t.grad + delta
+
+    monkeypatch.setattr(tensor_module, "_accumulate", copying_accumulate)
+    reference = [_grads_of(graph) for graph in _aliasing_graphs()]
+    for got, want in zip(fresh, reference):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
 def test_finite_outputs_on_extreme_logits():
     x = constant([[1e4, -1e4, 0.0]])
     out = softmax(x, axis=1)
