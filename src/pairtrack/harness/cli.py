@@ -68,8 +68,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ContractError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def _cmd_train(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     result = train(cfg)
     write_metrics(result.records, os.path.join(out_dir, "metrics.tsv"))
     save_checkpoint(result.model.store, out_dir)
@@ -114,7 +121,7 @@ def _cmd_gradcheck(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     rows = ablate(cfg)
     lines = ["# variant\ttrainable_params\tadapter_params\tmean_iou\tsuccess50\tsuccess70\n"]
     for row in rows:
@@ -130,7 +137,7 @@ def _cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_gen_data(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     samples = generate_dataset(cfg, cfg.n_train, "data")
     path = os.path.join(out_dir, "dataset.npz")
     np.savez(

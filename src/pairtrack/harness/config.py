@@ -6,6 +6,7 @@ Config files are UTF-8 text with one ``key = value`` pair per line and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
@@ -72,6 +73,9 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"config key {name} must be positive")
+        for name in ("lr", "epsilon_value", "lambda_iou", "lambda_l1", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"config key {name} must be finite")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.search_size % self.patch_size or self.template_size % self.patch_size:
@@ -179,7 +183,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for key, raw in parse_config_text(text).items():
             if key not in known:

@@ -13,12 +13,14 @@ R, ...) into one [S, T, D] tensor, S = 2B, and patch embedding, the blocks
 and the adapters run once over the stack; attention puts the heads on a
 batch axis beside the sequences. Cross-modal fusion and the head then run
 once on [B, Ts, D] stacks of the R and X search tokens, and predict [B, 4]
-boxes, [B, side, side] center maps and B balance terms. The tape of a pass
-does not depend on B, and one sample is the same code with B = 1.
+boxes, [B, side, side] center maps and B balance terms, which the pass
+returns as one ``ForwardOutput``. The tape of a pass does not depend on B,
+and one sample is the same code with B = 1.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -138,84 +140,36 @@ class Block:
         return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo.tensor)
 
 
-def row_of(stacked: Tensor, row: int) -> Tensor:
-    """Row ``row`` of a [B, ...] stack as a [...] tensor, recorded like any op."""
-    rest = stacked.shape[1:]
-    flat = reshape(stacked, (stacked.shape[0], int(np.prod(rest, dtype=np.int64))))
-    return reshape(gather_rows(flat, np.array([row])), rest)
-
-
-class _RowView:
-    """A tensor attribute that is a row of a stacked tensor, built on first read.
-
-    Rows that nobody reads add nothing to the tape. Assigning a tensor
-    replaces the row.
-    """
-
-    def __init__(self, default=None):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        if self.name not in obj.__dict__:
-            source = obj._rows.get(self.name)
-            obj.__dict__[self.name] = (row_of(*source) if source is not None
-                                      else self.default() if self.default else None)
-        return obj.__dict__[self.name]
-
-    def __set__(self, obj, value):
-        obj._rows.pop(self.name, None)
-        obj.__dict__[self.name] = value
-
-
+@dataclass
 class ForwardOutput:
-    """One sample's prediction.
+    """The prediction of one pass over B samples.
 
-    ``box_tensor`` is [4], ``center_map`` [side, side] and ``balance`` the
-    mean of the sample's 2*depth balance terms. A tracker sets them as rows
-    of its pass's stacked tensors, which ``stacked`` returns whole.
+    ``box_tensor`` is [B, 4], ``center_map`` [B, side, side] and ``balance``
+    [B], each sample's mean of its 2*depth balance terms; ``boxes`` holds the
+    same boxes as floats. ``selected`` lists the [S, T, K] expert picks of
+    each adapter pass over the S = 2B sequences, and ``expert_evals`` one
+    sample's expert evaluations per adapter pass and modality.
     """
 
-    box_tensor = _RowView()
-    center_map = _RowView()
-    balance = _RowView(lambda: constant(np.asarray(0.0)))
+    box_tensor: Tensor
+    center_map: Tensor
+    balance: Tensor
+    boxes: list[Box]
+    selected: list[np.ndarray]
+    expert_evals: list[int]
 
-    def __init__(self):
-        self.box: Box | None = None
-        self.selected: list[np.ndarray] = []  # [T, K] per adapter pass
-        self.expert_evals: list[int] = []
-        self._rows: dict[str, tuple[Tensor, int]] = {}
-
-    def set_row(self, name: str, stacked: Tensor, row: int) -> None:
-        """Make attribute ``name`` row ``row`` of ``stacked``, without building it."""
-        self.__dict__.pop(name, None)
-        self._rows[name] = (stacked, row)
+    @property
+    def box(self) -> Box:
+        """The box of a one-sample pass."""
+        if len(self.boxes) != 1:
+            raise ContractError(f"box: the pass holds {len(self.boxes)} samples; read boxes")
+        return self.boxes[0]
 
     def usage_histogram(self, n_experts: int) -> np.ndarray:
         hist = np.zeros(n_experts, dtype=np.int64)
         for selected in self.selected:
             hist += np.bincount(selected.ravel(), minlength=n_experts)
         return hist
-
-
-def stacked(outputs: Sequence[ForwardOutput], name: str) -> Tensor:
-    """The [B, ...] tensor whose rows are the outputs' attribute ``name``.
-
-    Outputs of one tracker pass share it, and no row is built; outputs filled
-    in by hand are stacked from their own tensors.
-    """
-    sources = [out._rows.get(name) for out in outputs]
-    whole = sources[0][0] if sources[0] is not None else None
-    if whole is not None and whole.shape[0] == len(outputs) and all(
-            source is not None and source[0] is whole and source[1] == i
-            for i, source in enumerate(sources)):
-        return whole
-    rows = [getattr(out, name) for out in outputs]
-    return concat([reshape(t, (1,) + t.shape) for t in rows], axis=0)
 
 
 class Tracker:
@@ -312,26 +266,27 @@ class Tracker:
 
     # -- forward --------------------------------------------------------------
 
-    def forward(self, samples: SyntheticSample | Sequence[SyntheticSample]):
-        """Predict one sample, or a list of samples in one pass.
-
-        Returns a ForwardOutput for one sample and a list of them, in order,
-        for a list.
-        """
-        single = isinstance(samples, SyntheticSample)
-        batch = [samples] if single else list(samples)
+    def forward(self, samples: SyntheticSample | Sequence[SyntheticSample]) -> ForwardOutput:
+        """Predict one sample, or a list of samples in one pass."""
+        batch = [samples] if isinstance(samples, SyntheticSample) else list(samples)
         if not batch:
             raise ContractError("forward: no samples")
-        outs = [ForwardOutput() for _ in batch]
-        self._head(self._backbone(batch, outs), outs)
-        return outs[0] if single else outs
+        features, balance, selected, expert_evals = self._backbone(batch)
+        box_tensor, center_map = self._head(features, len(batch))
+        return ForwardOutput(
+            box_tensor=box_tensor, center_map=center_map, balance=balance,
+            boxes=[Box(*(float(v) for v in row)) for row in box_tensor.data],
+            selected=selected, expert_evals=expert_evals,
+        )
 
-    def _backbone(self, batch: list[SyntheticSample], outs: list[ForwardOutput]) -> Tensor:
+    def _backbone(self, batch: list[SyntheticSample]
+                  ) -> tuple[Tensor, Tensor, list[np.ndarray], list[int]]:
         """Search-token features of all S = 2B sequences, [S * Ts, D].
 
         Rows run sample, token, modality, so viewed as [B, Ts, 2D] they hold
-        each token's R features, then its X features. Fills each output's
-        selected experts and evaluation counts, and sets its balance row.
+        each token's R features, then its X features. Also returns the [B]
+        balance terms, the [S, T, K] expert picks of each adapter pass and
+        one sample's expert evaluations per adapter pass and modality.
         """
         cfg = self.cfg
         templates = np.stack([f for s in batch for f in (s.template_r, s.template_x)])
@@ -349,17 +304,15 @@ class Tracker:
         def search_tokens(x: Tensor) -> Tensor:
             return gather_rows(reshape(x, (n_seq * n_tok, d)), search_rows)
 
-        levels, balances = [], []
+        levels, balances, selected, expert_evals = [], [], [], []
         for i, block in enumerate(self.blocks):
             tokens = block(tokens)
             if self.adapters:
                 result = self.adapters[i](tokens)
                 tokens = result.output
                 balances.append(reshape(result.balance, (n_seq, 1)))
-                selected = result.sparse.decision.selected.reshape(n_seq, n_tok, -1)
-                for j, out in enumerate(outs):
-                    out.selected.extend(selected[2 * j:2 * j + 2])
-                    out.expert_evals.extend([result.sparse.n_expert_evals // n_seq] * 2)
+                selected.append(result.sparse.decision.selected.reshape(n_seq, n_tok, -1))
+                expert_evals.extend([result.sparse.n_expert_evals // n_seq] * 2)
             if self.mff_w is not None and (i + 1) in cfg.level_taps:
                 levels.append(search_tokens(tokens))
         if balances:
@@ -368,17 +321,20 @@ class Tracker:
             balance = mean(terms, axis=1)
         else:
             balance = constant(np.zeros(len(batch)))
-        for j, out in enumerate(outs):
-            out.set_row("balance", balance, j)
         if self.mff_w is None:
-            return search_tokens(tokens)
-        # a tap on the last block has already gathered the final search tokens
-        last = levels[-1] if len(self.blocks) in cfg.level_taps else search_tokens(tokens)
-        return add(last, multi_level_fuse(levels, self.mff_w))
+            features = search_tokens(tokens)
+        else:
+            # a tap on the last block has already gathered the final search tokens
+            last = levels[-1] if len(self.blocks) in cfg.level_taps else search_tokens(tokens)
+            features = add(last, multi_level_fuse(levels, self.mff_w))
+        return features, balance, selected, expert_evals
 
-    def _head(self, features: Tensor, outs: list[ForwardOutput]) -> None:
-        """Cross-modal fusion and the center/box head, once for all B samples."""
-        n, side, d = len(outs), self.cfg.heatmap_side, self.cfg.model_dim
+    def _head(self, features: Tensor, n: int) -> tuple[Tensor, Tensor]:
+        """Cross-modal fusion and the center/box head, once for all n samples.
+
+        Returns the [n, 4] boxes and the [n, side, side] center maps.
+        """
+        side, d = self.cfg.heatmap_side, self.cfg.model_dim
         head_in = reshape(features, (n, self.cfg.n_search_tokens, 2 * d))
 
         if self.fuse_w is not None:
@@ -413,12 +369,7 @@ class Tracker:
         correction = smul(sub(sigmoid(slice_cols(raw, 0, 2)), half), CENTER_CORRECTION)
         centers = add(coords, correction)
         sizes = sigmoid(slice_cols(raw, 2, 4))
-        boxes = reshape(concat([centers, sizes], axis=-1), (n, 4))
-        for i, out in enumerate(outs):
-            cx, cy, w, h = (float(v) for v in boxes.data[i])
-            out.box = Box(cx=cx, cy=cy, w=w, h=h)
-            out.set_row("box_tensor", boxes, i)
-            out.set_row("center_map", center, i)
+        return reshape(concat([centers, sizes], axis=-1), (n, 4)), center
 
 
 def gaussian_center_map(side: int, box: Box) -> np.ndarray:

@@ -22,61 +22,49 @@ from ..numerics import backward, mean, no_grad
 from .config import RunConfig
 from .data import SyntheticSample, complementary_split, generate_dataset
 from .metrics import MetricsRecord, usage_entropy
-from .model import ForwardOutput, Tracker, gaussian_center_map, row_of, stacked
+from .model import ForwardOutput, Tracker, gaussian_center_map
 
 
+@dataclass
 class TrackResult:
-    """One sample's predicted box, forward output and losses.
+    """A pass's forward output and its bundle of [B] losses."""
 
-    ``losses`` is the bundle of the whole ``forward_track`` call, [B]
-    tensors that its results share; ``bundle`` is this sample's row of it,
-    built on first read so that rows nobody reads add nothing to the tape.
-    """
-
-    def __init__(self, box_prediction: Box, output: ForwardOutput, losses: LossBundle,
-                 row: int):
-        self.box_prediction = box_prediction
-        self.output = output
-        self.losses = losses
-        self.row = row
-        self._bundle: LossBundle | None = None
+    output: ForwardOutput
+    bundle: LossBundle
 
     @property
-    def bundle(self) -> LossBundle:
-        if self._bundle is None:
-            self._bundle = LossBundle(
-                *(row_of(getattr(self.losses, name), self.row) for name in LOSS_NAMES))
-        return self._bundle
-
-    def values(self) -> dict[str, float]:
-        """This sample's loss floats, read without building ``bundle``."""
-        return self.losses.values(self.row)
+    def box_prediction(self) -> Box:
+        """The predicted box of a one-sample pass."""
+        return self.output.box
 
 
-def forward_track(samples: SyntheticSample | Sequence[SyntheticSample], model: Tracker):
+def forward_track(samples: SyntheticSample | Sequence[SyntheticSample],
+                  model: Tracker) -> TrackResult:
     """Tracking forward pass plus the full loss bundle against gt.
 
     Takes one sample, or a list of them that the model runs in one pass,
-    and computes the losses once over the pass's stacked predictions;
-    returns a TrackResult, or a list of them in order.
+    and computes the losses once over the pass's stacked predictions.
     """
-    single = isinstance(samples, SyntheticSample)
-    outputs = model.forward(samples)
-    batch, outputs = ([samples], [outputs]) if single else (list(samples), outputs)
+    batch = [samples] if isinstance(samples, SyntheticSample) else list(samples)
+    output = model.forward(batch)
     side = model.cfg.heatmap_side
     gt_maps = np.stack([gaussian_center_map(side, sample.gt_box) for sample in batch])
     gt_boxes = np.stack([sample.gt_box.as_array() for sample in batch])
-    boxes = stacked(outputs, "box_tensor")
-    losses = total_loss(
-        weighted_focal(stacked(outputs, "center_map"), gt_maps),
-        giou_loss(boxes, gt_boxes),
-        l1_box_loss(boxes, gt_boxes),
-        stacked(outputs, "balance"),
+    bundle = total_loss(
+        weighted_focal(output.center_map, gt_maps),
+        giou_loss(output.box_tensor, gt_boxes),
+        l1_box_loss(output.box_tensor, gt_boxes),
+        output.balance,
         model.cfg.loss_weights(),
     )
-    results = [TrackResult(output.box, output, losses, row)
-               for row, output in enumerate(outputs)]
-    return results[0] if single else results
+    return TrackResult(output, bundle)
+
+
+def _add_losses(components: dict[str, float], bundle: LossBundle) -> None:
+    """Add each sample's loss floats to ``components``, in sample order."""
+    for row in zip(*(getattr(bundle, name).data for name in LOSS_NAMES)):
+        for name, value in zip(LOSS_NAMES, row):
+            components[name] += float(value)
 
 
 @dataclass
@@ -89,40 +77,40 @@ class TrainResult:
 
 def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
     """Mean loss over samples, run in one pass; component means summed in sample order."""
-    components = dict.fromkeys(LOSS_NAMES, 0.0)
-    usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
     try:
-        results = forward_track(samples, model)
+        result = forward_track(samples, model)
     except NumericError as exc:
         raise NumericError(f"{exc} (training step {step})") from exc
-    for result in results:
-        for name, value in result.values().items():
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss component '{name}' at step {step}"
-                )
-            components[name] += value
-        usage += result.output.usage_histogram(model.cfg.n_experts)
-    n = len(samples)
+    for name in LOSS_NAMES:
+        if not np.all(np.isfinite(getattr(result.bundle, name).data)):
+            raise NumericError(f"non-finite loss component '{name}' at step {step}")
+    components = dict.fromkeys(LOSS_NAMES, 0.0)
+    _add_losses(components, result.bundle)
     for name in components:
-        components[name] /= n
-    return mean(results[0].losses.total), components, usage
+        components[name] /= len(samples)
+    return (mean(result.bundle.total), components,
+            result.output.usage_histogram(model.cfg.n_experts))
 
 
 def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> MetricsRecord:
-    """Mean IoU and success rates plus loss components, without gradients."""
+    """Mean IoU and success rates plus loss components, without gradients.
+
+    Runs passes of at most ``batch_size`` samples, the shape of a training step.
+    """
     if not dataset:
         raise ContractError("evaluate: empty dataset")
+    size = model.cfg.batch_size
     with no_grad():
         components = dict.fromkeys(LOSS_NAMES, 0.0)
         usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
         ious = []
-        for sample in dataset:
-            result = forward_track(sample, model)
-            for name, value in result.values().items():
-                components[name] += value
+        for start in range(0, len(dataset), size):
+            chunk = dataset[start:start + size]
+            result = forward_track(chunk, model)
+            _add_losses(components, result.bundle)
             usage += result.output.usage_histogram(model.cfg.n_experts)
-            ious.append(box_iou(result.box_prediction, sample.gt_box))
+            ious.extend(box_iou(box, sample.gt_box)
+                        for box, sample in zip(result.output.boxes, chunk))
     n = len(dataset)
     ious = np.asarray(ious)
     return MetricsRecord(

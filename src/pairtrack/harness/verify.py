@@ -32,6 +32,7 @@ from ..numerics import (
     log,
     matmul,
     maximum,
+    mean,
     minimum,
     mul,
     no_grad,
@@ -40,7 +41,6 @@ from ..numerics import (
     reshape,
     routed_matmul,
     scale,
-    scale_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -134,7 +134,7 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
         ("routed_matmul", lambda x: routed_matmul(x, [x, *map(constant, squares)], idx_weights),
          (4, 4), -2, 2),
         ("gather_cols", lambda x: gather_cols(x, idx_cols), (5, 4), -2, 2),
-        ("scale_rows", lambda x: scale_rows(x, constant(rows)), (5, 4), -2, 2),
+        ("scale_per_row", lambda x: scale(x, constant(rows)), (5, 4), -2, 2),
         ("add_rowvec", lambda x: add_rowvec(x, constant(vec)), (5, 4), -2, 2),
         ("matmul_left", lambda x: matmul(x, constant(w)), (5, 4), -2, 2),
         ("matmul_right", lambda x: matmul(constant(w.T), x), (4, 6), -2, 2),
@@ -193,7 +193,7 @@ def end_to_end_gradient_check(
             return forward_track(sample, model).bundle.total.item()
 
     model.store.zero_grad()
-    backward(forward_track(sample, model).bundle.total)
+    backward(mean(forward_track(sample, model).bundle.total))
     results = []
     for p in model.store:
         if not p.trainable:

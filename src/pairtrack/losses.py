@@ -93,13 +93,9 @@ class LossBundle:
     eb: Tensor
     total: Tensor
 
-    def values(self, row: int | None = None) -> dict[str, float]:
-        """Floats of a scalar bundle, or of row ``row`` of a stacked one."""
-        return {
-            name: (getattr(self, name).item() if row is None
-                   else float(getattr(self, name).data[row]))
-            for name in LOSS_NAMES
-        }
+    def values(self) -> dict[str, float]:
+        """Floats of a one-sample bundle."""
+        return {name: getattr(self, name).item() for name in LOSS_NAMES}
 
 
 def box_iou(a: Box, b: Box) -> float:

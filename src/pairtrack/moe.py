@@ -45,7 +45,7 @@ from .numerics import (
     mul,
     reshape,
     routed_matmul,
-    scale_rows,
+    scale,
     silu,
     smul,
     softmax,
@@ -212,7 +212,7 @@ def sparse_moe(
     # pair row t*K + i holds token t's i-th pick
     pair_token = np.repeat(np.arange(rows), k)
     pair_out = routed_experts(gather_rows(tokens, pair_token), experts, decision.selected.ravel())
-    scaled = scale_rows(pair_out, reshape(decision.gate, (rows * k,)))
+    scaled = scale(pair_out, reshape(decision.gate, (rows * k,)))
     output = tsum(reshape(scaled, (rows, k, tokens.shape[1])), axis=1)
     return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 

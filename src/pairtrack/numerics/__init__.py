@@ -23,14 +23,12 @@ from .tensor import (
     mean,
     minimum,
     mul,
-    neg,
     no_grad,
     pow_const,
     reciprocal,
     reshape,
     routed_matmul,
     scale,
-    scale_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -44,11 +42,11 @@ from .tensor import (
 __all__ = [
     "Tensor", "Parameter", "ParamStore", "RngStream",
     "backward", "no_grad", "constant",
-    "add", "sub", "mul", "neg", "smul", "scale", "maximum", "minimum",
+    "add", "sub", "mul", "smul", "scale", "maximum", "minimum",
     "reciprocal", "pow_const", "log", "exp", "absolute", "clamp",
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
-    "gather_rows", "gather_cols", "scale_rows", "add_rowvec",
+    "gather_rows", "gather_cols", "add_rowvec",
     "matmul", "routed_matmul", "linear",
     "finite_diff_grad", "grad_max_rel_error",
     "save_checkpoint", "load_checkpoint",

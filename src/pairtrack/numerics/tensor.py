@@ -7,8 +7,8 @@ gradient accumulation is deterministic for a given forward pass.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
-by a factor per leading index, ``scale_rows``, ``add_rowvec`` over any
-leading shape) and ``matmul`` of a stack of matrices by one shared matrix.
+by a factor per leading index, ``add_rowvec`` over any leading shape) and
+``matmul`` of a stack of matrices by one shared matrix.
 Keeping the kernel surface small keeps shape bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
@@ -218,10 +218,6 @@ def smul(a: Tensor, c: float) -> Tensor:
         _accumulate(a, g * c)
 
     return _node(a.data * c, (a,), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    return smul(a, -1.0)
 
 
 def scale(a: Tensor, s: Tensor) -> Tensor:
@@ -484,18 +480,6 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     return _node(a.data[rows, idx], (a,), bw)
 
 
-def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of ``a`` by scalar s[i]."""
-    if a.ndim != 2 or s.ndim != 1 or s.shape[0] != a.shape[0]:
-        raise ShapeError(f"scale_rows: got {a.shape} and {s.shape}")
-
-    def bw(g):
-        _accumulate(a, g * s.data[:, None])
-        _accumulate(s, np.sum(g * a.data, axis=1))
-
-    return _node(a.data * s.data[:, None], (a, s), bw)
-
-
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of a [..., D] tensor."""
     if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:
@@ -524,13 +508,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     if b.ndim > 2:
-        def bw_stacked(g):
+        def bw_batched(g):
             if a.requires_grad:
                 _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
             if b.requires_grad:
                 _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
-        return _node(a.data @ b.data, (a, b), bw_stacked)
+        return _node(a.data @ b.data, (a, b), bw_batched)
 
     k, n = b.shape
     rows = a.data.reshape(-1, k)  # one matrix product for the whole stack

@@ -119,3 +119,28 @@ def test_cli_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):
     assert set(archive["tags"].tolist()) <= {
         "none", "rgb_degraded", "x_degraded", "both_noisy"
     }
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--epsilon", "--lambda-iou", "--lambda-l1", "--alpha"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_float_exits_2(tiny_config_file, tmp_path, capsys, flag, value):
+    out = str(tmp_path / "nonfinite")
+    assert main(["train", "--config", tiny_config_file, "--out", out, f"{flag}={value}"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\xe9\nseed = 3\n".encode("latin-1"))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data", "ablate"])
+def test_cli_out_under_a_regular_file_exits_1(tiny_config_file, tmp_path, capsys, command):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert main([command, "--config", tiny_config_file, "--out", str(blocker / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")

@@ -12,10 +12,9 @@ from pairtrack.harness import (
     patch_embed,
     tiny_config,
 )
-from pairtrack.harness.model import ForwardOutput
 from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box
-from pairtrack.numerics import ParamStore, RngStream, backward, smul
+from pairtrack.numerics import ParamStore, RngStream, backward, mean, smul
 
 
 def test_patch_count_shape_arithmetic():
@@ -159,26 +158,47 @@ def test_batched_forward_matches_single_calls():
     model = _perturbed_tracker(cfg)
     samples = generate_dataset(cfg, 4, "batched")
     batched = forward_track(samples, model)
-    assert len(batched) == len(samples)
-    for sample, together in zip(samples, batched):
+    together = batched.output
+    assert batched.bundle.total.shape == (len(samples),)
+    assert together.box_tensor.shape == (len(samples), 4)
+    usage = np.zeros(cfg.n_experts, dtype=np.int64)
+    for i, sample in enumerate(samples):
         alone = forward_track(sample, model)
-        assert _rel_err(together.output.box_tensor.data, alone.output.box_tensor.data) <= 1e-12
-        assert _rel_err(together.output.center_map.data, alone.output.center_map.data) <= 1e-12
-        assert _rel_err(together.bundle.total.data, alone.bundle.total.data) <= 1e-12
-        assert together.output.expert_evals == alone.output.expert_evals
-        np.testing.assert_array_equal(together.output.usage_histogram(cfg.n_experts),
-                                      alone.output.usage_histogram(cfg.n_experts))
+        assert _rel_err(together.box_tensor.data[i], alone.output.box_tensor.data[0]) <= 1e-12
+        assert _rel_err(together.center_map.data[i], alone.output.center_map.data[0]) <= 1e-12
+        assert _rel_err(batched.bundle.total.data[i], alone.bundle.total.data[0]) <= 1e-12
+        assert together.boxes[i] == Box(*together.box_tensor.data[i])
+        assert together.expert_evals == alone.output.expert_evals
+        for picks, alone_picks in zip(together.selected, alone.output.selected, strict=True):
+            np.testing.assert_array_equal(picks[2 * i:2 * i + 2], alone_picks)
+        usage += alone.output.usage_histogram(cfg.n_experts)
+    np.testing.assert_array_equal(together.usage_histogram(cfg.n_experts), usage)
 
     model.store.zero_grad()
     backward(_batch_loss(model, samples, step=0)[0])
     batch_grads = {p.name: p.grad.copy() for p in model.store if p.grad is not None}
     model.store.zero_grad()
     for sample in samples:
-        backward(smul(forward_track(sample, model).bundle.total, 1.0 / len(samples)))
+        backward(smul(mean(forward_track(sample, model).bundle.total), 1.0 / len(samples)))
     single_grads = {p.name: p.grad for p in model.store if p.grad is not None}
     assert batch_grads.keys() == single_grads.keys() and batch_grads
     for name, grad in batch_grads.items():
         assert _rel_err(grad, single_grads[name]) <= 1e-12, name
+
+
+def test_one_sample_accessors_reject_a_larger_pass():
+    cfg = tiny_config(seed=17)
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, 2, "accessors")
+    result = forward_track(samples, model)
+    assert len(result.output.boxes) == 2
+    with pytest.raises(ContractError):
+        result.output.box
+    with pytest.raises(ContractError):
+        result.box_prediction
+    one = forward_track(samples[0], model)
+    assert one.box_prediction == one.output.boxes[0]
+    assert one.bundle.values()["total"] == one.bundle.total.data[0]
 
 
 def _recorded_nodes(out):
@@ -199,7 +219,7 @@ def test_backbone_tape_size_is_independent_of_batch_size():
     samples = generate_dataset(cfg, 4, "tape")
     counts = {}
     for b in (1, 2, 4):
-        features = model._backbone(samples[:b], [ForwardOutput() for _ in range(b)])
+        features = model._backbone(samples[:b])[0]
         assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
         counts[b] = _recorded_nodes(features)
     assert len(set(counts.values())) == 1, counts

@@ -32,7 +32,6 @@ from pairtrack.numerics import (
     reshape,
     routed_matmul,
     scale,
-    scale_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -328,7 +327,7 @@ def test_structured_op_gradients():
         _check_op(lambda x: matmul(x, constant(w)), (5, 4), seed=9000 + seed)
         _check_op(lambda x: matmul(constant(w), x), (3, 5), seed=9100 + seed)
         s = RngStream(8100 + seed).uniform(0.5, 2, (6,))
-        _check_op(lambda x: scale_rows(x, constant(s)), (6, 3), seed=9200 + seed)
+        _check_op(lambda x: scale(x, constant(s)), (6, 3), seed=9200 + seed)
         v = RngStream(8200 + seed).uniform(-1, 1, (3,))
         _check_op(lambda x: add_rowvec(x, constant(v)), (6, 3), seed=9300 + seed)
         _check_op(lambda x: scale(x, constant(1.3)), (4, 2), seed=9400 + seed)
@@ -350,7 +349,7 @@ def test_scale_and_scale_rows_factor_gradients():
         _check_op(lambda s: build_scalar(s), (1,), seed=600 + seed)
 
         def build_rows(s):
-            return scale_rows(constant(a), s)
+            return scale(constant(a), s)
 
         _check_op(build_rows, (5,), seed=700 + seed)
 

@@ -25,14 +25,29 @@ class _StubModel:
         self.cfg = cfg
         self.box = box
 
-    def forward(self, sample):
-        out = ForwardOutput()
-        box = self.box if self.box is not None else sample.gt_box
+    def forward(self, samples):
+        boxes = [self.box if self.box is not None else s.gt_box for s in samples]
         side = self.cfg.heatmap_side
-        out.center_map = constant(np.clip(gaussian_center_map(side, box), 0.0, 1.0))
-        out.box_tensor = constant(box.as_array())
-        out.box = box
-        return out
+        return ForwardOutput(
+            box_tensor=constant(np.stack([box.as_array() for box in boxes])),
+            center_map=constant(np.stack([np.clip(gaussian_center_map(side, box), 0.0, 1.0)
+                                          for box in boxes])),
+            balance=constant(np.zeros(len(boxes))),
+            boxes=boxes, selected=[], expert_evals=[],
+        )
+
+
+class _CountingModel:
+    """A tracker that counts its forward passes."""
+
+    def __init__(self, model):
+        self.model = model
+        self.cfg = model.cfg
+        self.passes = 0
+
+    def forward(self, samples):
+        self.passes += 1
+        return self.model.forward(samples)
 
 
 def test_evaluate_perfect_predictions():
@@ -64,6 +79,26 @@ def test_evaluate_is_deterministic():
     assert a.mean_iou == b.mean_iou and a.total == b.total
     assert a.success_at_50 == b.success_at_50 and a.entropy == b.entropy
     np.testing.assert_array_equal(a.expert_usage, b.expert_usage)
+
+
+def test_evaluate_runs_training_shaped_passes():
+    cfg = tiny_config(seed=17, batch_size=3)
+    counting = _CountingModel(Tracker(cfg))
+    dataset = generate_dataset(cfg, 7, "passes")
+    record = evaluate(counting, dataset)
+    assert counting.passes == 3  # ceil(7 / 3)
+
+    singles = [forward_track(sample, counting.model) for sample in dataset]
+    for name in ("total", "cls", "iou", "l1", "eb"):
+        expected = np.mean([result.bundle.values()[name] for result in singles])
+        assert abs(getattr(record, name) - expected) <= 1e-12 * abs(expected), name
+    ious = [box_iou(result.box_prediction, sample.gt_box)
+            for result, sample in zip(singles, dataset)]
+    assert abs(record.mean_iou - np.mean(ious)) <= 1e-12
+    assert record.success_at_50 == np.mean([i >= 0.5 for i in ious])
+    np.testing.assert_array_equal(
+        record.expert_usage,
+        sum(result.output.usage_histogram(cfg.n_experts) for result in singles))
 
 
 def test_evaluate_empty_dataset_rejected():
