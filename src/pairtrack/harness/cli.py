@@ -171,7 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg, args.out)
+        # finite checks, not numpy warnings, report a numeric failure
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

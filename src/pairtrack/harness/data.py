@@ -43,24 +43,27 @@ class SyntheticSample:
     tag: str
 
 
-def _grid(size: int):
-    coords = (np.arange(size) + 0.5) / size
-    return np.meshgrid(coords, coords, indexing="ij")
+def _axis(size: int) -> np.ndarray:
+    return (np.arange(size) + 0.5) / size
+
+
+def _box_mask(size: int, box: Box) -> np.ndarray:
+    """[size, size] mask (rows y, columns x) of the cells whose centre lies in the box."""
+    axis = _axis(size)
+    x1, y1, x2, y2 = box.corners()
+    return ((axis >= x1) & (axis <= x2)) & ((axis[:, None] >= y1) & (axis[:, None] <= y2))
 
 
 def _gaussian_blob(size: int, box: Box, amplitude: float) -> np.ndarray:
-    yy, xx = _grid(size)
+    axis = _axis(size)
     sx = max(box.w / 4.0, 1.0 / size)
     sy = max(box.h / 4.0, 1.0 / size)
-    bump = np.exp(-(((xx - box.cx) / sx) ** 2 + ((yy - box.cy) / sy) ** 2) / 2.0)
+    bump = np.exp(-(((axis - box.cx) / sx) ** 2 + ((axis[:, None] - box.cy) / sy) ** 2) / 2.0)
     return amplitude * bump
 
 
 def _rect_blob(size: int, box: Box, amplitude: float) -> np.ndarray:
-    yy, xx = _grid(size)
-    x1, y1, x2, y2 = box.corners()
-    inside = (xx >= x1) & (xx <= x2) & (yy >= y1) & (yy <= y2)
-    return amplitude * inside.astype(np.float64)
+    return amplitude * _box_mask(size, box).astype(np.float64)
 
 
 def _boxes_disjoint(a: Box, b: Box, margin: float) -> bool:
@@ -151,10 +154,7 @@ def box_region_energy(frame: np.ndarray, box: Box) -> float:
     The background is the median of pixels outside the box; the median is
     robust to the distractor blobs occupying part of the background.
     """
-    size = frame.shape[-1]
-    yy, xx = _grid(size)
-    x1, y1, x2, y2 = box.corners()
-    inside = (xx >= x1) & (xx <= x2) & (yy >= y1) & (yy <= y2)
+    inside = _box_mask(frame.shape[-1], box)
     total = 0.0
     for channel in frame:
         background = np.median(channel[~inside]) if np.any(~inside) else 0.0

@@ -376,6 +376,6 @@ def gaussian_center_map(side: int, box: Box) -> np.ndarray:
     """Target heatmap: exact 1 at the peak cell, Gaussian falloff around it."""
     pi = min(side - 1, max(0, int(box.cy * side)))
     pj = min(side - 1, max(0, int(box.cx * side)))
-    ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    cells = np.arange(side)
     sigma = max(0.75, min(box.w, box.h) * side / 6.0)
-    return np.exp(-((ii - pi) ** 2 + (jj - pj) ** 2) / (2.0 * sigma**2))
+    return np.exp(-((cells[:, None] - pi) ** 2 + (cells - pj) ** 2) / (2.0 * sigma**2))

@@ -133,7 +133,7 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
     """
     model = Tracker(cfg)
     train_set = generate_dataset(cfg, cfg.n_train, "data")
-    eval_set = generate_dataset(cfg, cfg.n_eval, "eval")
+    eval_set = generate_dataset(cfg, cfg.n_eval, "eval") if eval_each_log else None
     batch = min(cfg.batch_size, len(train_set))
     records: list[MetricsRecord] = []
     initial = evaluate(model, train_set).total

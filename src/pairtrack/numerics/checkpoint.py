@@ -20,20 +20,35 @@ BLOB_NAME = "checkpoint.blob"
 
 
 def save_checkpoint(store: ParamStore, directory: str) -> tuple[str, str]:
+    """Write blob and manifest to temp files, then move each in place.
+
+    The blob is replaced first and the manifest, which names what the blob
+    holds, last; a save that fails before then leaves the previous
+    checkpoint as it was and removes its temp files.
+    """
     os.makedirs(directory, exist_ok=True)
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
+    blob_temp, manifest_temp = (f"{path}.{os.getpid()}.tmp" for path in (blob_path, manifest_path))
     lines = []
     offset = 0
-    with open(blob_path, "wb") as blob:
-        for p in store:
-            raw = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-            shape = ",".join(str(d) for d in p.shape) if p.shape else ""
-            lines.append(f"{p.name}\t{shape}\t{offset}\n")
-            blob.write(raw)
-            offset += len(raw)
-    with open(manifest_path, "w", encoding="utf-8") as mf:
-        mf.writelines(lines)
+    try:
+        with open(blob_temp, "wb") as blob:
+            for p in store:
+                raw = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                shape = ",".join(str(d) for d in p.shape) if p.shape else ""
+                lines.append(f"{p.name}\t{shape}\t{offset}\n")
+                blob.write(raw)
+                offset += len(raw)
+        with open(manifest_temp, "w", encoding="utf-8") as mf:
+            mf.writelines(lines)
+        os.replace(blob_temp, blob_path)
+        os.replace(manifest_temp, manifest_path)
+    except BaseException:
+        for temp in (blob_temp, manifest_temp):
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
     return manifest_path, blob_path
 
 

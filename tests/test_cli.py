@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config files, exit codes, determinism."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ def test_cli_numeric_failure_exits_3(tiny_config_file, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "train", explode)
     out = str(tmp_path / "blowup")
     assert main(["train", "--config", tiny_config_file, "--out", out]) == 3
+
+
+def test_cli_numeric_failure_prints_no_numpy_warning(tmp_path, capsys):
+    out = str(tmp_path / "lr1e6")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--steps", "3", "--lr", "1e6", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
 
 
 def test_cli_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):

@@ -91,6 +91,61 @@ def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
     assert open(blob2, "rb").read() == raw_blob
 
 
+@pytest.mark.parametrize("failing_write", [1, 2, 3])
+def test_failed_checkpoint_save_keeps_the_previous_one(tmp_path, monkeypatch, failing_write):
+    import builtins
+
+    import pairtrack.numerics.checkpoint as checkpoint
+
+    rng = RngStream(7)
+    store = ParamStore()
+    store.add("layer.w", rng.uniform(-1, 1, (5, 2)))
+    store.add("layer.b", rng.uniform(-1, 1, (2,)))
+    directory = str(tmp_path / "ck")
+    manifest, blob = save_checkpoint(store, directory)
+    saved = {path: open(path, "rb").read() for path in (manifest, blob)}
+    before = {name: store[name].data.copy() for name in ("layer.w", "layer.b")}
+
+    class _FailingFile:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, data):
+            writes.append(data)
+            if len(writes) == failing_write:
+                raise OSError(28, "No space left on device")
+            return self.handle.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    writes = []
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args, **kw: _FailingFile(builtins.open(*args, **kw)),
+                        raising=False)
+    store.set_values("layer.w", np.zeros((5, 2)))
+    with pytest.raises(OSError):
+        save_checkpoint(store, directory)
+    monkeypatch.undo()
+
+    assert sorted(os.listdir(directory)) == sorted(os.path.basename(p) for p in saved)
+    for path, raw in saved.items():
+        assert open(path, "rb").read() == raw
+    fresh = ParamStore()
+    fresh.add("layer.w", np.zeros((5, 2)))
+    fresh.add("layer.b", np.zeros((2,)))
+    load_checkpoint(fresh, directory)
+    for name, values in before.items():
+        np.testing.assert_array_equal(fresh[name].data, values)
+
+
 def test_checkpoint_unknown_name_rejected(tmp_path):
     store = ParamStore()
     store.add("w", np.zeros((2,)))

@@ -1,5 +1,7 @@
 """Training loop, evaluation metrics, frozen-backbone contract."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,24 @@ def test_train_smoke_and_frozen_backbone():
     assert result.model.backbone_checksum() == before
     for record in result.records:
         assert 0.0 <= record.entropy <= np.log(cfg.n_experts) + 1e-12
+
+
+def test_train_without_logged_eval_builds_no_eval_set(monkeypatch):
+    # the package's ``train`` attribute is the function, so fetch the module
+    train_module = importlib.import_module("pairtrack.harness.train")
+    cfg = tiny_config(seed=14, steps=3, batch_size=2, log_interval=1, n_train=4, n_eval=4)
+    logged = train(cfg, eval_each_log=True)
+    streams = []
+
+    def spy(cfg, count=None, stream="data"):
+        streams.append(stream)
+        return generate_dataset(cfg, count, stream)
+
+    monkeypatch.setattr(train_module, "generate_dataset", spy)
+    result = train(cfg, eval_each_log=False)
+    assert streams == ["data"]
+    assert (result.initial_loss, result.final_loss) == (logged.initial_loss, logged.final_loss)
+    assert [r.total for r in result.records] == [r.total for r in logged.records]
 
 
 def test_train_record_usage_accounts_batch_tokens():
