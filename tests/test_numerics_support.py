@@ -91,8 +91,8 @@ def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
     assert open(blob2, "rb").read() == raw_blob
 
 
-@pytest.mark.parametrize("failing_write", [1, 2, 3])
-def test_failed_checkpoint_save_keeps_the_previous_one(tmp_path, monkeypatch, failing_write):
+@pytest.mark.parametrize("failing_open", [1, 2])  # the blob's temp file, the manifest's
+def test_failed_checkpoint_save_keeps_the_previous_one(tmp_path, monkeypatch, failing_open):
     import builtins
 
     import pairtrack.numerics.checkpoint as checkpoint
@@ -106,30 +106,18 @@ def test_failed_checkpoint_save_keeps_the_previous_one(tmp_path, monkeypatch, fa
     saved = {path: open(path, "rb").read() for path in (manifest, blob)}
     before = {name: store[name].data.copy() for name in ("layer.w", "layer.b")}
 
-    class _FailingFile:
-        def __init__(self, handle):
-            self.handle = handle
+    opened = []
 
-        def __enter__(self):
-            return self
+    def open_then_fail_part_way(path, mode, **kw):
+        handle = builtins.open(path, mode, **kw)
+        opened.append(path)
+        if len(opened) == failing_open:
+            with handle:
+                handle.write(b"partial" if "b" in mode else "partial")
+            raise OSError(28, "No space left on device")
+        return handle
 
-        def __exit__(self, *exc):
-            return self.handle.__exit__(*exc)
-
-        def write(self, data):
-            writes.append(data)
-            if len(writes) == failing_write:
-                raise OSError(28, "No space left on device")
-            return self.handle.write(data)
-
-        def writelines(self, lines):
-            for line in lines:
-                self.write(line)
-
-    writes = []
-    monkeypatch.setattr(checkpoint, "open",
-                        lambda *args, **kw: _FailingFile(builtins.open(*args, **kw)),
-                        raising=False)
+    monkeypatch.setattr(checkpoint, "open", open_then_fail_part_way, raising=False)
     store.set_values("layer.w", np.zeros((5, 2)))
     with pytest.raises(OSError):
         save_checkpoint(store, directory)
