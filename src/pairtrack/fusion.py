@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from .numerics import (
     Parameter,
     Tensor,
@@ -110,6 +110,8 @@ def gram_basis(k: Tensor) -> GramBasis:
     g = matmul(transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)), k)
     norm_sq = tsum(reshape(mul(g, g), lead + (d * d,)), axis=-1)
     norm_value = np.sqrt(norm_sq.data)
+    if not np.all(np.isfinite(norm_value)):
+        raise NumericError("gram_basis: Gram norm is not finite")
     if not np.all(norm_value > 0.0):
         raise DegenerateInputError("gram_basis: zero-norm Gram (zero key matrix)")
     normalized = scale(g, reciprocal(pow_const(norm_sq, 0.5)))
@@ -123,10 +125,9 @@ def gram_map(k_src: Tensor, basis: GramBasis) -> Tensor:
     return matmul(k_src, basis.normalized)
 
 
-def align_fuse(k_self: Tensor, k_mapped: Tensor, w) -> Tensor:
+def align_fuse(k_self: Tensor, k_mapped: Tensor, w: Tensor) -> Tensor:
     """k_self + w * k_mapped with a learnable scalar w."""
-    wt = w.tensor if hasattr(w, "tensor") else w
-    return add(k_self, scale(k_mapped, wt))
+    return add(k_self, scale(k_mapped, w))
 
 
 def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w, fc_b=None) -> Tensor:
@@ -209,5 +210,5 @@ def hyperconv(x: Tensor, hg: Hypergraph | list[Hypergraph],
             raise ContractError("hyperconv: hypergraph has a zero degree")
     p = constant(np.stack([propagation_matrix(graph) for graph in graphs]) if stacked
                  else propagation_matrix(hg))
-    propagated = matmul(matmul(matmul(p, x), params.theta1.tensor), params.theta2.tensor)
+    propagated = matmul(matmul(matmul(p, x), params.theta1), params.theta2)
     return add(x, propagated)

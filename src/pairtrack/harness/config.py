@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import get_origin, get_type_hints
 
 from ..errors import ConfigError
 from ..losses import LossWeights
@@ -170,14 +171,9 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and overrides."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    type_of = {
-        name: (tuple if "tuple" in str(tp) else
-               bool if tp in (bool, "bool") else
-               int if tp in (int, "int") else
-               float if tp in (float, "float") else str)
-        for name, tp in known.items()
-    }
+    hints = get_type_hints(RunConfig)
+    # tuple[int, ...] parses as tuple; plain types are their own origin
+    type_of = {f.name: get_origin(hints[f.name]) or hints[f.name] for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
         try:
@@ -186,13 +182,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for key, raw in parse_config_text(text).items():
-            if key not in known:
+            if key not in type_of:
                 raise ConfigError(f"unknown config key: {key}")
             values[key] = _parse_value(key, raw, type_of[key])
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in known:
+        if key not in type_of:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = value
     return RunConfig(**values)

@@ -88,7 +88,7 @@ def patch_embed(frames: np.ndarray, w, b) -> Tensor:
 def _patch_from(w, frames) -> int:
     # patch size is implied by the projection's input width
     c = frames.shape[-3]
-    d_in = (w.tensor if hasattr(w, "tensor") else w).shape[0]
+    d_in = w.shape[0]
     patch_sq = d_in // c
     patch = int(round(patch_sq**0.5))
     if patch * patch * c != d_in:
@@ -120,8 +120,8 @@ class Block:
     def __call__(self, x: Tensor) -> Tensor:
         """Both residual branches on [S, T, D] sequences."""
         x = add(x, self._attention(x))
-        hidden = silu(matmul(x, self.w1.tensor))
-        return add(x, matmul(hidden, self.w2.tensor))
+        hidden = silu(matmul(x, self.w1))
+        return add(x, matmul(hidden, self.w2))
 
     def _attention(self, x: Tensor) -> Tensor:
         # a method of its own, so the [S, H, T, T] map is freed before the MLP runs
@@ -131,13 +131,13 @@ class Block:
             return transpose(reshape(t, (n_seq, n_tok, self.heads, self.head_dim)), axes)
 
         # scaling q rather than the scores keeps the scaled copy T/d times smaller
-        q = split_heads(smul(matmul(x, self.wq.tensor), 1.0 / np.sqrt(self.head_dim)),
+        q = split_heads(smul(matmul(x, self.wq), 1.0 / np.sqrt(self.head_dim)),
                         (0, 2, 1, 3))
-        k_t = split_heads(matmul(x, self.wk.tensor), (0, 2, 3, 1))
-        v = split_heads(matmul(x, self.wv.tensor), (0, 2, 1, 3))
+        k_t = split_heads(matmul(x, self.wk), (0, 2, 3, 1))
+        v = split_heads(matmul(x, self.wv), (0, 2, 1, 3))
         weights = softmax(matmul(q, k_t), axis=-1)  # [S, H, T, T]
         heads = transpose(matmul(weights, v), (0, 2, 1, 3))  # [S, T, H, d]
-        return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo.tensor)
+        return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo)
 
 
 @dataclass
@@ -253,7 +253,7 @@ class Tracker:
         return self.store.checksum(lambda p: p.name.startswith(BACKBONE_PREFIX))
 
     def n_trainable(self) -> int:
-        return self.store.count(lambda p: p.trainable)
+        return self.store.count(lambda p: p.requires_grad)
 
     def n_adapter_params(self) -> int:
         return self.store.count(lambda p: p.name.startswith("adapter"))
@@ -294,7 +294,7 @@ class Tracker:
         tokens = concat([patch_embed(templates, self.embed_w, self.embed_b),
                          patch_embed(searches, self.embed_w, self.embed_b)], axis=1)
         n_seq, n_tok, d = tokens.shape
-        pos = concat([self.pos_template.tensor, self.pos_search.tensor], axis=0)
+        pos = concat([self.pos_template, self.pos_search], axis=0)
         tokens = reshape(add_rowvec(reshape(tokens, (n_seq, n_tok * d)),
                                     reshape(pos, (n_tok * d,))), (n_seq, n_tok, d))
         sample, token, modality = np.ix_(np.arange(len(batch)),

@@ -81,14 +81,14 @@ def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
         result = forward_track(samples, model)
     except NumericError as exc:
         raise NumericError(f"{exc} (training step {step})") from exc
-    for name in LOSS_NAMES:
-        if not np.all(np.isfinite(getattr(result.bundle, name).data)):
-            raise NumericError(f"non-finite loss component '{name}' at step {step}")
+    loss = mean(result.bundle.total)
+    if not np.isfinite(loss.item()):
+        raise NumericError(f"batch mean loss is not finite (training step {step})")
     components = dict.fromkeys(LOSS_NAMES, 0.0)
     _add_losses(components, result.bundle)
     for name in components:
         components[name] /= len(samples)
-    return (mean(result.bundle.total), components,
+    return (loss, components,
             result.output.usage_histogram(model.cfg.n_experts))
 
 
@@ -112,11 +112,13 @@ def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> M
             ious.extend(box_iou(box, sample.gt_box)
                         for box, sample in zip(result.output.boxes, chunk))
     n = len(dataset)
+    means = {name: components[name] / n for name in LOSS_NAMES}
+    for name, value in means.items():
+        if not np.isfinite(value):
+            raise NumericError(f"evaluate: mean loss '{name}' is not finite (step {step})")
     ious = np.asarray(ious)
     return MetricsRecord(
-        step=step,
-        total=components["total"] / n, cls=components["cls"] / n,
-        iou=components["iou"] / n, l1=components["l1"] / n, eb=components["eb"] / n,
+        step=step, **means,
         expert_usage=usage, entropy=usage_entropy(usage),
         mean_iou=float(ious.mean()),
         success_at_50=float((ious >= 0.5).mean()),

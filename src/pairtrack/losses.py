@@ -208,4 +208,5 @@ def total_loss(cls: Tensor, iou: Tensor, l1: Tensor, eb: Tensor,
         add(add(cls, smul(iou, weights.lambda_iou)), smul(l1, weights.lambda_l1)),
         smul(eb, weights.alpha),
     )
+    _check_finite("total", total)
     return LossBundle(cls=cls, iou=iou, l1=l1, eb=eb, total=total)

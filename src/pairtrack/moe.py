@@ -135,17 +135,16 @@ class AdapterResult:
     sparse: SparseMoEResult
 
 
-def route(tokens: Tensor, w_router, cfg: MoEConfig) -> RouterDecision:
+def route(tokens: Tensor, w_router: Tensor, cfg: MoEConfig) -> RouterDecision:
     """Score tokens against experts and pick the top-K per token."""
-    wt = w_router.tensor if hasattr(w_router, "tensor") else w_router
     if tokens.ndim != 2 or tokens.shape[0] < 1:
         raise ShapeError(f"route expects [T, D] tokens with T >= 1, got {tokens.shape}")
-    if wt.shape != (tokens.shape[1], cfg.n_experts):
+    if w_router.shape != (tokens.shape[1], cfg.n_experts):
         raise ShapeError(
-            f"router weight {wt.shape} incompatible with tokens {tokens.shape} "
+            f"router weight {w_router.shape} incompatible with tokens {tokens.shape} "
             f"and N={cfg.n_experts}"
         )
-    scores = softmax(matmul(tokens, wt), axis=1)
+    scores = softmax(matmul(tokens, w_router), axis=1)
     # stable argsort of -scores keeps the lowest expert index first on ties
     order = np.argsort(-scores.data, axis=1, kind="stable")
     selected = np.ascontiguousarray(order[:, : cfg.top_k])
@@ -182,7 +181,7 @@ def routed_experts(
 ) -> Tensor:
     """Gated projection (silu(x W_gate) * (x W_down)) W_up, row i by expert[i]."""
     def project(x: Tensor, name: str) -> Tensor:
-        return routed_matmul(x, [getattr(e, name).tensor for e in experts], expert)
+        return routed_matmul(x, [getattr(e, name) for e in experts], expert)
 
     return project(mul(silu(project(tokens, "w_gate")), project(tokens, "w_down")), "w_up")
 
@@ -219,15 +218,15 @@ def sparse_moe(
 
 def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
     """Serial-parallel shared branch; all sub-experts always run."""
-    h = matmul(tokens, params.w_down.tensor)
-    r = softmax(matmul(h, params.w_router.tensor), axis=1)
+    h = matmul(tokens, params.w_down)
+    r = softmax(matmul(h, params.w_router), axis=1)
     n_sub, hidden = len(params.sub), h.shape[1]
     # column m*H + j of the outer product r_t (x) h_t is r_tm * h_tj
     spread = np.repeat(np.eye(n_sub), hidden, axis=1)
     tile = np.tile(np.eye(hidden), n_sub)
     outer = mul(matmul(r, constant(spread)), matmul(h, constant(tile)))
-    low = matmul(outer, concat([sub.tensor for sub in params.sub], axis=0))
-    return matmul(low, params.w_up.tensor)
+    low = matmul(outer, concat(params.sub, axis=0))
+    return matmul(low, params.w_up)
 
 
 class MoEAdapter:

@@ -13,7 +13,6 @@ from .tensor import (
     clamp,
     concat,
     constant,
-    exp,
     gather_cols,
     gather_rows,
     linear,
@@ -43,7 +42,7 @@ __all__ = [
     "Tensor", "Parameter", "ParamStore", "RngStream",
     "backward", "no_grad", "constant",
     "add", "sub", "mul", "smul", "scale", "maximum", "minimum",
-    "reciprocal", "pow_const", "log", "exp", "absolute", "clamp",
+    "reciprocal", "pow_const", "log", "absolute", "clamp",
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
     "gather_rows", "gather_cols", "add_rowvec",

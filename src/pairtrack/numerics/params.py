@@ -1,8 +1,8 @@
 """Named parameters and the store that owns them.
 
-A Parameter is a named leaf tensor. Parameters with ``trainable=False``
-stay fixed under ``sgd_step`` regardless of accumulated gradients, which is
-how the frozen backbone is enforced.
+A Parameter is a named leaf tensor. Its ``requires_grad`` is the single
+frozen/trainable bit: a frozen parameter records no gradient and stays fixed
+under ``sgd_step``, which is how the frozen backbone is enforced.
 """
 
 from __future__ import annotations
@@ -17,28 +17,15 @@ from .rng import RngStream
 from .tensor import Tensor
 
 
-class Parameter:
-    __slots__ = ("name", "tensor", "trainable")
+class Parameter(Tensor):
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, tensor: Tensor, trainable: bool = True):
+    def __init__(self, name: str, values, requires_grad: bool = True):
+        super().__init__(values, requires_grad=requires_grad)
         self.name = name
-        self.tensor = tensor
-        self.trainable = trainable
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.tensor.shape
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class ParamStore:
@@ -52,7 +39,7 @@ class ParamStore:
             raise ContractError(f"duplicate parameter name: {name}")
         # frozen parameters opt out of the tape: they never receive updates,
         # so computing their gradients would be pure overhead
-        p = Parameter(name, Tensor(values, requires_grad=trainable), trainable=trainable)
+        p = Parameter(name, values, requires_grad=trainable)
         self._params[name] = p
         return p
 
@@ -76,25 +63,19 @@ class ParamStore:
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
     def count(self, predicate: Callable[[Parameter], bool] | None = None) -> int:
         """Total number of scalar entries across matching parameters."""
-        return sum(p.tensor.size for p in self if predicate is None or predicate(p))
+        return sum(p.size for p in self if predicate is None or predicate(p))
 
     def zero_grad(self) -> None:
         for p in self:
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def sgd_step(self, lr: float) -> None:
         """In-place gradient-descent update on trainable parameters."""
         for p in self:
-            if p.trainable and p.tensor.grad is not None:
-                p.tensor.data -= lr * p.tensor.grad
+            if p.requires_grad and p.grad is not None:
+                p.data -= lr * p.grad
 
     def set_values(self, name: str, values: np.ndarray) -> None:
         p = self._params[name]
@@ -103,7 +84,7 @@ class ParamStore:
             raise ContractError(
                 f"parameter {name}: cannot assign shape {values.shape} to {p.shape}"
             )
-        p.tensor.data = np.asarray(values, dtype=np.float64, order="C")
+        p.data = np.asarray(values, dtype=np.float64, order="C")
 
     def checksum(self, predicate: Callable[[Parameter], bool] | None = None) -> str:
         """SHA-256 over the raw bytes of matching parameters, in name order."""

@@ -262,15 +262,6 @@ def log(a: Tensor) -> Tensor:
     return _node(np.log(a.data), (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * out_data)
-
-    return _node(out_data, (a,), bw)
-
-
 def absolute(a: Tensor) -> Tensor:
     """Elementwise |x| with subgradient 0 at x = 0."""
     sign = np.sign(a.data)
@@ -563,21 +554,16 @@ def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> T
     return _node(out_data, (a,) + tuple(w for w, _ in groups), bw)
 
 
-def linear(x: Tensor, w, b=None) -> Tensor:
-    """Affine map over the trailing dimension of a [..., d_in] input.
-
-    ``w`` and ``b`` may be Tensors or Parameters (anything with ``.tensor``).
-    """
-    wt = w.tensor if hasattr(w, "tensor") else w
-    bt = b.tensor if (b is not None and hasattr(b, "tensor")) else b
-    if wt.ndim != 2:
-        raise ShapeError(f"linear: weight must be a matrix, got {wt.shape}")
-    d_in = wt.shape[0]
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map over the trailing dimension of a [..., d_in] input."""
+    if w.ndim != 2:
+        raise ShapeError(f"linear: weight must be a matrix, got {w.shape}")
+    d_in = w.shape[0]
     if x.ndim < 2 or x.shape[-1] != d_in:
         raise ShapeError(f"linear: input {x.shape} is not [..., d_in={d_in}]")
-    out = matmul(x, wt)
-    if bt is not None:
-        if bt.shape != (wt.shape[1],):
-            raise ShapeError(f"linear: bias shape {bt.shape} != ({wt.shape[1]},)")
-        out = add_rowvec(out, bt)
+    out = matmul(x, w)
+    if b is not None:
+        if b.shape != (w.shape[1],):
+            raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
+        out = add_rowvec(out, b)
     return out

@@ -2,12 +2,13 @@
 
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pairtrack.errors import ConfigError
-from pairtrack.harness import load_config
+from pairtrack.harness import RunConfig, load_config
 from pairtrack.harness.cli import main
 
 TINY_CONFIG = """
@@ -46,6 +47,29 @@ def test_load_config_file_and_overrides(tiny_config_file):
     assert cfg.model_dim == 16
     assert cfg.level_taps == (1, 2)
     assert cfg.epsilon_mode == "fixed"
+
+
+def test_load_config_reads_back_every_field(tmp_path):
+    expected = RunConfig(
+        seed=5, channels=3, patch_size=2, template_size=8, search_size=12,
+        model_dim=24, depth=3, heads=2, mlp_ratio=3, head_hidden=8,
+        n_experts=3, top_k=2, reduction_g=6, shared_m=2,
+        epsilon_mode="fixed", epsilon_value=0.5, level_taps=(1, 3),
+        lambda_iou=1.5, lambda_l1=4.0, alpha=0.01,
+        lr=0.05, steps=7, batch_size=3, log_interval=2,
+        toggle_sdmoe=False, toggle_mff=False, toggle_gram=False, toggle_mhg=False,
+        n_train=5, n_eval=6,
+    )
+    lines = []
+    for field in fields(RunConfig):
+        value = getattr(expected, field.name)
+        assert value != field.default, field.name
+        text = (",".join(map(str, value)) if isinstance(value, tuple)
+                else str(value).lower() if isinstance(value, bool) else str(value))
+        lines.append(f"{field.name} = {text}\n")
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert load_config(str(path)) == expected
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -119,6 +143,35 @@ def test_cli_numeric_failure_prints_no_numpy_warning(tmp_path, capsys):
         assert main(["train", "--steps", "3", "--lr", "1e6", "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and err.count("\n") == 1
+
+
+OVERFLOWING_WEIGHTS = ["--lambda-iou", "1e308", "--lambda-l1", "1e308"]
+
+
+def _assert_numeric_failure(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    assert all(part in err for part in parts)
+
+
+def test_cli_train_with_overflowing_loss_exits_3(tiny_config_file, tmp_path, capsys):
+    out = str(tmp_path / "overflow")
+    assert main(["train", "--config", tiny_config_file, "--out", out] + OVERFLOWING_WEIGHTS) == 3
+    _assert_numeric_failure(capsys, "step 0")
+
+
+def test_cli_eval_with_overflowing_loss_exits_3(tiny_config_file, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_config_file, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", tiny_config_file, "--out", out] + OVERFLOWING_WEIGHTS) == 3
+    _assert_numeric_failure(capsys, "total")
+
+
+def test_cli_non_finite_gram_norm_exits_3(tiny_config_file, tmp_path, capsys):
+    out = str(tmp_path / "lr1e100")
+    assert main(["train", "--config", tiny_config_file, "--out", out, "--lr", "1e100"]) == 3
+    _assert_numeric_failure(capsys, "gram_basis", "step 1")
 
 
 def test_cli_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):

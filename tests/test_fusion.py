@@ -392,5 +392,5 @@ def test_fusion_gradients_match_finite_differences():
             return out
 
         fd = finite_diff_grad(f, original, h=1e-5)
-        err = grad_max_rel_error(p.tensor.grad, fd)
+        err = grad_max_rel_error(p.grad, fd)
         assert err <= 1e-4, f"{p.name}: rel err {err:.2e}"

@@ -75,7 +75,7 @@ def test_baseline_config_has_no_adapter_or_fusion_params():
     cfg = tiny_config(toggle_sdmoe=False, toggle_mff=False,
                       toggle_gram=False, toggle_mhg=False)
     model = Tracker(cfg)
-    names = model.store.names()
+    names = [p.name for p in model.store]
     assert not any(n.startswith("adapter") or n.startswith("fusion.") for n in names)
     assert model.n_adapter_params() == 0
 
@@ -144,7 +144,7 @@ def _perturbed_tracker(cfg, scale=0.05):
     model = Tracker(cfg)
     noise = RngStream(cfg.seed).child("perturb")
     for p in model.store:
-        if p.trainable:
+        if p.requires_grad:
             model.store.set_values(p.name, p.data + noise.normal(scale, p.shape))
     return model
 

@@ -349,9 +349,9 @@ def test_adapter_gradients_match_finite_differences():
     # experts may legitimately see no tokens
     always_active = ("adapter.router.w", "adapter.shared.w_down", "adapter.shared.w_up")
     for name in always_active:
-        assert store[name].tensor.grad is not None
+        assert store[name].grad is not None
     for p in store:
-        if p.tensor.grad is None:
+        if p.grad is None:
             continue
         original = p.data.copy()
 
@@ -363,7 +363,7 @@ def test_adapter_gradients_match_finite_differences():
             return out
 
         fd = finite_diff_grad(f, original, h=1e-5)
-        err = grad_max_rel_error(p.tensor.grad, fd)
+        err = grad_max_rel_error(p.grad, fd)
         assert err <= 1e-4, f"{p.name}: rel err {err:.2e}"
 
 

@@ -9,8 +9,13 @@ from pairtrack.errors import ContractError
 from pairtrack.numerics import (
     ParamStore,
     RngStream,
+    backward,
+    constant,
+    linear,
     load_checkpoint,
+    matmul,
     save_checkpoint,
+    tsum,
 )
 
 
@@ -53,11 +58,34 @@ def test_sgd_skips_frozen_parameters():
     store = ParamStore()
     w = store.add("w", np.ones((2,)), trainable=True)
     frozen = store.add("frozen", np.ones((2,)), trainable=False)
-    w.tensor.grad = np.array([1.0, 1.0])
-    frozen.tensor.grad = np.array([1.0, 1.0])
+    w.grad = np.array([1.0, 1.0])
+    frozen.grad = np.array([1.0, 1.0])
     store.sgd_step(0.5)
     np.testing.assert_array_equal(w.data, [0.5, 0.5])
     np.testing.assert_array_equal(frozen.data, [1.0, 1.0])
+
+
+def test_parameter_goes_straight_into_kernels():
+    store = ParamStore()
+    w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = store.add("b", np.array([0.5, -0.5]), trainable=False)
+    x = constant(np.array([[1.0, -1.0]]))
+    np.testing.assert_array_equal(matmul(x, w).data, [[-2.0, -2.0]])
+    np.testing.assert_array_equal(linear(x, w, b).data, [[-1.5, -2.5]])
+
+
+def test_backward_fills_trainable_grads_and_sgd_moves_only_them():
+    store = ParamStore()
+    w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = store.add("b", np.array([0.5, -0.5]), trainable=False)
+    x = constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
+    backward(tsum(linear(x, w, b)))
+    # d sum(x w + b) / dw = x^T 1: row i holds the column sum of x[:, i]
+    np.testing.assert_array_equal(w.grad, [[3.0, 3.0], [-1.0, -1.0]])
+    assert b.grad is None
+    store.sgd_step(0.5)
+    np.testing.assert_array_equal(w.data, [[-0.5, 0.5], [3.5, 4.5]])
+    np.testing.assert_array_equal(b.data, [0.5, -0.5])
 
 
 def test_count_and_checksum():
@@ -65,7 +93,7 @@ def test_count_and_checksum():
     store.add("a", np.zeros((3, 4)))
     store.add("b", np.zeros((5,)), trainable=False)
     assert store.count() == 17
-    assert store.count(lambda p: p.trainable) == 12
+    assert store.count(lambda p: p.requires_grad) == 12
     before = store.checksum()
     store.set_values("a", np.ones((3, 4)))
     assert store.checksum() != before

@@ -160,6 +160,18 @@ def test_nonfinite_loss_aborts_with_step_and_component():
     assert "step 7" in message and "cls" in message
 
 
+def test_overflowing_batch_mean_aborts_with_step():
+    from pairtrack.harness.train import _batch_loss
+
+    # each sample's total is finite near 1e308; their sum is not
+    cfg = tiny_config(seed=12, lambda_iou=1e308, lambda_l1=1e308)
+    samples = generate_dataset(cfg, 4, "overflow")
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+        _batch_loss(Tracker(cfg), samples, step=4)
+    message = str(exc.value)
+    assert "batch mean" in message and "step 4" in message
+
+
 def test_usage_entropy_bounds():
     assert usage_entropy(np.array([0, 0, 0, 0])) == 0.0
     assert usage_entropy(np.array([10, 0, 0, 0])) == 0.0
