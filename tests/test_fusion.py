@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairtrack.errors import ContractError, DegenerateInputError, ShapeError
+from pairtrack.errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from pairtrack.fusion import (
     AlignWeights,
     GramBasis,
@@ -90,6 +90,13 @@ def test_gram_is_symmetric_psd():
 def test_gram_basis_degenerate_input():
     with pytest.raises(DegenerateInputError):
         gram_basis(constant(np.zeros((4, 3))))
+
+
+def test_gram_basis_non_finite_norm_is_a_numeric_failure():
+    keys = np.ones((4, 3))
+    keys[1, 2] = np.nan
+    with pytest.raises(NumericError):
+        gram_basis(constant(keys))
 
 
 def test_gram_basis_on_a_stack_equals_per_sample_calls():
