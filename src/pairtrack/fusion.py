@@ -6,11 +6,11 @@ the two directions through a fully connected layer. The hypergraph half
 groups vertices by epsilon-balls in feature space and applies a residual
 degree-normalized convolution.
 
-The tape functions take one sample's [T, D] tokens or a [..., T, D] stack
-of samples, and treat every leading index as its own sample: one Gram
-matrix and norm per sample, one hypergraph per sample. Building a
-hypergraph is numpy work without a tape, so it stays per sample; the
-convolution is linear for fixed hypergraphs and runs as one stacked matmul.
+Features come as one sample's [T, D] tokens or a [..., T, D] stack of
+samples, and every leading index is its own sample: one Gram matrix and
+norm per sample, one hypergraph per sample. The hypergraph of a stack is
+built at once in numpy, off the tape; the convolution is linear for a fixed
+hypergraph and runs as one stacked matmul.
 """
 
 from __future__ import annotations
@@ -75,12 +75,16 @@ class GramBasis:
 
 @dataclass
 class Hypergraph:
-    """Binary incidence with one epsilon-ball hyperedge per vertex."""
+    """Binary incidence with one epsilon-ball hyperedge per vertex.
+
+    For a stack, incidence is [..., V, V], d_v and d_e are [..., V] and
+    epsilon has the leading shape.
+    """
 
     incidence: np.ndarray
     d_v: np.ndarray
     d_e: np.ndarray
-    epsilon: float
+    epsilon: float | np.ndarray
 
 
 @dataclass
@@ -89,7 +93,7 @@ class HyperConvParams:
     theta2: Parameter
 
 
-def multi_level_fuse(levels: list[Tensor], w, b=None) -> Tensor:
+def multi_level_fuse(levels: list[Tensor], w) -> Tensor:
     """Concatenate per-layer features along the feature axis and project."""
     if not levels:
         raise ContractError("multi_level_fuse: empty level list")
@@ -99,7 +103,7 @@ def multi_level_fuse(levels: list[Tensor], w, b=None) -> Tensor:
             raise ContractError(
                 f"multi_level_fuse: shapes differ: {shape} vs {lvl.shape}"
             )
-    return linear(concat(levels, axis=-1), w, b)
+    return linear(concat(levels, axis=-1), w)
 
 
 def gram_basis(k: Tensor) -> GramBasis:
@@ -120,8 +124,6 @@ def gram_basis(k: Tensor) -> GramBasis:
 
 def gram_map(k_src: Tensor, basis: GramBasis) -> Tensor:
     """Map tokens through the target modality's normalized Gram basis."""
-    if not np.all(np.asarray(basis.norm) > 0.0):
-        raise DegenerateInputError("gram_map: degenerate basis")
     return matmul(k_src, basis.normalized)
 
 
@@ -130,85 +132,77 @@ def align_fuse(k_self: Tensor, k_mapped: Tensor, w: Tensor) -> Tensor:
     return add(k_self, scale(k_mapped, w))
 
 
-def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w, fc_b=None) -> Tensor:
+def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w) -> Tensor:
     """Bidirectional Gram alignment followed by concat + fully connected."""
     basis_r = gram_basis(keys.k_r)
     basis_x = gram_basis(keys.k_x)
     f_x = align_fuse(keys.k_x, gram_map(keys.k_x, basis_r), weights.w_x)
     f_r = align_fuse(keys.k_r, gram_map(keys.k_r, basis_x), weights.w_r)
-    return linear(concat([f_x, f_r], axis=-1), fc_w, fc_b)
+    return linear(concat([f_x, f_r], axis=-1), fc_w)
 
 
-def build_hypergraph(x, epsilon: float) -> Hypergraph:
-    """One hyperedge per vertex: all vertices strictly within ``epsilon``.
+def build_hypergraph(x, epsilon: float | None) -> Hypergraph:
+    """One hyperedge per vertex: all vertices strictly within the sample's radius.
 
-    ``x`` may be a Tensor or array; the structure is discrete and carries
-    no gradient.
+    ``x`` is one sample's [V, D] features or a [..., V, D] stack, as a Tensor
+    or an array; the structure is discrete and carries no gradient.
+    ``epsilon`` is one radius for every sample, or None to pick each
+    sample's radius with ``auto_epsilon`` over the same distances.
     """
     values = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise ContractError(f"build_hypergraph expects [V, D] features, got {values.shape}")
-    if not epsilon > 0:
+    if values.ndim < 2 or values.shape[-2] < 1:
+        raise ContractError(f"build_hypergraph expects [..., V, D] features, got {values.shape}")
+    distances = _pairwise_distances(values)
+    if epsilon is None:
+        radius = auto_epsilon(distances)
+    elif epsilon > 0:
+        radius = np.full(values.shape[:-2], float(epsilon))
+    else:
         raise ContractError(f"build_hypergraph: epsilon must be positive, got {epsilon}")
-    incidence = (_pairwise_distances(values) < epsilon).astype(np.int64)
-    # column e = ball around vertex e; the diagonal is always 1
+    incidence = (distances < radius[..., None, None]).astype(np.int64)
+    # column e = ball around vertex e; the diagonal is always 1, so every degree is >= 1
     return Hypergraph(
         incidence=incidence,
-        d_v=incidence.sum(axis=1),
-        d_e=incidence.sum(axis=0),
-        epsilon=float(epsilon),
+        d_v=incidence.sum(axis=-1),
+        d_e=incidence.sum(axis=-2),
+        epsilon=radius[()],
     )
 
 
 def _pairwise_distances(values: np.ndarray) -> np.ndarray:
-    sq = np.sum(values * values, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (values @ values.T)
+    sq = np.sum(values * values, axis=-1)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (values @ np.swapaxes(values, -1, -2))
     np.maximum(d2, 0.0, out=d2)  # guard rounding-induced tiny negatives
-    np.fill_diagonal(d2, 0.0)
+    diagonal = np.arange(values.shape[-2])
+    d2[..., diagonal, diagonal] = 0.0
     return np.sqrt(d2)
 
 
-def pairwise_mean_distance(x) -> float:
-    """Mean Euclidean distance over distinct vertex pairs (0 if fewer than 2)."""
-    values = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    v = values.shape[0]
-    if v < 2:
-        return 0.0
-    return float(_pairwise_distances(values).sum() / (v * (v - 1)))
+def auto_epsilon(distances: np.ndarray) -> np.ndarray:
+    """Scale-adaptive ball radius per sample from a [..., V, V] distance matrix.
 
-
-def auto_epsilon(x, factor: float = 0.5, fallback: float = 1.0) -> float:
-    """Scale-adaptive ball radius: ``factor`` times the mean pairwise distance."""
-    mean_dist = pairwise_mean_distance(x)
-    return factor * mean_dist if mean_dist > 0 else fallback
+    The radius is half the mean distance over distinct vertex pairs, and 1
+    where that mean is not positive, as for a single vertex.
+    """
+    v = distances.shape[-1]
+    mean_dist = distances.sum(axis=(-2, -1)) / max(v * (v - 1), 1)
+    return np.where(mean_dist > 0, 0.5 * mean_dist, 1.0)
 
 
 def propagation_matrix(hg: Hypergraph) -> np.ndarray:
-    """Row-stochastic operator D_v^-1 H D_e^-1 H^T."""
+    """Row-stochastic operator D_v^-1 H D_e^-1 H^T, one per sample."""
     h = hg.incidence.astype(np.float64)
-    return (h / hg.d_v[:, None]) @ (h.T / hg.d_e[:, None])
+    return (h / hg.d_v[..., :, None]) @ (np.swapaxes(h, -1, -2) / hg.d_e[..., :, None])
 
 
-def hyperconv(x: Tensor, hg: Hypergraph | list[Hypergraph],
-              params: HyperConvParams) -> Tensor:
+def hyperconv(x: Tensor, hg: Hypergraph, params: HyperConvParams) -> Tensor:
     """Residual hypergraph convolution: x + P x Theta1 Theta2.
 
-    ``x`` is one sample's [V, D] features with one hypergraph, or a [B, V, D]
-    stack with a list of B hypergraphs, whose propagation matrices become one
-    [B, V, V] constant.
+    ``x`` is one sample's [V, D] features or a [..., V, D] stack, and ``hg``
+    the hypergraph built over the same samples.
     """
-    stacked = not isinstance(hg, Hypergraph)
-    graphs = list(hg) if stacked else [hg]
-    if x.ndim != (3 if stacked else 2) or (stacked and x.shape[0] != len(graphs)):
-        raise ShapeError(f"hyperconv: features {x.shape} for {len(graphs)} hypergraph(s)")
-    for graph in graphs:
-        if graph.incidence.shape[0] != x.shape[-2]:
-            raise ShapeError(
-                f"hyperconv: {x.shape[-2]} vertices vs incidence {graph.incidence.shape}"
-            )
-        if np.any(graph.d_v < 1) or np.any(graph.d_e < 1):
-            raise ContractError("hyperconv: hypergraph has a zero degree")
-    p = constant(np.stack([propagation_matrix(graph) for graph in graphs]) if stacked
-                 else propagation_matrix(hg))
+    if hg.incidence.shape != x.shape[:-1] + x.shape[-2:-1]:
+        raise ShapeError(f"hyperconv: features {x.shape} vs incidence {hg.incidence.shape}")
+    p = constant(propagation_matrix(hg))
     propagated = matmul(matmul(matmul(p, x), params.theta1), params.theta2)
     return add(x, propagated)

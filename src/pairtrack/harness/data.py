@@ -92,19 +92,16 @@ def _draw_distractors(rng: RngStream, target: Box) -> list[Box]:
     return boxes
 
 
-def generate_dataset(
-    cfg: RunConfig, count: int | None = None, stream: str = "data"
-) -> list[SyntheticSample]:
+def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticSample]:
     """Deterministic dataset; degradation tags cycle in fixed proportions."""
     if cfg.search_size < 8 or cfg.template_size < 4:
         raise ConfigError("frame sizes too small to place a target")
-    n = cfg.n_train if count is None else int(count)
-    if n < 1:
+    if count < 1:
         raise ConfigError("dataset size must be positive")
     rng = RngStream(cfg.seed).child(stream)
     size = cfg.search_size
     samples = []
-    for index in range(n):
+    for index in range(count):
         tag = DEGRADATION_TAGS[index % len(DEGRADATION_TAGS)]
         box = _draw_box(rng, 0.25, 0.45)
         sign = 1.0 if float(rng.uniform(0, 1, ())) < 0.5 else -1.0

@@ -30,7 +30,6 @@ from ..fusion import (
     AlignWeights,
     HyperConvParams,
     ModalityKeys,
-    auto_epsilon,
     build_hypergraph,
     cross_align,
     hyperconv,
@@ -100,15 +99,15 @@ class Block:
     """Pre-norm-free transformer block: residual attention + residual MLP."""
 
     def __init__(self, store: ParamStore, prefix: str, dim: int, heads: int,
-                 mlp_ratio: int, rng: RngStream, trainable: bool):
+                 mlp_ratio: int, rng: RngStream):
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         mlp_dim = mlp_ratio * dim
 
         def weight(name, shape, fan_in):
-            return store.uniform_init(f"{prefix}.{name}", shape, fan_in, rng,
-                                      trainable=trainable)
+            # blocks are the frozen backbone
+            return store.uniform_init(f"{prefix}.{name}", shape, fan_in, rng, trainable=False)
 
         self.wq = weight("attn.wq", (dim, dim), dim)
         self.wk = weight("attn.wk", (dim, dim), dim)
@@ -199,7 +198,7 @@ class Tracker:
         )
         self.blocks = [
             Block(self.store, f"{BACKBONE_PREFIX}.block{i}", d, cfg.heads,
-                  cfg.mlp_ratio, bb_rng, trainable=False)
+                  cfg.mlp_ratio, bb_rng)
             for i in range(cfg.depth)
         ]
 
@@ -348,11 +347,9 @@ class Tracker:
             else:
                 fused = linear(concat([feat_x, feat_r], axis=-1), self.fuse_w)
             if self.conv is not None:
-                graphs = [build_hypergraph(x, self.cfg.epsilon_value
-                                           if self.cfg.epsilon_mode == "fixed"
-                                           else auto_epsilon(x))
-                          for x in fused.data]
-                fused = hyperconv(fused, graphs, self.conv)
+                fixed = self.cfg.epsilon_mode == "fixed"
+                graph = build_hypergraph(fused, self.cfg.epsilon_value if fixed else None)
+                fused = hyperconv(fused, graph, self.conv)
             head_in = add(head_in, linear(fused, self.out_w))
 
         trunk = silu(linear(head_in, self.head_w1, self.head_b1))

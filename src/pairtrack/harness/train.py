@@ -81,7 +81,8 @@ def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
         result = forward_track(samples, model)
     except NumericError as exc:
         raise NumericError(f"{exc} (training step {step})") from exc
-    loss = mean(result.bundle.total)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
+        loss = mean(result.bundle.total)
     if not np.isfinite(loss.item()):
         raise NumericError(f"batch mean loss is not finite (training step {step})")
     components = dict.fromkeys(LOSS_NAMES, 0.0)

@@ -55,7 +55,10 @@ from .model import Tracker
 from .train import forward_track
 
 UNIT_TOL = 1e-4
+UNIT_CASES = 20  # randomized inputs per kernel
 END_TO_END_TOL = 1e-3
+END_TO_END_COORDS = 16  # coordinates sampled from a large parameter
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -70,11 +73,10 @@ class CheckResult:
 
 
 def _max_error_over_cases(
-    build: Callable[[Tensor], Tensor], shape, low, high,
-    n_cases: int, seed0: int,
+    build: Callable[[Tensor], Tensor], shape, low, high, seed0: int,
 ) -> float:
     worst = 0.0
-    for case in range(n_cases):
+    for case in range(UNIT_CASES):
         rng = RngStream(seed0 + case)
         x0 = rng.uniform(low, high, shape)
         x = Tensor(x0, requires_grad=True)
@@ -86,11 +88,11 @@ def _max_error_over_cases(
                 return float(np.sum(build(Tensor(values)).data * u))
 
         backward(tsum(mul(out, constant(u))))
-        worst = max(worst, grad_max_rel_error(x.grad, finite_diff_grad(f, x0, h=1e-5)))
+        worst = max(worst, grad_max_rel_error(x.grad, finite_diff_grad(f, x0, h=FD_STEP)))
     return worst
 
 
-def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckResult]:
+def unit_gradient_suite() -> list[CheckResult]:
     rng = RngStream(20260809)
     w = rng.uniform(-1, 1, (4, 3))
     rows = rng.uniform(0.5, 2.0, (5,))
@@ -147,8 +149,8 @@ def unit_gradient_suite(n_cases: int = 20, tol: float = UNIT_TOL) -> list[CheckR
     ]
     results = []
     for i, (name, build, shape, low, high) in enumerate(cases):
-        err = _max_error_over_cases(build, shape, low, high, n_cases, 1000 * i)
-        results.append(CheckResult(name=name, error=err, tol=tol))
+        err = _max_error_over_cases(build, shape, low, high, 1000 * i)
+        results.append(CheckResult(name=name, error=err, tol=UNIT_TOL))
     return results
 
 
@@ -165,23 +167,21 @@ def tiny_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def _fd_on_coords(f: Callable[[], float], values: np.ndarray, coords, h: float):
+def _fd_on_coords(f: Callable[[], float], values: np.ndarray, coords):
     out = np.zeros(len(coords))
     flat = values.reshape(-1)
     for j, c in enumerate(coords):
         orig = flat[c]
-        flat[c] = orig + h
+        flat[c] = orig + FD_STEP
         fp = f()
-        flat[c] = orig - h
+        flat[c] = orig - FD_STEP
         fm = f()
         flat[c] = orig
-        out[j] = (fp - fm) / (2.0 * h)
+        out[j] = (fp - fm) / (2.0 * FD_STEP)
     return out
 
 
-def end_to_end_gradient_check(
-    tol: float = END_TO_END_TOL, max_coords: int = 16, h: float = 1e-5
-) -> list[CheckResult]:
+def end_to_end_gradient_check() -> list[CheckResult]:
     cfg = tiny_config()
     model = Tracker(cfg)
     sample = generate_dataset(cfg, 1, "gradcheck")[0]
@@ -200,14 +200,14 @@ def end_to_end_gradient_check(
         if analytic is None:
             analytic = np.zeros(p.shape)
         size = p.size
-        if size <= 2 * max_coords:
+        if size <= 2 * END_TO_END_COORDS:
             coords = list(range(size))
         else:
             picker = RngStream(13).child(p.name)
-            coords = sorted(set(int(i) for i in picker.integers(0, size, (max_coords,))))
-        fd = _fd_on_coords(loss_value, p.data, coords, h)
+            coords = sorted(set(int(i) for i in picker.integers(0, size, (END_TO_END_COORDS,))))
+        fd = _fd_on_coords(loss_value, p.data, coords)
         err = grad_max_rel_error(analytic.reshape(-1)[coords], fd)
-        results.append(CheckResult(name=p.name, error=err, tol=tol))
+        results.append(CheckResult(name=p.name, error=err, tol=END_TO_END_TOL))
     return results
 
 

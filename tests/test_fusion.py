@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pairtrack.errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from pairtrack.fusion import (
@@ -246,11 +249,15 @@ def test_build_hypergraph_epsilon_contract():
         build_hypergraph(np.zeros((3, 2)), -1.0)
 
 
+def _distances(pts):
+    return np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+
+
 def test_auto_epsilon():
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert abs(auto_epsilon(pts) - 1.0) < 1e-12
-    assert auto_epsilon(np.zeros((3, 2))) == 1.0  # degenerate fallback
-    assert auto_epsilon(np.zeros((1, 2))) == 1.0
+    assert abs(auto_epsilon(_distances(pts)) - 1.0) < 1e-12
+    assert auto_epsilon(_distances(np.zeros((3, 2)))) == 1.0  # degenerate fallback
+    assert auto_epsilon(_distances(np.zeros((1, 2)))) == 1.0
 
 
 def test_propagation_matrix_row_stochastic_over_random_instances():
@@ -280,7 +287,7 @@ def _conv_params(store, d, rng=None, zero_theta2=False, identity=False):
 def test_hyperconv_zero_theta2_residual_identity_exact():
     rng = RngStream(14)
     x = constant(rng.uniform(-1, 1, (5, 4)))
-    hg = build_hypergraph(x, auto_epsilon(x))
+    hg = build_hypergraph(x, None)
     params = _conv_params(ParamStore(), 4, rng, zero_theta2=True)
     out = hyperconv(x, hg, params)
     assert np.max(np.abs(out.data - x.data)) == 0.0
@@ -332,18 +339,56 @@ def test_stacked_fusion_equals_per_sample_calls():
     store, _, weights, fc_w = _align_setup(25, t=6, d=4)
     k_r, k_x = rng.uniform(-1, 1, (3, 6, 4)), rng.uniform(-1, 1, (3, 6, 4))
     aligned = cross_align(ModalityKeys(k_r=constant(k_r), k_x=constant(k_x)), weights, fc_w)
-    graphs = [build_hypergraph(x, auto_epsilon(x)) for x in aligned.data]
+    graph = build_hypergraph(aligned, None)
     params = _conv_params(store, 4, rng)
-    out = hyperconv(aligned, graphs, params)
-    assert out.shape == (3, 6, 4)
+    out = hyperconv(aligned, graph, params)
+    assert out.shape == (3, 6, 4) and graph.incidence.shape == (3, 6, 6)
     for i in range(3):
         alone = cross_align(ModalityKeys(k_r=constant(k_r[i]), k_x=constant(k_x[i])),
                             weights, fc_w)
         np.testing.assert_allclose(aligned.data[i], alone.data, rtol=0, atol=1e-14)
-        expected = hyperconv(alone, graphs[i], params)
+        expected = hyperconv(alone, build_hypergraph(aligned.data[i], None), params)
         np.testing.assert_allclose(out.data[i], expected.data, rtol=0, atol=1e-14)
     with pytest.raises(ShapeError):  # one hypergraph per sample
-        hyperconv(aligned, graphs[:2], params)
+        hyperconv(aligned, build_hypergraph(aligned.data[:2], None), params)
+
+
+# derandomized and without an example database, so runs repeat and leave no files
+HYPERGRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                               max_examples=60)
+feature_stacks = array_shapes(min_dims=0, max_dims=2, max_side=3).flatmap(
+    lambda lead: st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
+        lambda vd: arrays(np.float64, lead + vd, elements=st.floats(-4.0, 4.0))))
+radii = st.none() | st.floats(1e-3, 8.0)
+
+
+@HYPERGRAPH_SETTINGS
+@given(feature_stacks, radii)
+def test_hypergraph_invariants_on_random_stacks(x, epsilon):
+    hg = build_hypergraph(x, epsilon)
+    h = hg.incidence
+    assert h.shape == x.shape[:-1] + x.shape[-2:-1]
+    assert np.all(np.diagonal(h, axis1=-2, axis2=-1) == 1)
+    np.testing.assert_array_equal(h, np.swapaxes(h, -1, -2))
+    np.testing.assert_array_equal(hg.d_v, h.sum(axis=-1))
+    np.testing.assert_array_equal(hg.d_e, h.sum(axis=-2))
+    assert np.all(hg.d_v >= 1) and np.all(hg.d_e >= 1)
+    assert np.max(np.abs(propagation_matrix(hg).sum(axis=-1) - 1.0)) <= 1e-12
+
+
+@HYPERGRAPH_SETTINGS
+@given(feature_stacks, radii)
+def test_stacked_hypergraph_equals_one_sample_builds(x, epsilon):
+    hg = build_hypergraph(x, epsilon)
+    p = propagation_matrix(hg)
+    assert np.shape(hg.epsilon) == x.shape[:-2]
+    for index in np.ndindex(x.shape[:-2]):
+        alone = build_hypergraph(x[index], epsilon)
+        assert np.asarray(hg.epsilon)[index] == alone.epsilon
+        np.testing.assert_array_equal(hg.incidence[index], alone.incidence)
+        np.testing.assert_array_equal(hg.d_v[index], alone.d_v)
+        np.testing.assert_array_equal(hg.d_e[index], alone.d_e)
+        np.testing.assert_array_equal(p[index], propagation_matrix(alone))
 
 
 def test_gsahf_zero_init_path_reduces_to_concat_fc():
@@ -358,7 +403,7 @@ def test_gsahf_zero_init_path_reduces_to_concat_fc():
     )
     fc_w = store.add("fc_w", rng.uniform(-1, 1, (8, 4)))
     aligned = cross_align(keys, weights, fc_w)
-    hg = build_hypergraph(aligned, auto_epsilon(aligned))
+    hg = build_hypergraph(aligned, None)
     params = _conv_params(store, 4, rng, zero_theta2=True)
     out = hyperconv(aligned, hg, params)
     plain = np.concatenate([keys.k_x.data, keys.k_r.data], axis=1) @ fc_w.data

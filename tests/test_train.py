@@ -1,6 +1,7 @@
 """Training loop, evaluation metrics, frozen-backbone contract."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_overflowing_batch_mean_aborts_with_step():
         _batch_loss(Tracker(cfg), samples, step=4)
     message = str(exc.value)
     assert "batch mean" in message and "step 4" in message
+
+
+def test_overflowing_batch_mean_raises_only_numeric_error_under_warnings_as_errors():
+    from pairtrack.harness.train import _batch_loss
+
+    cfg = tiny_config(seed=12, lambda_iou=1e308, lambda_l1=1e308)
+    samples = generate_dataset(cfg, 4, "overflow")
+    model = Tracker(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="batch mean loss is not finite"):
+            _batch_loss(model, samples, step=4)
 
 
 def test_usage_entropy_bounds():
