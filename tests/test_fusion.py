@@ -353,7 +353,7 @@ def test_stacked_fusion_equals_per_sample_calls():
         hyperconv(aligned, build_hypergraph(aligned.data[:2], None), params)
 
 
-# derandomized and without an example database, so runs repeat and leave no files
+# derandomized and without an example database, so a run of the same tests draws the same examples
 HYPERGRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                                max_examples=60)
 feature_stacks = array_shapes(min_dims=0, max_dims=2, max_side=3).flatmap(
