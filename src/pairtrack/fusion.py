@@ -111,7 +111,7 @@ def gram_basis(k: Tensor) -> GramBasis:
     if k.ndim < 2 or k.shape[-2] < 1:
         raise ShapeError(f"gram_basis expects [..., T, D] keys with T >= 1, got {k.shape}")
     lead, d = k.shape[:-2], k.shape[-1]
-    g = matmul(transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)), k)
+    g = matmul(transpose(k), k)
     norm_sq = tsum(reshape(mul(g, g), lead + (d * d,)), axis=-1)
     norm_value = np.sqrt(norm_sq.data)
     if not np.all(np.isfinite(norm_value)):

@@ -10,8 +10,8 @@ predictions intact at insertion time.
 A forward pass takes B samples at once. Their 2B token sequences are
 stacked sample-major and modality-minor (sample 0 R, sample 0 X, sample 1
 R, ...) into one [S, T, D] tensor, S = 2B, and patch embedding, the blocks
-and the adapters run once over the stack; attention puts the heads on a
-batch axis beside the sequences. Cross-modal fusion and the head then run
+and the adapters run once over the stack, each block's multi-head
+attention as one tape node. Cross-modal fusion and the head then run
 once on [B, Ts, D] stacks of the R and X search tokens, and predict [B, 4]
 boxes, [B, side, side] center maps and B balance terms, which the pass
 returns as one ``ForwardOutput``. The tape of a pass does not depend on B,
@@ -43,6 +43,7 @@ from ..numerics import (
     Tensor,
     add,
     add_rowvec,
+    attention,
     concat,
     constant,
     gather_rows,
@@ -100,9 +101,7 @@ class Block:
 
     def __init__(self, store: ParamStore, prefix: str, dim: int, heads: int,
                  mlp_ratio: int, rng: RngStream):
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         mlp_dim = mlp_ratio * dim
 
         def weight(name, shape, fan_in):
@@ -118,25 +117,10 @@ class Block:
 
     def __call__(self, x: Tensor) -> Tensor:
         """Both residual branches on [S, T, D] sequences."""
-        x = add(x, self._attention(x))
+        attn = attention(matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv), self.heads)
+        x = add(x, matmul(attn, self.wo))
         hidden = silu(matmul(x, self.w1))
         return add(x, matmul(hidden, self.w2))
-
-    def _attention(self, x: Tensor) -> Tensor:
-        # a method of its own, so the [S, H, T, T] map is freed before the MLP runs
-        n_seq, n_tok, dim = x.shape
-
-        def split_heads(t: Tensor, axes: tuple[int, ...]) -> Tensor:
-            return transpose(reshape(t, (n_seq, n_tok, self.heads, self.head_dim)), axes)
-
-        # scaling q rather than the scores keeps the scaled copy T/d times smaller
-        q = split_heads(smul(matmul(x, self.wq), 1.0 / np.sqrt(self.head_dim)),
-                        (0, 2, 1, 3))
-        k_t = split_heads(matmul(x, self.wk), (0, 2, 3, 1))
-        v = split_heads(matmul(x, self.wv), (0, 2, 1, 3))
-        weights = softmax(matmul(q, k_t), axis=-1)  # [S, H, T, T]
-        heads = transpose(matmul(weights, v), (0, 2, 1, 3))  # [S, T, H, d]
-        return matmul(reshape(heads, (n_seq, n_tok, dim)), self.wo)
 
 
 @dataclass
@@ -357,7 +341,7 @@ class Tracker:
         center = sigmoid(reshape(center_logits, (n, side, side)))
         # pool token features weighted by sharpened center scores, so the box
         # decoder sees where the map peaks rather than a uniform average
-        attn = softmax(smul(transpose(center_logits, (0, 2, 1)), POOL_TEMPERATURE), axis=-1)
+        attn = softmax(smul(transpose(center_logits), POOL_TEMPERATURE), axis=-1)
         pooled = matmul(attn, trunk)
         coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
         raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)

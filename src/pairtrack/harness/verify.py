@@ -20,6 +20,7 @@ from ..numerics import (
     absolute,
     add,
     add_rowvec,
+    attention,
     backward,
     clamp,
     concat,
@@ -141,11 +142,14 @@ def unit_gradient_suite() -> list[CheckResult]:
         ("matmul_stack_left", lambda x: matmul(x, constant(w)), (2, 5, 4), -2, 2),
         ("matmul_stack_shared", lambda x: matmul(constant(stack), x), (4, 3), -2, 2),
         ("matmul_stack_both", lambda x: matmul(x, x), (2, 3, 4, 4), -2, 2),
-        ("transpose_axes", lambda x: transpose(x, (2, 0, 1)), (2, 3, 4), -2, 2),
+        ("transpose_axes", lambda x: transpose(x), (2, 3, 4), -2, 2),
         ("add_rowvec_stack", lambda x: add_rowvec(x, constant(vec)), (2, 5, 4), -2, 2),
         ("scale_leading", lambda x: scale(x, constant(rows[:2])), (2, 5, 4), -2, 2),
         ("scale_leading_factor", lambda x: scale(constant(stack), x), (2,), -2, 2),
         ("slice_cols_stack", lambda x: slice_cols(x, 1, 3), (2, 5, 4), -2, 2),
+        ("attention", lambda x: attention(x, x, x, 2), (2, 5, 4), -2, 2),
+        ("attention_keys", lambda x: attention(constant(stack), x, constant(stack), 2),
+         (2, 5, 4), -2, 2),
     ]
     results = []
     for i, (name, build, shape, low, high) in enumerate(cases):

@@ -9,6 +9,7 @@ from .tensor import (
     absolute,
     add,
     add_rowvec,
+    attention,
     backward,
     clamp,
     concat,
@@ -46,7 +47,7 @@ __all__ = [
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
     "gather_rows", "gather_cols", "add_rowvec",
-    "matmul", "routed_matmul", "linear",
+    "matmul", "routed_matmul", "linear", "attention",
     "finite_diff_grad", "grad_max_rel_error",
     "save_checkpoint", "load_checkpoint",
 ]

@@ -8,8 +8,9 @@ gradient accumulation is deterministic for a given forward pass.
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
 by a factor per leading index, ``add_rowvec`` over any leading shape) and
-``matmul`` of a stack of matrices by one shared matrix.
-Keeping the kernel surface small keeps shape bugs loud.
+``matmul`` of a stack of matrices by one shared matrix; ``attention`` is
+one node over [..., T, D] stacks. Keeping the kernel surface small keeps
+shape bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
 another node's gradient. A node owns its gradient, and adds into it in
@@ -284,10 +285,11 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) from a single exp(-|x|), which cannot overflow."""
-    e = np.exp(-np.abs(x))
+    e = np.abs(x, out=np.empty_like(x))  # one buffer, still an array when x is 0-d
+    np.exp(np.negative(e, out=e), out=e)
     # e <= 1, so the numerator is 1 where x >= 0 and e elsewhere, without a branch per entry
     out = np.maximum(e, x >= 0)
-    out /= 1.0 + e
+    out /= np.add(e, 1.0, out=e)
     return out
 
 
@@ -306,7 +308,11 @@ def silu(a: Tensor) -> Tensor:
     sig = _logistic(x)
 
     def bw(g):
-        _accumulate(a, g * (sig + x * sig * (1.0 - sig)))
+        d = x * sig
+        d *= 1.0 - sig
+        d += sig
+        d *= g
+        _accumulate(a, d)
 
     return _node(x * sig, (a,), bw)
 
@@ -318,20 +324,14 @@ def silu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None) or along one axis."""
-    if axis is None:
-        def bw(g):
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-
-        return _node(np.sum(a.data), (a,), bw)
-
-    if not -a.ndim <= axis < a.ndim:
+    if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} invalid for shape {a.shape}")
-    ax = axis % a.ndim
 
-    def bw_axis(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, ax), a.shape).copy())
+    def bw(g):
+        g = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _node(np.sum(a.data, axis=ax), (a,), bw_axis)
+    return _node(np.sum(a.data, axis=axis), (a,), bw)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -372,21 +372,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), bw)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes as numpy does; without ``axes`` a matrix's two axes swap."""
-    if axes is None:
-        if a.ndim != 2:
-            raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {a.shape}")
-    inverse = tuple(int(i) for i in np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes of a [..., M, N] tensor."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose expects at least two axes, got shape {a.shape}")
 
     def bw(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), bw)
+    return _node(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -518,6 +512,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, rows.T @ g_rows)
 
     return _node((rows @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [..., T, D] stacks, as one node.
+
+    Head h owns columns [h*d, (h+1)*d), d = D / heads; only the weights are kept.
+    """
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    c = 1.0 / np.sqrt(q.shape[-1] // heads)
+
+    def split(t: np.ndarray) -> np.ndarray:  # [..., T, D] -> [..., H, T, d] view
+        return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
+
+    def merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b, written as [..., T, D]
+        out = np.empty(q.shape)
+        np.matmul(a, b, out=split(out))
+        return out
+
+    weights = split(q.data * c) @ split(k.data).swapaxes(-1, -2)  # [..., H, T, T]
+    weights -= np.max(weights, axis=-1, keepdims=True)  # softmax's arithmetic, in place
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=-1, keepdims=True)
+
+    def bw(g):
+        g_h = split(g)
+        if v.requires_grad:
+            _accumulate(v, merged(weights.swapaxes(-1, -2), g_h))
+        d_scores = g_h @ split(v.data).swapaxes(-1, -2)
+        d_scores -= np.sum(d_scores * weights, axis=-1, keepdims=True)
+        d_scores *= weights
+        if q.requires_grad:
+            _accumulate(q, merged(d_scores, split(k.data)) * c)
+        if k.requires_grad:
+            _accumulate(k, merged(d_scores.swapaxes(-1, -2), split(q.data * c)))
+
+    return _node(merged(weights, split(v.data)), (q, k, v), bw)
 
 
 def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> Tensor:

@@ -14,7 +14,8 @@ from pairtrack.harness import (
 )
 from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box
-from pairtrack.numerics import ParamStore, RngStream, backward, mean, smul
+from pairtrack.harness.model import Block
+from pairtrack.numerics import ParamStore, RngStream, Tensor, backward, mean, smul
 
 
 def test_patch_count_shape_arithmetic():
@@ -231,3 +232,38 @@ def test_step_tape_size_is_independent_of_batch_size():
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
     assert len(set(counts.values())) == 1, counts
+
+
+def _numpy_block(x, block):
+    """A block as separate head-split copies, [S, H, T, T] scores and softmax, in numpy."""
+    n_seq, n_tok, dim = x.shape
+    d = dim // block.heads
+
+    def project(t, w):
+        return (t.reshape(-1, t.shape[-1]) @ w.data).reshape(t.shape[:-1] + (w.shape[1],))
+
+    def split(t, axes):
+        return np.ascontiguousarray(t.reshape(n_seq, n_tok, block.heads, d).transpose(axes))
+
+    q = split(project(x, block.wq) * (1.0 / np.sqrt(d)), (0, 2, 1, 3))
+    k_t = split(project(x, block.wk), (0, 2, 3, 1))
+    v = split(project(x, block.wv), (0, 2, 1, 3))
+    scores = q @ k_t
+    weights = scores - np.max(scores, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=-1, keepdims=True)
+    heads = np.ascontiguousarray((weights @ v).transpose(0, 2, 1, 3)).reshape(x.shape)
+    x = x + project(heads, block.wo)
+    hidden = project(x, block.w1)
+    e = np.exp(-np.abs(hidden))
+    hidden = hidden * (np.maximum(e, hidden >= 0) / (1.0 + e))  # silu's arithmetic
+    return x + project(hidden, block.w2)
+
+
+def test_block_attention_is_one_node_and_matches_the_head_split_chain():
+    block = Block(ParamStore(), "block", 24, 4, 2, RngStream(21))
+    x = Tensor(RngStream(22).uniform(-1, 1, (3, 13, 24)), requires_grad=True)
+    out = block(x)
+    # q, k, v, attention, output projection, residual add, MLP matmul, silu, matmul, add
+    assert _recorded_nodes(out) == 10
+    np.testing.assert_array_equal(out.data, _numpy_block(x.data, block))

@@ -12,6 +12,7 @@ from pairtrack.numerics import (
     absolute,
     add,
     add_rowvec,
+    attention,
     backward,
     clamp,
     concat,
@@ -77,12 +78,9 @@ def test_stacked_matmul_matches_per_matrix_products():
         matmul(constant(a), constant(rng.uniform(-1, 1, (3, 2, 5, 2))))
     with pytest.raises(ShapeError):
         matmul(constant(a[0, 0]), constant(paired))
-    np.testing.assert_array_equal(transpose(constant(a), (0, 2, 3, 1)).data,
-                                  a.transpose(0, 2, 3, 1))
+    np.testing.assert_array_equal(transpose(constant(a)).data, a.swapaxes(-1, -2))
     with pytest.raises(ShapeError):
-        transpose(constant(a), (0, 1, 2))
-    with pytest.raises(ShapeError):
-        transpose(constant(a))
+        transpose(constant(a[0, 0, 0]))
 
 
 def test_matmul_associativity():
@@ -121,6 +119,56 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 def test_softmax_invalid_axis():
     with pytest.raises(ShapeError):
         softmax(constant(np.zeros((2, 2))), axis=2)
+
+
+def _attention_oracle(q, k, v, heads):
+    """Multi-head attention from single-head kernels: per-head columns, softmax, concat."""
+    d = q.shape[-1] // heads
+    q = smul(q, 1.0 / np.sqrt(d))
+    outs = []
+    for h in range(heads):
+        cols = (h * d, (h + 1) * d)
+        weights = softmax(matmul(slice_cols(q, *cols), transpose(slice_cols(k, *cols))), axis=-1)
+        outs.append(matmul(weights, slice_cols(v, *cols)))
+    return concat(outs, axis=-1)
+
+
+@pytest.mark.parametrize("n_seq", [1, 3])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_head_split_oracle(n_seq, heads):
+    for n_tok in (5, 11, 17):
+        rng = RngStream(100 * n_seq + 10 * heads + n_tok)
+        shape = (n_seq, n_tok, 4 * heads)
+        values = [rng.uniform(-2, 2, shape) for _ in range(3)]
+        u = rng.uniform(-1, 1, shape)
+        grads = []
+        for op in (attention, _attention_oracle):
+            q, k, v = (Tensor(x, requires_grad=True) for x in values)
+            out = op(q, k, v, heads)
+            backward(tsum(mul(out, constant(u))))
+            grads.append((out.data, q.grad, k.grad, v.grad))
+        (out, *kernel), (expected, *oracle) = grads
+        np.testing.assert_array_equal(out, expected)
+        for got, want in zip(kernel, oracle, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_attention_shape_errors_and_no_grad():
+    x = constant(np.zeros((2, 5, 6)))
+    with pytest.raises(ShapeError):
+        attention(x, x, constant(np.zeros((2, 5, 4))), 2)
+    with pytest.raises(ShapeError):
+        attention(x, constant(np.zeros((2, 4, 6))), x, 2)
+    with pytest.raises(ShapeError):
+        attention(x, x, x, 4)  # 6 columns do not split into 4 heads
+    row = constant(np.zeros(6))
+    with pytest.raises(ShapeError):
+        attention(row, row, row, 1)
+    q = Tensor(np.ones((2, 5, 6)), requires_grad=True)
+    with no_grad():
+        out = attention(q, q, q, 2)
+    assert out._parents == () and not out.requires_grad
+    np.testing.assert_allclose(out.data, 1.0, rtol=0, atol=1e-15)
 
 
 def test_silu_values():
