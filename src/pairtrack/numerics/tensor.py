@@ -3,7 +3,9 @@
 Every operation runs in double precision on contiguous row-major numpy
 arrays and, when gradients are enabled, records a backward closure on the
 output node. ``backward`` replays the tape in a fixed topological order, so
-gradient accumulation is deterministic for a given forward pass.
+gradient accumulation is deterministic for a given forward pass. It consumes
+the tape as it goes: only leaves keep gradients, and a second pass through
+a consumed node is a ``ContractError``.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
@@ -20,6 +22,7 @@ place, only after a second contribution made it a fresh array.
 from __future__ import annotations
 
 import contextvars
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +61,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._owns_grad = False
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward consumed the node
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -116,14 +119,18 @@ def _node(
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``grad`` of every reachable node.
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf, consuming the tape.
 
-    The loss must be a scalar. Traversal order is a fixed depth-first
-    topological sort of the recorded tape, so repeated runs on the same
-    graph accumulate in the same order.
+    The loss must be a scalar with a tape. Traversal order is a fixed
+    depth-first topological sort, so accumulation order is deterministic. Each
+    non-leaf node drops its gradient, parents and closure once the walk passes
+    it, so its buffers go free mid-walk; a later backward that reaches a
+    consumed node raises ``ContractError`` before it accumulates anything.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise ContractError("backward: the loss has no tape (built from constants or under no_grad)")
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -134,17 +141,21 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ContractError("backward: the graph reaches a node an earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
         for parent in reversed(node._parents):
             if id(parent) not in seen:
                 stack.append((parent, False))
     _accumulate(loss, np.ones((), dtype=np.float64))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:  # popping keeps no reference to a passed node, so its buffers can go free
+        node = topo.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
-            # parents may now alias this gradient; a later backward must not write into it
-            node._owns_grad = False
+        node.grad, node._parents, node._backward = None, None, None
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -362,7 +373,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     original = a.shape
 

@@ -1,6 +1,7 @@
 """Training loop, evaluation metrics, frozen-backbone contract."""
 
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from pairtrack.errors import ContractError, NumericError
 from pairtrack.harness import (
+    RunConfig,
     Tracker,
     evaluate,
     forward_track,
@@ -17,8 +19,9 @@ from pairtrack.harness import (
     usage_entropy,
 )
 from pairtrack.harness.model import ForwardOutput, gaussian_center_map
+from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box, box_iou
-from pairtrack.numerics import constant
+from pairtrack.numerics import backward, constant
 
 
 class _StubModel:
@@ -202,3 +205,35 @@ def test_forward_track_bundle_consistency():
              + cfg.lambda_l1 * parts["l1"] + cfg.alpha * parts["eb"])
     assert abs(parts["total"] - recon) <= 1e-12
     assert parts["eb"] > 0  # adapters enabled in the tiny config
+
+
+def _traced_default_step(cfg):
+    """Traced bytes live after a default-config forward, and the traced peak of its backward."""
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, cfg.n_train, "data")[:cfg.batch_size]
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        loss = _batch_loss(model, samples, step=0)[0]
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        return tape, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_frees_the_tape_as_it_walks():
+    tape, peak = _traced_default_step(RunConfig(seed=3))
+    assert peak <= 1.05 * tape, f"backward peaked at {peak / tape:.2f}x the forward tape"
+
+
+def test_training_steps_do_not_overlap_their_tapes():
+    cfg = RunConfig(seed=3, steps=6)
+    tape, _ = _traced_default_step(cfg)
+    tracemalloc.start()
+    try:
+        train(cfg, eval_each_log=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tape, f"train() peaked at {peak / tape:.2f}x one forward tape"
