@@ -234,6 +234,14 @@ def test_linear_shape_error():
         linear(constant(np.zeros((2, 3))), constant(np.zeros((4, 5))))
 
 
+def test_reshape_shape_errors():
+    x = constant(np.zeros((2, 4)))
+    assert reshape(x, (4, 2)).shape == (4, 2)
+    for shape in [(3, 3), (-1, 4), (2, -1, 4)]:  # reshape takes no inferred -1 entry
+        with pytest.raises(ShapeError):
+            reshape(x, shape)
+
+
 def test_backward_sum_gives_ones():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     backward(tsum(w))

@@ -103,13 +103,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1001-1010"))
-    parser.add_argument("--workloads", default=None, help="comma-separated; default: all")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
+    names = [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": args.parent, "change": args.change}
     seconds = bench["run_seconds"]
 
