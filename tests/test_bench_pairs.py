@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py on canned perfbench output: parsing, pair summaries, alternation."""
+"""tools/bench_pairs.py on canned perfbench output: parsing, pair summaries, alternation,
+failed output checks."""
 
 import importlib.util
 import json
@@ -63,7 +64,7 @@ def test_summary_counts_wins_by_direction_and_checks_bounds():
     assert (rss["pairs_change_better"], rss["pairs_change_worse"]) == (4, 1)
     assert rss["median_change_rel"] == pytest.approx(87.0 / 152.0 - 1.0)
     assert rss["parent_iqr"] == 2.0
-    assert rss["bound"] == 0.1 and not rss["worse_than_bound"]
+    assert rss["bound"] == 0.1 and not rss["worse_than_bound"] and not rss["unresolved"]
     iou = summary["mean_iou"]  # higher is better: ties count for neither side
     assert (iou["pairs_change_better"], iou["pairs_change_worse"]) == (1, 2)
     assert iou["median_change_rel"] == 0.0
@@ -82,6 +83,21 @@ def test_summary_flags_a_metric_worse_than_its_bound_and_counts_failures():
     assert bench_pairs.failed(pairs, "change") == "3 of 40"
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_sides_separate():
+    spec = END_TO_END[:1]  # lower is better, bound 10%
+    wide = [(100.0, 0.3), (120.0, 0.3), (140.0, 0.3)]  # parent IQR 20 of a 120 median
+    overlap = [_pair(n, parent, (rss, 0.3))
+               for n, (parent, rss) in enumerate(zip(wide, (95.0, 118.0, 101.0)))]
+    stats = bench_pairs.summarize(overlap, spec)["peak_rss_mb"]
+    assert stats["unresolved"] and not stats["worse_than_bound"]
+    apart = [_pair(n, parent, (rss, 0.3))
+             for n, (parent, rss) in enumerate(zip(wide, (95.0, 99.0, 97.0)))]
+    assert not bench_pairs.summarize(apart, spec)["peak_rss_mb"]["unresolved"]
+    narrow = [_pair(n, (parent, 0.3), (rss, 0.3))
+              for n, (parent, rss) in enumerate(zip((100.0, 101.0, 102.0), (95.0, 103.0, 99.0)))]
+    assert not bench_pairs.summarize(narrow, spec)["peak_rss_mb"]["unresolved"]
+
+
 _FAKE_RUN = """
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -89,6 +105,10 @@ side = open("side.txt").read().strip()
 with open("../calls.txt", "a") as log:
     log.write(f"{side} {args['--seed']} {args['--trace']} {args['--seconds']}\\n")
 print("env " + json.dumps({"seed": int(args["--seed"]), "git_sha": side * 8}))
+if side == "change" and args["--seed"] == open("../broken_seed.txt").read().strip():
+    # perfbench's output check failed: an empty result and exit 1
+    print(json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}}))
+    sys.exit(1)
 rss = 150.0 if side == "parent" else 86.0
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                   "metrics": {"peak_rss_mb": {"value": rss + int(args["--seed"]) % 7,
@@ -96,7 +116,7 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 """
 
 
-def test_main_alternates_sides_and_writes_the_record(tmp_path):
+def _checkouts(tmp_path, broken_seed=""):
     bench = {"command": [sys.executable, "perfbench/run.py"], "run_seconds": 2,
              "workloads": [{"name": "train_default"}], "end_to_end": END_TO_END[:1]}
     for side in ("parent", "change"):
@@ -104,11 +124,15 @@ def test_main_alternates_sides_and_writes_the_record(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN)
         (tmp_path / side / "side.txt").write_text(side)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+    (tmp_path / "broken_seed.txt").write_text(broken_seed)
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(tmp_path / "BENCH.json"), "--claim", "train_default:peak_rss_mb"]
+
+
+def test_main_alternates_sides_and_writes_the_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "SEEDS", (1001, 1002))
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
-                             "--change", str(tmp_path / "change"), "--out", str(out),
-                             "--seeds", "1001-1002", "--trace-seed", "1",
-                             "--claim", "train_default:peak_rss_mb"]) == 0
+    assert bench_pairs.main(_checkouts(tmp_path)) == 0
     calls = (tmp_path / "calls.txt").read_text().split("\n")[:-1]
     assert calls == ["parent 1001 0 2", "change 1001 0 2", "change 1002 0 2",
                      "parent 1002 0 2", "parent 1 1 2", "change 1 1 2"]
@@ -120,3 +144,16 @@ def test_main_alternates_sides_and_writes_the_record(tmp_path):
     assert workload["summary"]["peak_rss_mb"]["pairs_change_better"] == 2
     assert record["claim"]["met"] is True
     assert set(record["traced_train_default_seed1"]) == {"parent", "change"}
+    assert workload["incorrect_runs"] == {"parent": 0, "change": 0}
+    assert record["all_correct"] is True
+
+
+def test_main_counts_a_failed_output_check_and_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "SEEDS", (1001, 1002))
+    assert bench_pairs.main(_checkouts(tmp_path, broken_seed="1002")) == 1
+    record = json.loads((tmp_path / "BENCH.json").read_text())
+    workload = record["workloads"]["train_default"]
+    assert workload["incorrect_runs"] == {"parent": 0, "change": 1}
+    assert record["all_correct"] is False
+    assert workload["summary"]["peak_rss_mb"]["pairs_change_better"] == 1
+    assert record["claim"]["met"] is False  # the broken pair counts as not won

@@ -19,9 +19,8 @@ from pairtrack.harness import (
     usage_entropy,
 )
 from pairtrack.harness.model import ForwardOutput, gaussian_center_map
-from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box, box_iou
-from pairtrack.numerics import backward, constant
+from pairtrack.numerics import backward, constant, mean
 
 
 class _StubModel:
@@ -207,13 +206,16 @@ def test_forward_track_bundle_consistency():
     assert parts["eb"] > 0  # adapters enabled in the tiny config
 
 
-def _traced_default_step(cfg):
-    """Traced bytes live after a default-config forward, and the traced peak of its backward."""
+@pytest.fixture(scope="module")
+def traced_default_step():
+    """Traced bytes live after one default-config training forward (B=4, seed 3), and the
+    traced peak of its backward."""
+    cfg = RunConfig(seed=3)
     model = Tracker(cfg)
     samples = generate_dataset(cfg, cfg.n_train, "data")[:cfg.batch_size]
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
-        loss = _batch_loss(model, samples, step=0)[0]
+        loss = mean(forward_track(samples, model).bundle.total)
         tape = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         backward(loss)
@@ -222,14 +224,14 @@ def _traced_default_step(cfg):
         tracemalloc.stop()
 
 
-def test_backward_frees_the_tape_as_it_walks():
-    tape, peak = _traced_default_step(RunConfig(seed=3))
+def test_backward_frees_the_tape_as_it_walks(traced_default_step):
+    tape, peak = traced_default_step
     assert peak <= 1.05 * tape, f"backward peaked at {peak / tape:.2f}x the forward tape"
 
 
-def test_training_steps_do_not_overlap_their_tapes():
+def test_training_steps_do_not_overlap_their_tapes(traced_default_step):
+    tape, _ = traced_default_step
     cfg = RunConfig(seed=3, steps=6)
-    tape, _ = _traced_default_step(cfg)
     tracemalloc.start()
     try:
         train(cfg, eval_each_log=False)

@@ -1,17 +1,19 @@
 """Compare two checkouts on the perfbench workloads in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_x.json \
-        --seeds 1001-1010 --trace-seed 1 --claim train_default:peak_rss_mb
+        --claim train_default:peak_rss_mb
 
-For each workload and seed, runs the command of ``BENCHMARK.json`` in both
-checkouts with the same seed and the benchmark's run length, untraced; odd
-pairs run the parent first and even pairs the change first. With
-``--trace-seed`` it then makes one traced run per side per workload. The
-bounds and the end-to-end metrics come from the change checkout's
-``BENCHMARK.json``. Each metric's summary gives both sides' quartiles, the
-pairs the change wins and loses, the relative change of the median, the
-parent's quartile spread and whether the change is worse than the bound.
-Standard library only.
+For each workload and each of ``SEEDS``, runs the command of
+``BENCHMARK.json`` in both checkouts with the same seed and the benchmark's
+run length, untraced; odd pairs run the parent first and even pairs the
+change first. It then makes one traced run per side per workload at
+``TRACE_SEED``. The bounds and the end-to-end metrics come from the change
+checkout's ``BENCHMARK.json``. Each metric's summary gives both sides'
+quartiles, the pairs the change wins and loses, the relative change of the
+median, the parent's quartile spread, whether the change is worse than the
+bound, and whether the parent's spread is too wide to tell. A run whose
+output check failed (``"correct": false``) is counted per side; the record
+then says ``"all_correct": false`` and the tool exits 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEEDS = tuple(range(1001, 1011))
+TRACE_SEED = 1
 
 
 def parse_run(stdout: str) -> dict:
@@ -67,6 +71,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         parent = _quartiles([a for a, _ in both])
         change = _quartiles([b for _, b in both])
         rel = (change[1] - parent[1]) / parent[1] if parent[1] else 0.0
+        spread = (parent[2] - parent[0]) / parent[1] if parent[1] else 0.0
+        separated = (max(b for _, b in both) < min(a for a, _ in both) if lower
+                     else min(b for _, b in both) > max(a for a, _ in both))
         summary[name] = {
             "parent_q1_median_q3": parent,
             "change_q1_median_q3": change,
@@ -76,6 +83,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "parent_iqr": parent[2] - parent[0],
             "bound": spec["bound"],
             "worse_than_bound": rel > spec["bound"] if lower else rel < -spec["bound"],
+            # the parent's own spread exceeds the bound and the sides overlap
+            "unresolved": spread > spec["bound"] and not separated,
         }
     return summary
 
@@ -86,15 +95,15 @@ def failed(pairs: list[dict], side: str) -> str:
             f"{sum(r['attempted'] for r in results)}")
 
 
+def incorrect(runs: list[dict]) -> int:
+    """How many runs failed perfbench's output check."""
+    return sum(not run["result"]["correct"] for run in runs)
+
+
 def claim_met(stats: dict, pairs: int) -> bool:
     """At least nine tenths of the pairs won, and the medians further apart than the parent's IQR."""
     gap = abs(stats["change_q1_median_q3"][1] - stats["parent_q1_median_q3"][1])
     return stats["pairs_change_better"] * 10 >= 9 * pairs and gap > stats["parent_iqr"]
-
-
-def _seeds(text: str) -> list[int]:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
 
 
 def main(argv=None) -> int:
@@ -102,8 +111,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("1001-1010"))
-    parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -111,15 +118,19 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     seconds = bench["run_seconds"]
 
+    runs = []
+
     def run(side, workload, seed, trace):
         print(f"{side} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-        return run_side(checkouts[side], bench["command"], workload, seed, seconds, trace)
+        runs.append(run_side(checkouts[side], bench["command"], workload, seed, seconds,
+                             trace))
+        return runs[-1]
 
     record = {
-        "what": f"{len(args.seeds)} alternating parent/change pairs per workload, "
+        "what": f"{len(SEEDS)} alternating parent/change pairs per workload, "
                 f"{seconds} s runs, untraced; odd pairs run the parent first, even pairs "
                 f"the change first; both sides of a pair use the same seed "
-                f"({args.seeds[0]}-{args.seeds[-1]}). env and result lines as printed.",
+                f"({SEEDS[0]}-{SEEDS[-1]}). env and result lines as printed.",
         "command": " ".join(bench["command"])
                    + f" --workload W --seed S --seconds {seconds} --trace 0",
         "parent": None,
@@ -128,7 +139,7 @@ def main(argv=None) -> int:
     }
     for workload in names:
         pairs = []
-        for n, seed in enumerate(args.seeds, start=1):
+        for n, seed in enumerate(SEEDS, start=1):
             order = SIDES if n % 2 else SIDES[::-1]
             pair = {"pair": n, "seed": seed, "first": order[0]}
             for side in order:
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
         record["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "failed": {side: failed(pairs, side) for side in SIDES},
+            "incorrect_runs": {side: incorrect([p[side] for p in pairs]) for side in SIDES},
             "pairs": pairs,
         }
     first = record["workloads"][names[0]]["pairs"][0]
@@ -146,19 +158,19 @@ def main(argv=None) -> int:
         workload, _, metric = args.claim.partition(":")
         stats = record["workloads"][workload]["summary"][metric]
         record["claim"] = {
-            "workload": workload, "metric": metric, "pairs": len(args.seeds),
+            "workload": workload, "metric": metric, "pairs": len(SEEDS),
             "pairs_change_better": stats["pairs_change_better"],
             "median_parent_change": [stats["parent_q1_median_q3"][1],
                                      stats["change_q1_median_q3"][1]],
             "parent_iqr": stats["parent_iqr"],
-            "met": claim_met(stats, len(args.seeds)),
+            "met": claim_met(stats, len(SEEDS)),
         }
-    if args.trace_seed is not None:
-        for workload in names:
-            record[f"traced_{workload}_seed{args.trace_seed}"] = {
-                side: run(side, workload, args.trace_seed, 1) for side in SIDES}
+    for workload in names:
+        record[f"traced_{workload}_seed{TRACE_SEED}"] = {
+            side: run(side, workload, TRACE_SEED, 1) for side in SIDES}
+    record["all_correct"] = not incorrect(runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    return 0 if record["all_correct"] else 1
 
 
 if __name__ == "__main__":
