@@ -30,7 +30,6 @@ from .numerics import (
     matmul,
     mul,
     pow_const,
-    reciprocal,
     reshape,
     scale,
     transpose,
@@ -118,7 +117,7 @@ def gram_basis(k: Tensor) -> GramBasis:
         raise NumericError("gram_basis: Gram norm is not finite")
     if not np.all(norm_value > 0.0):
         raise DegenerateInputError("gram_basis: zero-norm Gram (zero key matrix)")
-    normalized = scale(g, reciprocal(pow_const(norm_sq, 0.5)))
+    normalized = scale(g, pow_const(norm_sq, -0.5))
     return GramBasis(g=g, norm=norm_value, normalized=normalized)
 
 

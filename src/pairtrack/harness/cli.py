@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -75,11 +76,21 @@ def _make_out_dir(out_dir: str) -> None:
         raise ContractError(f"cannot create output directory {out_dir}: {exc}") from exc
 
 
+@contextmanager
+def _writing_outputs():
+    try:
+        yield
+    except OSError as exc:  # e.g. a directory where a file goes
+        path = exc.filename2 or exc.filename  # a replace names its target second
+        raise ContractError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_train(cfg: RunConfig, out_dir: str) -> int:
     _make_out_dir(out_dir)
     result = train(cfg)
-    write_metrics(result.records, os.path.join(out_dir, "metrics.tsv"))
-    save_checkpoint(result.model.store, out_dir)
+    with _writing_outputs():
+        write_metrics(result.records, os.path.join(out_dir, "metrics.tsv"))
+        save_checkpoint(result.model.store, out_dir)
     sys.stdout.write(HEADER)
     sys.stdout.write(format_record(result.records[-1]))
     print(f"initial total {result.initial_loss:.6g} -> final {result.final_loss:.6g}")
@@ -130,7 +141,8 @@ def _cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
             f"{row.record.mean_iou:.6f}\t{row.record.success_at_50:.6f}\t"
             f"{row.record.success_at_70:.6f}\n"
         )
-    with open(os.path.join(out_dir, "ablation.tsv"), "w", encoding="utf-8") as fh:
+    with _writing_outputs(), open(os.path.join(out_dir, "ablation.tsv"), "w",
+                                  encoding="utf-8") as fh:
         fh.writelines(lines)
     sys.stdout.writelines(lines)
     return 0
@@ -140,15 +152,16 @@ def _cmd_gen_data(cfg: RunConfig, out_dir: str) -> int:
     _make_out_dir(out_dir)
     samples = generate_dataset(cfg, cfg.n_train, "data")
     path = os.path.join(out_dir, "dataset.npz")
-    np.savez(
-        path,
-        template_r=np.stack([s.template_r for s in samples]),
-        template_x=np.stack([s.template_x for s in samples]),
-        search_r=np.stack([s.search_r for s in samples]),
-        search_x=np.stack([s.search_x for s in samples]),
-        boxes=np.stack([s.gt_box.as_array() for s in samples]),
-        tags=np.array([s.tag for s in samples]),
-    )
+    with _writing_outputs():
+        np.savez(
+            path,
+            template_r=np.stack([s.template_r for s in samples]),
+            template_x=np.stack([s.template_x for s in samples]),
+            search_r=np.stack([s.search_r for s in samples]),
+            search_x=np.stack([s.search_x for s in samples]),
+            boxes=np.stack([s.gt_box.as_array() for s in samples]),
+            tags=np.array([s.tag for s in samples]),
+        )
     counts = {}
     for s in samples:
         counts[s.tag] = counts.get(s.tag, 0) + 1

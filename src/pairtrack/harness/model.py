@@ -7,15 +7,17 @@ head. Every insertion is wired so that zeroing its parameters makes it
 drop out of the computation exactly, which keeps the frozen model's
 predictions intact at insertion time.
 
-A forward pass takes B samples at once. Their 2B token sequences are
-stacked sample-major and modality-minor (sample 0 R, sample 0 X, sample 1
-R, ...) into one [S, T, D] tensor, S = 2B, and patch embedding, the blocks
-and the adapters run once over the stack, each block's multi-head
-attention as one tape node. Cross-modal fusion and the head then run
-once on [B, Ts, D] stacks of the R and X search tokens, and predict [B, 4]
-boxes, [B, side, side] center maps and B balance terms, which the pass
-returns as one ``ForwardOutput``. The tape of a pass does not depend on B,
-and one sample is the same code with B = 1.
+A forward pass takes B samples at once and carries their tokens as one
+[B, 2, T, D] stack: sample, modality (R, then X), token, feature. One
+patch embedding covers the template and search frames of both modalities,
+and the blocks and the adapters run once over the stack, each block's
+multi-head attention as one tape node. The multi-level fusion runs on the
+tapped blocks' token stacks, and one gather then takes the search tokens
+to the [B, Ts, D] stacks of R and X features on which cross-modal fusion
+and the head run once. The pass predicts [B, 4] boxes, [B, side, side]
+center maps and B balance terms, and returns them as one
+``ForwardOutput``. The tape of a pass does not depend on B, and one sample
+is the same code with B = 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from ..numerics import (
     smul,
     softmax,
     sub,
-    transpose,
 )
 from .config import RunConfig
 from .data import SyntheticSample
@@ -80,20 +81,15 @@ def extract_patches(frames: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(*lead, gh * gw, c * patch * patch))
 
 
-def patch_embed(frames: np.ndarray, w, b) -> Tensor:
-    """Flatten patches of [..., C, H, W] frames and project them to token vectors."""
-    return linear(constant(extract_patches(frames, _patch_from(w, frames))), w, b)
+def patch_embed(stacks: Sequence[np.ndarray], patch: int, w, b) -> Tensor:
+    """Project the patches of [..., C, H, W] frame stacks to tokens in one matmul.
 
-
-def _patch_from(w, frames) -> int:
-    # patch size is implied by the projection's input width
-    c = frames.shape[-3]
-    d_in = w.shape[0]
-    patch_sq = d_in // c
-    patch = int(round(patch_sq**0.5))
-    if patch * patch * c != d_in:
-        raise ContractError(f"projection width {d_in} is not C*p*p for C={c}")
-    return patch
+    The stacks share their leading shape and may differ in frame size. Each
+    leading index gets one token sequence, [..., T_1 + T_2 + ..., D]: the
+    tokens of its frame in the first stack, then in the second, and so on.
+    """
+    patches = np.concatenate([extract_patches(frames, patch) for frames in stacks], axis=-2)
+    return linear(constant(patches), w, b)
 
 
 class Block:
@@ -116,7 +112,7 @@ class Block:
         self.w2 = weight("mlp.w2", (mlp_dim, dim), mlp_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Both residual branches on [S, T, D] sequences."""
+        """Both residual branches on a [..., T, D] stack of sequences."""
         attn = attention(matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv), self.heads)
         x = add(x, matmul(attn, self.wo))
         hidden = silu(matmul(x, self.w1))
@@ -264,28 +260,23 @@ class Tracker:
 
     def _backbone(self, batch: list[SyntheticSample]
                   ) -> tuple[Tensor, Tensor, list[np.ndarray], list[int]]:
-        """Search-token features of all S = 2B sequences, [S * Ts, D].
+        """Search-token features of the B samples, [B * Ts * 2, D].
 
-        Rows run sample, token, modality, so viewed as [B, Ts, 2D] they hold
-        each token's R features, then its X features. Also returns the [B]
-        balance terms, the [S, T, K] expert picks of each adapter pass and
-        one sample's expert evaluations per adapter pass and modality.
+        The tokens run through the backbone as one [B, 2, T, D] stack, and
+        one gather takes the search tokens at the end. Rows of the result run
+        sample, token, modality, so viewed as [B, Ts, 2D] they hold each
+        token's R features, then its X features. Also returns the [B] balance
+        terms, the [2B, T, K] expert picks of each adapter pass and one
+        sample's expert evaluations per adapter pass and modality.
         """
-        cfg = self.cfg
-        templates = np.stack([f for s in batch for f in (s.template_r, s.template_x)])
-        searches = np.stack([f for s in batch for f in (s.search_r, s.search_x)])
-        tokens = concat([patch_embed(templates, self.embed_w, self.embed_b),
-                         patch_embed(searches, self.embed_w, self.embed_b)], axis=1)
-        n_seq, n_tok, d = tokens.shape
+        cfg, n = self.cfg, len(batch)
+        templates = np.stack([(s.template_r, s.template_x) for s in batch])
+        searches = np.stack([(s.search_r, s.search_x) for s in batch])
+        tokens = patch_embed([templates, searches], cfg.patch_size, self.embed_w, self.embed_b)
+        n_tok, d = tokens.shape[2:]
         pos = concat([self.pos_template, self.pos_search], axis=0)
-        tokens = reshape(add_rowvec(reshape(tokens, (n_seq, n_tok * d)),
-                                    reshape(pos, (n_tok * d,))), (n_seq, n_tok, d))
-        sample, token, modality = np.ix_(np.arange(len(batch)),
-                                         np.arange(cfg.n_template_tokens, n_tok), np.arange(2))
-        search_rows = (n_tok * (2 * sample + modality) + token).ravel()
-
-        def search_tokens(x: Tensor) -> Tensor:
-            return gather_rows(reshape(x, (n_seq * n_tok, d)), search_rows)
+        tokens = reshape(add_rowvec(reshape(tokens, (n, 2, n_tok * d)),
+                                    reshape(pos, (n_tok * d,))), tokens.shape)
 
         levels, balances, selected, expert_evals = [], [], [], []
         for i, block in enumerate(self.blocks):
@@ -293,24 +284,20 @@ class Tracker:
             if self.adapters:
                 result = self.adapters[i](tokens)
                 tokens = result.output
-                balances.append(reshape(result.balance, (n_seq, 1)))
-                selected.append(result.sparse.decision.selected.reshape(n_seq, n_tok, -1))
-                expert_evals.extend([result.sparse.n_expert_evals // n_seq] * 2)
+                balances.append(result.balance)
+                selected.append(result.sparse.decision.selected.reshape(2 * n, n_tok, -1))
+                expert_evals.extend([result.sparse.n_expert_evals // (2 * n)] * 2)
             if self.mff_w is not None and (i + 1) in cfg.level_taps:
-                levels.append(search_tokens(tokens))
-        if balances:
-            # row j lists sample j's terms: modality R's layers, then modality X's
-            terms = reshape(concat(balances, axis=1), (len(batch), 2 * len(balances)))
-            balance = mean(terms, axis=1)
-        else:
-            balance = constant(np.zeros(len(batch)))
-        if self.mff_w is None:
-            features = search_tokens(tokens)
-        else:
-            # a tap on the last block has already gathered the final search tokens
-            last = levels[-1] if len(self.blocks) in cfg.level_taps else search_tokens(tokens)
-            features = add(last, multi_level_fuse(levels, self.mff_w))
-        return features, balance, selected, expert_evals
+                levels.append(tokens)
+        # each adapter pass gives [B, 2] terms; a sample's balance is the mean of its row
+        balance = mean(concat(balances, axis=1), axis=1) if balances else constant(np.zeros(n))
+        if levels:
+            tokens = add(tokens, multi_level_fuse(levels, self.mff_w))
+        # the stack's row numbers at its search tokens, in sample, token, modality order
+        stack_rows = np.arange(2 * n * n_tok).reshape(n, 2, n_tok)
+        search_rows = stack_rows[:, :, cfg.n_template_tokens:].swapaxes(1, 2).ravel()
+        return (gather_rows(reshape(tokens, (2 * n * n_tok, d)), search_rows),
+                balance, selected, expert_evals)
 
     def _head(self, features: Tensor, n: int) -> tuple[Tensor, Tensor]:
         """Cross-modal fusion and the center/box head, once for all n samples.
@@ -341,7 +328,8 @@ class Tracker:
         center = sigmoid(reshape(center_logits, (n, side, side)))
         # pool token features weighted by sharpened center scores, so the box
         # decoder sees where the map peaks rather than a uniform average
-        attn = softmax(smul(transpose(center_logits), POOL_TEMPERATURE), axis=-1)
+        # [B, Ts, 1] and [B, 1, Ts] hold the same bytes, so a reshape transposes without a copy
+        attn = softmax(smul(reshape(center_logits, (n, 1, side * side)), POOL_TEMPERATURE), axis=-1)
         pooled = matmul(attn, trunk)
         coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
         raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)

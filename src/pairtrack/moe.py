@@ -15,11 +15,11 @@ tape nodes whatever N, M and the number of sequences are. The sparse branch
 gathers the rows*K (token, pick) pairs into one matrix, token-major, runs
 each expert on its pair rows with ``routed_matmul``, scales rows by the
 router gate, and sums each token's K rows by viewing the pairs as [rows, K,
-D] and summing over K. The shared branch is one matmul: sum_m r_tm (h_t
-W_m) = (r_t (x) h_t) [W_1; ...; W_M], with the outer product built from
-constant 0/1 matrices. The balance loss stays per sequence: f and p are
-taken over each sequence's own T tokens, so stacking sequences leaves every
-term as it was.
+D] and summing over K. The shared branch computes sum_m r_tm (h_t W_m)
+directly: one matmul by the column-concatenated [W_1 ... W_M], viewed as
+[rows, M, H], scaled by the router weights r and summed over M.
+The balance loss stays per sequence: f and p are taken over each
+sequence's own T tokens, so stacking sequences leaves every term as it was.
 
 Projections carry no biases so an all-zero adapter is exactly the identity.
 """
@@ -88,12 +88,13 @@ class RouterDecision:
 
     ``scores`` is the full softmax over experts, ``selected`` the top-K
     expert indices per token (ties broken toward the lowest index), and
-    ``gate`` the scores of the selected experts.
+    ``gate`` the scores of the selected experts; a decision made only for
+    ``balance_loss``, which reads no gate, may leave it None.
     """
 
     scores: Tensor
     selected: np.ndarray
-    gate: Tensor
+    gate: Tensor | None = None
 
 
 @dataclass
@@ -217,16 +218,13 @@ def sparse_moe(
 
 
 def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
-    """Serial-parallel shared branch; all sub-experts always run."""
+    """Serial-parallel shared branch, sum_m r_tm (h_t W_m); all sub-experts always run."""
     h = matmul(tokens, params.w_down)
     r = softmax(matmul(h, params.w_router), axis=1)
-    n_sub, hidden = len(params.sub), h.shape[1]
-    # column m*H + j of the outer product r_t (x) h_t is r_tm * h_tj
-    spread = np.repeat(np.eye(n_sub), hidden, axis=1)
-    tile = np.tile(np.eye(hidden), n_sub)
-    outer = mul(matmul(r, constant(spread)), matmul(h, constant(tile)))
-    low = matmul(outer, concat(params.sub, axis=0))
-    return matmul(low, params.w_up)
+    rows, hidden = h.shape
+    # columns [m*H, (m+1)*H) of h [W_1 ... W_M] are h W_m
+    per_sub = reshape(matmul(h, concat(params.sub, axis=1)), (rows, len(params.sub), hidden))
+    return matmul(tsum(scale(per_sub, r), axis=1), params.w_up)
 
 
 class MoEAdapter:
@@ -265,10 +263,10 @@ class MoEAdapter:
         sparse = sparse_moe(rows, self.experts, self.w_router, self.cfg)
         output = add(add(rows, sparse.output), dense_shared_moe(rows, self.shared))
         decision = sparse.decision
+        # the balance loss reads no gate, so the per-sequence view leaves it out
         per_sequence = RouterDecision(
             scores=reshape(decision.scores, (*lead, t_count, self.cfg.n_experts)),
             selected=decision.selected.reshape(*lead, t_count, self.cfg.top_k),
-            gate=reshape(decision.gate, (*lead, t_count, self.cfg.top_k)),
         )
         balance, _ = balance_loss(per_sequence, self.cfg)
         return AdapterResult(output=reshape(output, tokens.shape), balance=balance, sparse=sparse)

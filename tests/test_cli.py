@@ -201,6 +201,23 @@ def test_load_config_rejects_non_utf8_file(tmp_path):
     assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command, name", [
+    ("train", "metrics.tsv"),
+    ("train", "checkpoint.manifest"),
+    ("ablate", "ablation.tsv"),
+    ("gen-data", "dataset.npz"),
+])
+def test_cli_unwritable_output_exits_1_with_one_error_line(tiny_config_file, tmp_path, capsys,
+                                                           command, name):
+    out = tmp_path / "run"
+    blocker = out / name
+    blocker.mkdir(parents=True)  # a directory where the output file goes
+    assert main([command, "--config", tiny_config_file, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}: ")
+    assert err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["train", "gen-data", "ablate"])
 def test_cli_out_under_a_regular_file_exits_1(tiny_config_file, tmp_path, capsys, command):
     blocker = tmp_path / "plain.txt"

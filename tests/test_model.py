@@ -22,7 +22,7 @@ def test_patch_count_shape_arithmetic():
     store = ParamStore()
     w = store.add("w", RngStream(1).uniform(-1, 1, (16, 6)))
     b = store.add("b", np.zeros(6))
-    tokens = patch_embed(np.zeros((1, 8, 8)), w, b)
+    tokens = patch_embed([np.zeros((1, 8, 8))], 4, w, b)
     assert tokens.shape == (4, 6)
 
 
@@ -30,7 +30,7 @@ def test_patch_embed_constant_frame_gives_constant_rows():
     store = ParamStore()
     w = store.add("w", RngStream(2).uniform(-1, 1, (16, 5)))
     b = store.add("b", RngStream(3).uniform(-1, 1, (5,)))
-    tokens = patch_embed(np.full((1, 8, 8), 0.37), w, b)
+    tokens = patch_embed([np.full((1, 8, 8), 0.37)], 4, w, b)
     for row in tokens.data[1:]:
         np.testing.assert_allclose(row, tokens.data[0], atol=1e-12)
 
@@ -41,7 +41,7 @@ def test_patch_embed_matches_reshape_matmul_oracle():
     store = ParamStore()
     w = store.add("w", rng.uniform(-1, 1, (2 * 16, 3)))
     b = store.add("b", rng.uniform(-1, 1, (3,)))
-    tokens = patch_embed(frame, w, b)
+    tokens = patch_embed([frame], 4, w, b)
     # independent recomputation with explicit loops
     expected = np.zeros((4, 3))
     t = 0
@@ -58,7 +58,21 @@ def test_patch_embed_indivisible_frame_rejected():
     w = store.add("w", np.zeros((16, 4)))
     b = store.add("b", np.zeros(4))
     with pytest.raises(ContractError):
-        patch_embed(np.zeros((1, 9, 9)), w, b)
+        patch_embed([np.zeros((1, 9, 9))], 4, w, b)
+
+
+def test_patch_embed_of_two_frame_sizes_is_each_embedded_and_concatenated():
+    rng = RngStream(5)
+    small = rng.uniform(-1, 1, (3, 2, 1, 16, 16))
+    large = rng.uniform(-1, 1, (3, 2, 1, 32, 32))
+    store = ParamStore()
+    w = store.add("w", rng.uniform(-1, 1, (16, 5)))
+    b = store.add("b", rng.uniform(-1, 1, (5,)))
+    together = patch_embed([small, large], 4, w, b)
+    assert together.shape == (3, 2, 16 + 64, 5)
+    apart = np.concatenate([patch_embed([small], 4, w, b).data,
+                            patch_embed([large], 4, w, b).data], axis=-2)
+    np.testing.assert_allclose(together.data, apart, rtol=0, atol=1e-12)
 
 
 def test_gaussian_center_map_peak_and_range():

@@ -320,6 +320,29 @@ def test_dense_shared_hand_oracle():
     np.testing.assert_allclose(out.data, [[1.5, 3.0, 0.0, 0.0]], atol=1e-14)
 
 
+def test_dense_shared_matches_per_sub_expert_loop_with_a_random_router():
+    adapter, store, _ = _make_adapter(d=12, g=4, m=3, seed=23)
+    rng = RngStream(24)
+    # a router far from uniform, so each token weighs the sub-experts differently
+    store.set_values("adapter.shared.router.w", rng.uniform(-3, 3, (3, 3)))
+    shared = adapter.shared
+    x = rng.uniform(-1, 1, (9, 12))
+    h = x @ shared.w_down.data
+    logits = h @ shared.w_router.data
+    r = np.exp(logits - logits.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    assert np.ptp(r, axis=1).min() > 0.05
+    low = np.zeros_like(h)
+    for m, w_m in enumerate(shared.sub):
+        low += r[:, m:m + 1] * (h @ w_m.data)
+    expected = low @ shared.w_up.data
+    out = dense_shared_moe(constant(x), shared)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+    # the oracle tells the mixing order apart: other sub-experts per weight give other rows
+    swapped = sum(r[:, m:m + 1] * (h @ shared.sub[(m + 1) % 3].data) for m in range(3))
+    assert np.abs(swapped @ shared.w_up.data - expected).max() > 1e-6
+
+
 def _zero_adapter(store, prefix="adapter"):
     for p in store:
         if p.name.startswith(prefix):
