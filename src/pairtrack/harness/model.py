@@ -18,6 +18,11 @@ and the head run once. The pass predicts [B, 4] boxes, [B, side, side]
 center maps and B balance terms, and returns them as one
 ``ForwardOutput``. The tape of a pass does not depend on B, and one sample
 is the same code with B = 1.
+
+Everything before the first trainable op, the frozen prefix, records no
+tape: the patch embedding, the position add and block 0, or with no
+adapters every block and its level taps. A caller that runs the same batch
+again, as training does, can pass a prefix cache and compute it once.
 """
 
 from __future__ import annotations
@@ -245,12 +250,17 @@ class Tracker:
 
     # -- forward --------------------------------------------------------------
 
-    def forward(self, samples: SyntheticSample | Sequence[SyntheticSample]) -> ForwardOutput:
-        """Predict one sample, or a list of samples in one pass."""
+    def forward(self, samples: SyntheticSample | Sequence[SyntheticSample],
+                prefix_cache: dict | None = None) -> ForwardOutput:
+        """Predict one sample, or a list of samples in one pass.
+
+        With ``prefix_cache``, a dict the caller owns, the frozen prefix of
+        the backbone runs once per distinct batch (see ``_backbone``).
+        """
         batch = [samples] if isinstance(samples, SyntheticSample) else list(samples)
         if not batch:
             raise ContractError("forward: no samples")
-        features, balance, selected, expert_evals = self._backbone(batch)
+        features, balance, selected, expert_evals = self._backbone(batch, prefix_cache)
         box_tensor, center_map = self._head(features, len(batch))
         return ForwardOutput(
             box_tensor=box_tensor, center_map=center_map, balance=balance,
@@ -258,7 +268,56 @@ class Tracker:
             selected=selected, expert_evals=expert_evals,
         )
 
-    def _backbone(self, batch: list[SyntheticSample]
+    def _frozen_prefix(self, batch: list[SyntheticSample]) -> tuple[Tensor, list[Tensor]]:
+        """The backbone up to its first trainable op, which records no tape.
+
+        That is the patch embedding, the position add and the blocks before
+        the first adapter: block 0 with adapters, every block and its level
+        taps without. Returns the [B, 2, T, D] token stack and those taps.
+        """
+        n = len(batch)
+        templates = np.stack([(s.template_r, s.template_x) for s in batch])
+        searches = np.stack([(s.search_r, s.search_x) for s in batch])
+        tokens = patch_embed([templates, searches], self.cfg.patch_size,
+                             self.embed_w, self.embed_b)
+        n_tok, d = tokens.shape[2:]
+        pos = concat([self.pos_template, self.pos_search], axis=0)
+        tokens = reshape(add_rowvec(reshape(tokens, (n, 2, n_tok * d)),
+                                    reshape(pos, (n_tok * d,))), tokens.shape)
+        levels = []
+        for i, block in enumerate(self.blocks):
+            tokens = block(tokens)
+            if self.adapters:
+                break  # the adapter after block 0 is the first trainable op
+            if self._tapped(i):
+                levels.append(tokens)
+        return tokens, levels
+
+    def _cached_prefix(self, batch: list[SyntheticSample],
+                       cache: dict) -> tuple[Tensor, list[Tensor]]:
+        """The frozen prefix of ``batch``, computed on its first call and read-only.
+
+        The key is the samples' identities, in batch order. An entry keeps its
+        samples alive, so no other sample can take over their ids while the
+        cache lives, and nothing needs invalidating: the prefix reads only the
+        samples and frozen weights.
+        """
+        key = tuple(map(id, batch))
+        if key not in cache:
+            tokens, levels = self._frozen_prefix(batch)
+            if tokens.requires_grad:
+                raise ContractError("prefix cache: the backbone prefix has trainable weights")
+            for t in (tokens, *levels):
+                t.data.flags.writeable = False
+            cache[key] = (batch, tokens, tuple(levels))
+        _, tokens, levels = cache[key]
+        return tokens, list(levels)  # a fresh list: the pass appends its own taps
+
+    def _tapped(self, i: int) -> bool:
+        """Whether multi-level fusion reads the stack after block ``i``."""
+        return self.mff_w is not None and (i + 1) in self.cfg.level_taps
+
+    def _backbone(self, batch: list[SyntheticSample], prefix_cache: dict | None = None
                   ) -> tuple[Tensor, Tensor, list[np.ndarray], list[int]]:
         """Search-token features of the B samples, [B * Ts * 2, D].
 
@@ -268,26 +327,26 @@ class Tracker:
         token's R features, then its X features. Also returns the [B] balance
         terms, the [2B, T, K] expert picks of each adapter pass and one
         sample's expert evaluations per adapter pass and modality.
+
+        The frozen prefix runs anew on every call without ``prefix_cache``.
+        With it, the prefix runs once per distinct batch and later calls
+        start from its stored stack, which holds the same bytes: training
+        passes the same batch composition, so the same BLAS calls made them.
         """
         cfg, n = self.cfg, len(batch)
-        templates = np.stack([(s.template_r, s.template_x) for s in batch])
-        searches = np.stack([(s.search_r, s.search_x) for s in batch])
-        tokens = patch_embed([templates, searches], cfg.patch_size, self.embed_w, self.embed_b)
+        tokens, levels = (self._frozen_prefix(batch) if prefix_cache is None
+                          else self._cached_prefix(batch, prefix_cache))
         n_tok, d = tokens.shape[2:]
-        pos = concat([self.pos_template, self.pos_search], axis=0)
-        tokens = reshape(add_rowvec(reshape(tokens, (n, 2, n_tok * d)),
-                                    reshape(pos, (n_tok * d,))), tokens.shape)
-
-        levels, balances, selected, expert_evals = [], [], [], []
-        for i, block in enumerate(self.blocks):
-            tokens = block(tokens)
-            if self.adapters:
-                result = self.adapters[i](tokens)
-                tokens = result.output
-                balances.append(result.balance)
-                selected.append(result.sparse.decision.selected.reshape(2 * n, n_tok, -1))
-                expert_evals.extend([result.sparse.n_expert_evals // (2 * n)] * 2)
-            if self.mff_w is not None and (i + 1) in cfg.level_taps:
+        balances, selected, expert_evals = [], [], []
+        for i, adapter in enumerate(self.adapters):
+            if i:  # block 0 ran in the prefix
+                tokens = self.blocks[i](tokens)
+            result = adapter(tokens)
+            tokens = result.output
+            balances.append(result.balance)
+            selected.append(result.sparse.decision.selected.reshape(2 * n, n_tok, -1))
+            expert_evals.extend([result.sparse.n_expert_evals // (2 * n)] * 2)
+            if self._tapped(i):
                 levels.append(tokens)
         # each adapter pass gives [B, 2] terms; a sample's balance is the mean of its row
         balance = mean(concat(balances, axis=1), axis=1) if balances else constant(np.zeros(n))

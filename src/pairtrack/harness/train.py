@@ -39,14 +39,15 @@ class TrackResult:
 
 
 def forward_track(samples: SyntheticSample | Sequence[SyntheticSample],
-                  model: Tracker) -> TrackResult:
+                  model: Tracker, prefix_cache: dict | None = None) -> TrackResult:
     """Tracking forward pass plus the full loss bundle against gt.
 
     Takes one sample, or a list of them that the model runs in one pass,
     and computes the losses once over the pass's stacked predictions.
+    ``prefix_cache`` goes to ``Tracker.forward``.
     """
     batch = [samples] if isinstance(samples, SyntheticSample) else list(samples)
-    output = model.forward(batch)
+    output = model.forward(batch, prefix_cache=prefix_cache)
     side = model.cfg.heatmap_side
     gt_maps = np.stack([gaussian_center_map(side, sample.gt_box) for sample in batch])
     gt_boxes = np.stack([sample.gt_box.as_array() for sample in batch])
@@ -75,10 +76,11 @@ class TrainResult:
     final_loss: float
 
 
-def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int):
+def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int,
+                prefix_cache: dict | None = None):
     """Mean loss over samples, run in one pass; component means summed in sample order."""
     try:
-        result = forward_track(samples, model)
+        result = forward_track(samples, model, prefix_cache)
     except NumericError as exc:
         raise NumericError(f"{exc} (training step {step})") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # the finite check below decides
@@ -132,19 +134,23 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
 
     Initial and final losses are both measured on the full training set, so
     the convergence ratio is batch-size independent. Frozen weights never
-    move: the optimizer skips them.
+    move: the optimizer skips them. So the frozen backbone prefix of a batch
+    never changes either: the step that first sees a batch computes it, and
+    later steps on that batch start from it. The cache lives for this call.
+    ``evaluate`` does not use it; see README, "Frozen prefix".
     """
     model = Tracker(cfg)
     train_set = generate_dataset(cfg, cfg.n_train, "data")
     eval_set = generate_dataset(cfg, cfg.n_eval, "eval") if eval_each_log else None
     batch = min(cfg.batch_size, len(train_set))
     records: list[MetricsRecord] = []
+    prefix_cache: dict = {}
     initial = evaluate(model, train_set).total
     for step in range(cfg.steps):
         start = (step * batch) % len(train_set)
         samples = [train_set[(start + j) % len(train_set)] for j in range(batch)]
         model.store.zero_grad()
-        loss_t, components, usage = _batch_loss(model, samples, step)
+        loss_t, components, usage = _batch_loss(model, samples, step, prefix_cache)
         if step % cfg.log_interval == 0 or step == cfg.steps - 1:
             eval_rec = evaluate(model, eval_set, step) if eval_each_log else None
             records.append(MetricsRecord(

@@ -1,4 +1,6 @@
-"""Tracker model: patch embedding, toggles, zero-init identity, determinism."""
+"""Tracker model: patch embedding, toggles, zero-init identity, determinism, prefix cache."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -214,6 +216,104 @@ def test_one_sample_accessors_reject_a_larger_pass():
     one = forward_track(samples[0], model)
     assert one.box_prediction == one.output.boxes[0]
     assert one.bundle.values()["total"] == one.bundle.total.data[0]
+
+
+# the default toggles, ``baseline``, and sdmoe off with mff on: the last puts
+# the level taps inside the frozen prefix
+PREFIX_TOGGLES = {
+    "default": (True, True, True, True),
+    "baseline": (False, False, False, False),
+    "mff-without-sdmoe": (False, True, False, False),
+}
+
+
+def _step(model, samples, prefix_cache):
+    """One pass and its backward; returns the output and every trainable gradient."""
+    model.store.zero_grad()
+    result = forward_track(samples, model, prefix_cache)
+    backward(mean(result.bundle.total))
+    return result.output, {p.name: p.grad for p in model.store if p.requires_grad}
+
+
+@pytest.mark.parametrize("toggles", list(PREFIX_TOGGLES))
+def test_a_prefix_cache_hit_is_bit_identical_to_a_miss_and_to_no_cache(toggles):
+    cfg = tiny_config(seed=23, top_k=1).with_toggles(*PREFIX_TOGGLES[toggles])
+    model = _perturbed_tracker(cfg)
+    samples = generate_dataset(cfg, 4, "prefix")
+    cache = {}
+    runs = [_step(model, samples, None), _step(model, samples, cache), _step(model, samples, cache)]
+    assert len(cache) == 1
+    (plain, plain_grads), *cached = runs
+    assert plain_grads and all(g is not None for g in plain_grads.values())
+    for output, grads in cached:
+        for field in ("box_tensor", "center_map", "balance"):
+            np.testing.assert_array_equal(getattr(output, field).data,
+                                          getattr(plain, field).data, err_msg=field)
+        assert grads.keys() == plain_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, plain_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("toggles", ["default", "mff-without-sdmoe"])
+def test_cached_prefix_stays_read_only_and_unchanged_through_training_steps(toggles):
+    cfg = tiny_config(seed=24).with_toggles(*PREFIX_TOGGLES[toggles])
+    model = _perturbed_tracker(cfg)
+    samples = generate_dataset(cfg, 4, "prefix")
+    cache = {}
+    _step(model, samples, cache)
+    (_, tokens, levels), = cache.values()
+    stored = [tokens, *levels]
+    assert len(stored) == (1 if toggles == "default" else 1 + len(cfg.level_taps))
+    before = [t.data.copy() for t in stored]
+    for _ in range(3):
+        _step(model, samples, cache)
+        model.store.sgd_step(0.1)
+    assert len(cache) == 1
+    for t, old in zip(stored, before):
+        assert not t.requires_grad and t.grad is None
+        assert not t.data.flags.writeable
+        np.testing.assert_array_equal(t.data, old)
+        with pytest.raises(ValueError):
+            t.data[...] = 0.0
+
+
+def test_a_prefix_with_a_trainable_weight_is_not_cached():
+    cfg = tiny_config(seed=26)
+    model = Tracker(cfg)
+    model.blocks[0].wq.requires_grad = True
+    cache = {}
+    with pytest.raises(ContractError, match="trainable"):
+        forward_track(generate_dataset(cfg, 2, "prefix"), model, cache)
+    assert not cache
+
+
+@pytest.mark.parametrize("toggles", ["default", "baseline"])
+def test_a_prefix_cache_hit_runs_no_patch_embed_and_no_prefix_block(toggles, monkeypatch):
+    cfg = tiny_config(seed=25).with_toggles(*PREFIX_TOGGLES[toggles])
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, 2, "prefix")
+    cache = {}
+    forward_track(samples, model, cache)
+    calls = []
+    model_module = importlib.import_module("pairtrack.harness.model")
+    embed, block_call = model_module.patch_embed, Block.__call__
+
+    def counted_embed(*args):
+        calls.append("embed")
+        return embed(*args)
+
+    def counted_block(self, x):
+        calls.append(model.blocks.index(self))
+        return block_call(self, x)
+
+    monkeypatch.setattr(model_module, "patch_embed", counted_embed)
+    monkeypatch.setattr(Block, "__call__", counted_block)
+    forward_track(samples, model, cache)
+    # with adapters the prefix ends after block 0; without, it holds every block
+    assert calls == ([1] if toggles == "default" else [])
+    calls.clear()
+    forward_track(samples, model)  # the counters do see a pass without the cache
+    assert calls == ["embed", 0, 1]
 
 
 def _recorded_nodes(out):

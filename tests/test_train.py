@@ -30,7 +30,7 @@ class _StubModel:
         self.cfg = cfg
         self.box = box
 
-    def forward(self, samples):
+    def forward(self, samples, prefix_cache=None):
         boxes = [self.box if self.box is not None else s.gt_box for s in samples]
         side = self.cfg.heatmap_side
         return ForwardOutput(
@@ -50,9 +50,9 @@ class _CountingModel:
         self.cfg = model.cfg
         self.passes = 0
 
-    def forward(self, samples):
+    def forward(self, samples, prefix_cache=None):
         self.passes += 1
-        return self.model.forward(samples)
+        return self.model.forward(samples, prefix_cache)
 
 
 def test_evaluate_perfect_predictions():
@@ -138,6 +138,26 @@ def test_train_without_logged_eval_builds_no_eval_set(monkeypatch):
     assert streams == ["data"]
     assert (result.initial_loss, result.final_loss) == (logged.initial_loss, logged.final_loss)
     assert [r.total for r in result.records] == [r.total for r in logged.records]
+
+
+@pytest.mark.parametrize("n_train, entries", [(8, 2), (6, 3), (3, 1)])
+def test_train_keeps_one_prefix_entry_per_distinct_batch(n_train, entries, monkeypatch):
+    caches = []
+    forward = Tracker.forward
+
+    def spy(self, samples, prefix_cache=None):
+        caches.append(prefix_cache)
+        return forward(self, samples, prefix_cache)
+
+    monkeypatch.setattr(Tracker, "forward", spy)
+    cfg = tiny_config(seed=18, steps=6, batch_size=4, n_train=n_train)
+    train(cfg, eval_each_log=False)
+    # the initial and final evaluations pass no cache; every step passes the same one
+    batches = -(-n_train // 4)
+    assert caches[:batches] == [None] * batches and caches[-batches:] == [None] * batches
+    steps = caches[batches:-batches]
+    assert len(steps) == cfg.steps and all(c is steps[0] for c in steps)
+    assert len(steps[0]) == entries
 
 
 def test_train_record_usage_accounts_batch_tokens():
