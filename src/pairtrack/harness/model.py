@@ -328,10 +328,8 @@ class Tracker:
         terms, the [2B, T, K] expert picks of each adapter pass and one
         sample's expert evaluations per adapter pass and modality.
 
-        The frozen prefix runs anew on every call without ``prefix_cache``.
-        With it, the prefix runs once per distinct batch and later calls
-        start from its stored stack, which holds the same bytes: training
-        passes the same batch composition, so the same BLAS calls made them.
+        With ``prefix_cache`` the frozen prefix runs once per distinct batch,
+        in that batch's composition, so a later call gets the same bytes.
         """
         cfg, n = self.cfg, len(batch)
         tokens, levels = (self._frozen_prefix(batch) if prefix_cache is None
