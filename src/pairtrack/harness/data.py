@@ -74,10 +74,10 @@ def _boxes_disjoint(a: Box, b: Box, margin: float) -> bool:
 
 
 def _draw_box(rng: RngStream, w_lo: float, w_hi: float) -> Box:
-    w = float(rng.uniform(w_lo, w_hi, ()))
-    h = float(rng.uniform(w_lo, w_hi, ()))
-    cx = float(rng.uniform(w / 2 + 0.02, 1.0 - w / 2 - 0.02, ()))
-    cy = float(rng.uniform(h / 2 + 0.02, 1.0 - h / 2 - 0.02, ()))
+    w = rng.uniform(w_lo, w_hi)
+    h = rng.uniform(w_lo, w_hi)
+    cx = rng.uniform(w / 2 + 0.02, 1.0 - w / 2 - 0.02)
+    cy = rng.uniform(h / 2 + 0.02, 1.0 - h / 2 - 0.02)
     return Box(cx=cx, cy=cy, w=w, h=h)
 
 
@@ -104,9 +104,9 @@ def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticS
     for index in range(count):
         tag = DEGRADATION_TAGS[index % len(DEGRADATION_TAGS)]
         box = _draw_box(rng, 0.25, 0.45)
-        sign = 1.0 if float(rng.uniform(0, 1, ())) < 0.5 else -1.0
-        amp_r = sign * float(rng.uniform(0.8, 1.2, ()))
-        amp_x = sign * float(rng.uniform(0.8, 1.2, ()))
+        sign = 1.0 if rng.uniform(0, 1) < 0.5 else -1.0
+        amp_r = sign * rng.uniform(0.8, 1.2)
+        amp_x = sign * rng.uniform(0.8, 1.2)
         target_r, target_x = amp_r, amp_x
         if tag == "rgb_degraded":
             target_r *= DEGRADED_AMPLITUDE
@@ -117,7 +117,7 @@ def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticS
         search_x = _rect_blob(size, box, target_x)
         # distractors carry the opposite polarity and ignore degradation
         for dbox in _draw_distractors(rng, box):
-            d_amp = float(rng.uniform(0.8, 1.2, ()))
+            d_amp = rng.uniform(0.8, 1.2)
             search_r = search_r + _gaussian_blob(size, dbox, -sign * d_amp)
             search_x = search_x + _rect_blob(size, dbox, -sign * d_amp)
 

@@ -95,10 +95,12 @@ def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int,
             result.output.usage_histogram(model.cfg.n_experts))
 
 
-def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> MetricsRecord:
+def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0,
+             prefix_cache: dict | None = None) -> MetricsRecord:
     """Mean IoU and success rates plus loss components, without gradients.
 
     Runs passes of at most ``batch_size`` samples, the shape of a training step.
+    ``prefix_cache`` goes to ``Tracker.forward``.
     """
     if not dataset:
         raise ContractError("evaluate: empty dataset")
@@ -109,7 +111,7 @@ def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0) -> M
         ious = []
         for start in range(0, len(dataset), size):
             chunk = dataset[start:start + size]
-            result = forward_track(chunk, model)
+            result = forward_track(chunk, model, prefix_cache)
             _add_losses(components, result.bundle)
             usage += result.output.usage_histogram(model.cfg.n_experts)
             ious.extend(box_iou(box, sample.gt_box)
@@ -136,8 +138,8 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
     the convergence ratio is batch-size independent. Frozen weights never
     move: the optimizer skips them. So the frozen backbone prefix of a batch
     never changes either: the step that first sees a batch computes it, and
-    later steps on that batch start from it. The cache lives for this call.
-    ``evaluate`` does not use it; see README, "Frozen prefix".
+    later steps on that batch start from it, and so does the final
+    evaluation. The cache lives for this call; see README, "Frozen prefix".
     """
     model = Tracker(cfg)
     train_set = generate_dataset(cfg, cfg.n_train, "data")
@@ -164,7 +166,7 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
             ))
         backward(loss_t)
         model.store.sgd_step(cfg.lr)
-    final = evaluate(model, train_set).total
+    final = evaluate(model, train_set, prefix_cache=prefix_cache).total
     return TrainResult(records=records, model=model, initial_loss=initial, final_loss=final)
 
 

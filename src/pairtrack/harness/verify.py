@@ -93,7 +93,8 @@ def _max_error_over_cases(
     return worst
 
 
-def unit_gradient_suite() -> list[CheckResult]:
+def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, float, float]]:
+    """(name, build, input shape, low, high) for every kernel form the unit suite checks."""
     rng = RngStream(20260809)
     w = rng.uniform(-1, 1, (4, 3))
     rows = rng.uniform(0.5, 2.0, (5,))
@@ -105,7 +106,7 @@ def unit_gradient_suite() -> list[CheckResult]:
     # weight 2 is never picked; x is both the routed input and weight 0
     idx_weights = np.array([1, 0, 0, 1])
     stack = rng.uniform(-1, 1, (2, 5, 4))
-    cases: list[tuple[str, Callable, tuple, float, float]] = [
+    return [
         ("add", lambda x: add(x, constant(other)), (5, 4), -2, 2),
         ("sub", lambda x: sub(x, constant(other)), (5, 4), -2, 2),
         ("mul", lambda x: mul(x, constant(other)), (5, 4), -2, 2),
@@ -151,8 +152,11 @@ def unit_gradient_suite() -> list[CheckResult]:
         ("attention_keys", lambda x: attention(constant(stack), x, constant(stack), 2),
          (2, 5, 4), -2, 2),
     ]
+
+
+def unit_gradient_suite() -> list[CheckResult]:
     results = []
-    for i, (name, build, shape, low, high) in enumerate(cases):
+    for i, (name, build, shape, low, high) in enumerate(unit_gradient_cases()):
         err = _max_error_over_cases(build, shape, low, high, 1000 * i)
         results.append(CheckResult(name=name, error=err, tol=UNIT_TOL))
     return results

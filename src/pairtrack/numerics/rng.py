@@ -27,7 +27,11 @@ class RngStream:
         tag = zlib.crc32(label.encode("utf-8"))
         return RngStream((self.seed * 0x9E3779B97F4A7C15 + tag + 1) & _MASK64)
 
-    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
+    def uniform(self, low: float, high: float, shape=None) -> np.ndarray | float:
+        """An array of draws in [low, high), or one Python float when no shape is given.
+
+        Both forms take the same values from the stream, in the same order.
+        """
         return self._gen.uniform(low, high, size=shape)
 
     def normal(self, scale: float, shape=()) -> np.ndarray:

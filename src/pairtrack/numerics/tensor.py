@@ -1,11 +1,18 @@
 """Dense float64 tensors with recorded-tape reverse-mode differentiation.
 
 Every operation runs in double precision on contiguous row-major numpy
-arrays and, when gradients are enabled, records a backward closure on the
-output node. ``backward`` replays the tape in a fixed topological order, so
-gradient accumulation is deterministic for a given forward pass. It consumes
-the tape as it goes: only leaves keep gradients, and a second pass through
-a consumed node is a ``ContractError``.
+arrays and, when gradients are enabled, gives its output a tape entry: a
+gradient slot, the entries of the parents that need a gradient, and a
+backward closure. ``backward`` replays the tape in a fixed topological
+order, so gradient accumulation is deterministic for a given forward pass.
+It consumes the tape as it goes: only leaves keep gradients, and a second
+pass through a consumed entry is a ``ContractError``.
+
+Entries link only to entries, never to a Tensor, and a leaf that requires
+grad is its own gradient slot. Each closure captures, at forward time, only
+the arrays its formula reads, and only when the input whose gradient reads
+them needs one. So an intermediate array goes free as soon as the model
+code drops its Tensor, unless a backward formula holds it.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
@@ -15,7 +22,7 @@ one node over [..., T, D] stacks. Keeping the kernel surface small keeps
 shape bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
-another node's gradient. A node owns its gradient, and adds into it in
+another slot's gradient. A slot owns its gradient, and adds into it in
 place, only after a second contribution made it a fresh array.
 """
 
@@ -51,18 +58,29 @@ def _as_f64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64, order="C")
 
 
-class Tensor:
-    """A dense real array plus an optional gradient and tape linkage."""
+class _Entry:
+    """A recorded output's place on the tape; it holds no array of the forward pass."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("grad", "_owns_grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple[_Entry, ...], backward: Callable[[np.ndarray], None]):
+        self.grad: np.ndarray | None = None
+        self._owns_grad = False
+        self._parents: tuple[_Entry, ...] | None = parents  # None once backward consumed it
+        self._backward: Callable[[np.ndarray], None] | None = backward
+
+
+class Tensor:
+    """A dense real array; a leaf keeps its gradient, a recorded output its tape entry."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_entry")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_f64(values)
         self.grad: np.ndarray | None = None
         self._owns_grad = False
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] | None = ()  # None once backward consumed the node
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._entry: _Entry | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,18 +109,30 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _accumulate(t: Tensor, delta: np.ndarray) -> None:
-    if not t.requires_grad:
+def _slot(t: Tensor) -> _Entry | Tensor | None:
+    """Where t's gradient goes: its tape entry, t itself as a leaf that needs one, or nowhere."""
+    if t._entry is not None:
+        return t._entry
+    return t if t.requires_grad else None
+
+
+def _kept(values: np.ndarray, *slots) -> np.ndarray | None:
+    """``values`` if a gradient reads them, for one of ``slots`` that needs it; else None."""
+    return values if any(s is not None for s in slots) else None
+
+
+def _accumulate(slot: _Entry | Tensor | None, delta: np.ndarray) -> None:
+    if slot is None:
         return
-    if t.grad is None:
-        # no copy: delta may alias another gradient, so t does not own it
-        t.grad = np.asarray(delta, dtype=np.float64)
-        t._owns_grad = False
-    elif t._owns_grad:
-        t.grad += delta
+    if slot.grad is None:
+        # no copy: delta may alias another gradient, so the slot does not own it
+        slot.grad = np.asarray(delta, dtype=np.float64)
+        slot._owns_grad = False
+    elif slot._owns_grad:
+        slot.grad += delta
     else:
-        t.grad = t.grad + delta
-        t._owns_grad = True
+        slot.grad = slot.grad + delta
+        slot._owns_grad = True
 
 
 def _node(
@@ -113,8 +143,8 @@ def _node(
     requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
-        out._parents = parents
-        out._backward = backward
+        # leaves and constants are sinks of the walk, so leaving them out keeps its order
+        out._entry = _Entry(tuple(p._entry for p in parents if p._entry is not None), backward)
     return out
 
 
@@ -123,39 +153,42 @@ def backward(loss: Tensor) -> None:
 
     The loss must be a scalar with a tape. Traversal order is a fixed
     depth-first topological sort, so accumulation order is deterministic. Each
-    non-leaf node drops its gradient, parents and closure once the walk passes
-    it, so its buffers go free mid-walk; a later backward that reaches a
-    consumed node raises ``ContractError`` before it accumulates anything.
+    entry drops its gradient, parents and closure once the walk passes it, so
+    the gradient and the arrays its closure held go free mid-walk; a later
+    backward that reaches a consumed entry raises ``ContractError`` before it
+    accumulates anything.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("backward: the loss has no tape (built from constants or under no_grad)")
-    topo: list[Tensor] = []
+    root = loss._entry
+    if root is None:  # a leaf loss is its own gradient slot
+        _accumulate(loss, np.ones((), dtype=np.float64))
+        return
+    topo: list[_Entry] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Entry, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(entry)
             continue
-        if id(node) in seen:
+        if id(entry) in seen:
             continue
-        if node._parents is None:
+        if entry._parents is None:
             raise ContractError("backward: the graph reaches a node an earlier backward consumed")
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in reversed(node._parents):
+        seen.add(id(entry))
+        stack.append((entry, True))
+        for parent in reversed(entry._parents):
             if id(parent) not in seen:
                 stack.append((parent, False))
-    _accumulate(loss, np.ones((), dtype=np.float64))
-    while topo:  # popping keeps no reference to a passed node, so its buffers can go free
-        node = topo.pop()
-        if node._backward is None:
-            continue  # a leaf keeps its gradient
-        if node.grad is not None:
-            node._backward(node.grad)
-        node.grad, node._parents, node._backward = None, None, None
+    _accumulate(root, np.ones((), dtype=np.float64))
+    while topo:  # popping keeps no reference to a passed entry, so its buffers can go free
+        entry = topo.pop()
+        if entry.grad is not None:
+            entry._backward(entry.grad)
+        entry.grad, entry._parents, entry._backward = None, None, None
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -170,30 +203,36 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
+    ea, eb = _slot(a), _slot(b)
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(ea, g)
+        _accumulate(eb, g)
 
     return _node(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
+    ea, eb = _slot(a), _slot(b)
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(ea, g)
+        _accumulate(eb, -g)
 
     return _node(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
+    ea, eb = _slot(a), _slot(b)
+    a_data, b_data = _kept(a.data, eb), _kept(b.data, ea)
 
     def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if ea is not None:
+            _accumulate(ea, g * b_data)
+        if eb is not None:
+            _accumulate(eb, g * a_data)
 
     return _node(a.data * b.data, (a, b), bw)
 
@@ -201,11 +240,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient flows to ``a``."""
     _require_same_shape(a, b, "maximum")
+    ea, eb = _slot(a), _slot(b)
     pick_a = a.data >= b.data
 
     def bw(g):
-        _accumulate(a, g * pick_a)
-        _accumulate(b, g * (~pick_a))
+        _accumulate(ea, g * pick_a)
+        _accumulate(eb, g * (~pick_a))
 
     return _node(np.maximum(a.data, b.data), (a, b), bw)
 
@@ -213,11 +253,12 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; on ties the gradient flows to ``a``."""
     _require_same_shape(a, b, "minimum")
+    ea, eb = _slot(a), _slot(b)
     pick_a = a.data <= b.data
 
     def bw(g):
-        _accumulate(a, g * pick_a)
-        _accumulate(b, g * (~pick_a))
+        _accumulate(ea, g * pick_a)
+        _accumulate(eb, g * (~pick_a))
 
     return _node(np.minimum(a.data, b.data), (a, b), bw)
 
@@ -225,9 +266,10 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 def smul(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
     c = float(c)
+    ea = _slot(a)
 
     def bw(g):
-        _accumulate(a, g * c)
+        _accumulate(ea, g * c)
 
     return _node(a.data * c, (a,), bw)
 
@@ -239,57 +281,67 @@ def scale(a: Tensor, s: Tensor) -> Tensor:
     """
     if s.shape != a.shape[:s.ndim]:
         raise ShapeError(f"scale: factor shape {s.shape} does not lead {a.shape}")
-    factor = s.data.reshape(s.shape + (1,) * (a.ndim - s.ndim))
+    ea, es = _slot(a), _slot(s)
+    s_shape = s.shape
+    factor = s.data.reshape(s_shape + (1,) * (a.ndim - s.ndim))
+    kept_factor, a_data = _kept(factor, ea), _kept(a.data, es)
 
     def bw(g):
-        _accumulate(a, g * factor)
-        _accumulate(s, np.sum((g * a.data).reshape(s.shape + (-1,)), axis=-1))
+        if ea is not None:
+            _accumulate(ea, g * kept_factor)
+        if es is not None:
+            _accumulate(es, np.sum((g * a_data).reshape(s_shape + (-1,)), axis=-1))
 
     return _node(a.data * factor, (a, s), bw)
 
 
 def reciprocal(a: Tensor) -> Tensor:
+    ea = _slot(a)
     out_data = 1.0 / a.data
 
     def bw(g):
-        _accumulate(a, -g * out_data * out_data)
+        _accumulate(ea, -g * out_data * out_data)
 
     return _node(out_data, (a,), bw)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    out_data = a.data**p
+    ea, x = _slot(a), a.data
 
     def bw(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
+        _accumulate(ea, g * p * x ** (p - 1.0))
 
-    return _node(out_data, (a,), bw)
+    return _node(x**p, (a,), bw)
 
 
 def log(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, g / a.data)
+    ea, x = _slot(a), a.data
 
-    return _node(np.log(a.data), (a,), bw)
+    def bw(g):
+        _accumulate(ea, g / x)
+
+    return _node(np.log(x), (a,), bw)
 
 
 def absolute(a: Tensor) -> Tensor:
     """Elementwise |x| with subgradient 0 at x = 0."""
+    ea = _slot(a)
     sign = np.sign(a.data)
 
     def bw(g):
-        _accumulate(a, g * sign)
+        _accumulate(ea, g * sign)
 
     return _node(np.abs(a.data), (a,), bw)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is zero where the clip is active."""
+    ea = _slot(a)
     inside = (a.data > lo) & (a.data < hi)
 
     def bw(g):
-        _accumulate(a, g * inside)
+        _accumulate(ea, g * inside)
 
     return _node(np.clip(a.data, lo, hi), (a,), bw)
 
@@ -305,17 +357,18 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    ea = _slot(a)
     out_data = _logistic(a.data)
 
     def bw(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
+        _accumulate(ea, g * out_data * (1.0 - out_data))
 
     return _node(out_data, (a,), bw)
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    x = a.data
+    ea, x = _slot(a), a.data
     sig = _logistic(x)
 
     def bw(g):
@@ -323,7 +376,7 @@ def silu(a: Tensor) -> Tensor:
         d *= 1.0 - sig
         d += sig
         d *= g
-        _accumulate(a, d)
+        _accumulate(ea, d)
 
     return _node(x * sig, (a,), bw)
 
@@ -337,10 +390,11 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None) or along one axis."""
     if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} invalid for shape {a.shape}")
+    ea, shape = _slot(a), a.shape
 
     def bw(g):
         g = g if axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(ea, np.broadcast_to(g, shape).copy())
 
     return _node(np.sum(a.data, axis=axis), (a,), bw)
 
@@ -355,13 +409,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
     ax = axis % a.ndim
+    ea = _slot(a)
     out_data = a.data - np.max(a.data, axis=ax, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= np.sum(out_data, axis=ax, keepdims=True)
 
     def bw(g):
         inner = np.sum(g * out_data, axis=ax, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
+        _accumulate(ea, out_data * (g - inner))
 
     return _node(out_data, (a,), bw)
 
@@ -375,10 +430,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    original = a.shape
+    ea, original = _slot(a), a.shape
 
     def bw(g):
-        _accumulate(a, g.reshape(original))
+        _accumulate(ea, g.reshape(original))
 
     return _node(a.data.reshape(shape), (a,), bw)
 
@@ -387,9 +442,10 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes of a [..., M, N] tensor."""
     if a.ndim < 2:
         raise ShapeError(f"transpose expects at least two axes, got shape {a.shape}")
+    ea = _slot(a)
 
     def bw(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
+        _accumulate(ea, np.swapaxes(g, -1, -2))
 
     return _node(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bw)
 
@@ -411,15 +467,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 )
     sizes = [t.shape[ax] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    parents = tuple(tensors)
+    slots = [_slot(t) for t in tensors]
 
     def bw(g):
-        for t, start, stop in zip(parents, offsets[:-1], offsets[1:]):
+        for slot, start, stop in zip(slots, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * ndim
             idx[ax] = slice(start, stop)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(slot, g[tuple(idx)])
 
-    return _node(np.concatenate([t.data for t in tensors], axis=ax), parents, bw)
+    return _node(np.concatenate([t.data for t in tensors], axis=ax), tuple(tensors), bw)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -428,11 +484,12 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError("slice_cols expects at least one axis, got a scalar")
     if not 0 <= start < stop <= a.shape[-1]:
         raise ShapeError(f"slice_cols: range [{start}, {stop}) invalid for {a.shape}")
+    ea, shape = _slot(a), a.shape
 
     def bw(g):
-        buf = np.zeros(a.shape, dtype=np.float64)
+        buf = np.zeros(shape, dtype=np.float64)
         buf[..., start:stop] = g
-        _accumulate(a, buf)
+        _accumulate(ea, buf)
 
     return _node(np.ascontiguousarray(a.data[..., start:stop]), (a,), bw)
 
@@ -444,6 +501,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError("gather_rows expects a matrix and a 1-D index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    ea, shape = _slot(a), a.shape
 
     def bw(g):
         # a row's first pick is assigned and its later picks are added in pick
@@ -451,10 +509,10 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         first = np.unique(idx, return_index=True)[1]
         again = np.ones(idx.size, dtype=bool)
         again[first] = False
-        buf = np.zeros(a.shape, dtype=np.float64)
+        buf = np.zeros(shape, dtype=np.float64)
         buf[idx[first]] = g[first]
         np.add.at(buf, idx[again], g[again])
-        _accumulate(a, buf)
+        _accumulate(ea, buf)
 
     return _node(a.data[idx], (a,), bw)
 
@@ -466,12 +524,13 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError("gather_cols expects a matrix and a [rows, k] index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
         raise ShapeError(f"gather_cols: index out of range for {a.shape[1]} columns")
-    rows = np.arange(a.shape[0])[:, None]
+    ea, shape = _slot(a), a.shape
+    rows = np.arange(shape[0])[:, None]
 
     def bw(g):
-        buf = np.zeros(a.shape, dtype=np.float64)
+        buf = np.zeros(shape, dtype=np.float64)
         np.add.at(buf, (np.broadcast_to(rows, idx.shape), idx), g)
-        _accumulate(a, buf)
+        _accumulate(ea, buf)
 
     return _node(a.data[rows, idx], (a,), bw)
 
@@ -480,10 +539,11 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of a [..., D] tensor."""
     if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:
         raise ShapeError(f"add_rowvec: got {a.shape} and {v.shape}")
+    ea, ev, n = _slot(a), _slot(v), v.shape[0]
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(v, np.sum(g.reshape(-1, v.shape[0]), axis=0))
+        _accumulate(ea, g)
+        _accumulate(ev, np.sum(g.reshape(-1, n), axis=0))
 
     return _node(a.data + v.data, (a, v), bw)
 
@@ -503,42 +563,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects stacked matrices, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
+    ea, eb = _slot(a), _slot(b)
+    a_data, b_data = _kept(a.data, eb), _kept(b.data, ea)
     if b.ndim > 2:
         def bw_batched(g):
-            if a.requires_grad:
-                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            if ea is not None:
+                _accumulate(ea, g @ np.swapaxes(b_data, -1, -2))
+            if eb is not None:
+                _accumulate(eb, np.swapaxes(a_data, -1, -2) @ g)
 
         return _node(a.data @ b.data, (a, b), bw_batched)
 
     k, n = b.shape
-    rows = a.data.reshape(-1, k)  # one matrix product for the whole stack
+    a_shape = a.shape
 
     def bw(g):
         g_rows = g.reshape(-1, n)
-        if a.requires_grad:
-            _accumulate(a, (g_rows @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            _accumulate(b, rows.T @ g_rows)
+        if ea is not None:
+            _accumulate(ea, (g_rows @ b_data.T).reshape(a_shape))
+        if eb is not None:
+            _accumulate(eb, a_data.reshape(-1, k).T @ g_rows)
 
-    return _node((rows @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), bw)
+    # one matrix product for the whole stack
+    return _node((a.data.reshape(-1, k) @ b.data).reshape(a_shape[:-1] + (n,)), (a, b), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over [..., T, D] stacks, as one node.
 
-    Head h owns columns [h*d, (h+1)*d), d = D / heads; only the weights are kept.
+    Head h owns columns [h*d, (h+1)*d), d = D / heads. The tape keeps the
+    weights, and the inputs only where a gradient reads them.
     """
     if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     c = 1.0 / np.sqrt(q.shape[-1] // heads)
+    eq, ek, ev = _slot(q), _slot(k), _slot(v)
+    shape = q.shape
+    q_data, k_data, v_data = _kept(q.data, ek), _kept(k.data, eq), _kept(v.data, eq, ek)
 
     def split(t: np.ndarray) -> np.ndarray:  # [..., T, D] -> [..., H, T, d] view
         return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
     def merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b, written as [..., T, D]
-        out = np.empty(q.shape)
+        out = np.empty(shape)
         np.matmul(a, b, out=split(out))
         return out
 
@@ -549,15 +616,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def bw(g):
         g_h = split(g)
-        if v.requires_grad:
-            _accumulate(v, merged(weights.swapaxes(-1, -2), g_h))
-        d_scores = g_h @ split(v.data).swapaxes(-1, -2)
+        if ev is not None:
+            _accumulate(ev, merged(weights.swapaxes(-1, -2), g_h))
+        if v_data is None:
+            return
+        d_scores = g_h @ split(v_data).swapaxes(-1, -2)
         d_scores -= np.sum(d_scores * weights, axis=-1, keepdims=True)
         d_scores *= weights
-        if q.requires_grad:
-            _accumulate(q, merged(d_scores, split(k.data)) * c)
-        if k.requires_grad:
-            _accumulate(k, merged(d_scores.swapaxes(-1, -2), split(q.data * c)))
+        if eq is not None:
+            _accumulate(eq, merged(d_scores, split(k_data)) * c)
+        if ek is not None:
+            _accumulate(ek, merged(d_scores.swapaxes(-1, -2), split(q_data * c)))
 
     return _node(merged(weights, split(v.data)), (q, k, v), bw)
 
@@ -585,13 +654,18 @@ def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> T
     out_data = np.zeros((a.shape[0], w_shape[1]), dtype=np.float64)
     for w, rows in groups:
         out_data[rows] = a.data[rows] @ w.data
+    ea, shape = _slot(a), a.shape
+    kept = [(_slot(w), _kept(w.data, ea), rows) for w, rows in groups]
+    a_data = _kept(a.data, *(ew for ew, _, _ in kept))
 
     def bw(g):
-        buf = np.zeros(a.shape, dtype=np.float64)
-        for w, rows in groups:
-            buf[rows] = g[rows] @ w.data.T
-            _accumulate(w, a.data[rows].T @ g[rows])
-        _accumulate(a, buf)
+        buf = None if ea is None else np.zeros(shape, dtype=np.float64)
+        for ew, w_data, rows in kept:
+            if buf is not None:
+                buf[rows] = g[rows] @ w_data.T
+            if ew is not None:
+                _accumulate(ew, a_data[rows].T @ g[rows])
+        _accumulate(ea, buf)
 
     return _node(out_data, (a,) + tuple(w for w, _ in groups), bw)
 

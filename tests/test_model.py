@@ -317,15 +317,14 @@ def test_a_prefix_cache_hit_runs_no_patch_embed_and_no_prefix_block(toggles, mon
 
 
 def _recorded_nodes(out):
-    seen, stack, count = set(), [out], 0
+    """The tape entries reachable from ``out``: one per recorded node backward would run."""
+    seen, stack = set(), [out._entry]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        count += node._backward is not None
-        stack.extend(node._parents)
-    return count
+        entry = stack.pop()
+        if id(entry) not in seen:
+            seen.add(id(entry))
+            stack.extend(entry._parents)
+    return len(seen)
 
 
 def test_backbone_tape_size_is_independent_of_batch_size():
@@ -337,7 +336,7 @@ def test_backbone_tape_size_is_independent_of_batch_size():
         features = model._backbone(samples[:b])[0]
         assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
         counts[b] = _recorded_nodes(features)
-    assert len(set(counts.values())) == 1, counts
+    assert set(counts.values()) == {65}, counts  # the tiny config's backbone
 
 
 def test_step_tape_size_is_independent_of_batch_size():
@@ -345,7 +344,7 @@ def test_step_tape_size_is_independent_of_batch_size():
     model = Tracker(cfg)
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
-    assert len(set(counts.values())) == 1, counts
+    assert set(counts.values()) == {195}, counts  # the tiny config's whole step
 
 
 def _numpy_block(x, block):

@@ -391,15 +391,14 @@ def test_adapter_gradients_match_finite_differences():
 
 
 def _recorded_nodes(out):
-    seen, stack, count = set(), [out], 0
+    """The tape entries reachable from ``out``: one per recorded node backward would run."""
+    seen, stack = set(), [out._entry]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        count += node._backward is not None
-        stack.extend(node._parents)
-    return count
+        entry = stack.pop()
+        if id(entry) not in seen:
+            seen.add(id(entry))
+            stack.extend(entry._parents)
+    return len(seen)
 
 
 def test_adapter_tape_size_is_independent_of_expert_counts():
@@ -408,7 +407,7 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
         adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
-    assert len(counts) == 1, counts
+    assert counts == {26}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():

@@ -27,6 +27,18 @@ def test_same_seed_same_draws():
     np.testing.assert_array_equal(a.integers(0, 10, (20,)), b.integers(0, 10, (20,)))
 
 
+def test_scalar_uniform_draws_match_zero_d_draws_in_order():
+    scalar, zero_d = RngStream(1235), RngStream(1235)
+    for i in range(20_000):
+        low, high = -(i % 3), 1 + i % 5
+        value = scalar.uniform(low, high)
+        assert type(value) is float
+        assert value == zero_d.uniform(low, high, ()).item()
+        if i % 7 == 0:  # array draws in between keep both streams in step
+            np.testing.assert_array_equal(scalar.uniform(0, 1, (3,)), zero_d.uniform(0, 1, (3,)))
+            np.testing.assert_array_equal(scalar.normal(1.0, (2,)), zero_d.normal(1.0, (2,)))
+
+
 def test_child_streams_are_stable_and_distinct():
     root = RngStream(7)
     c1 = root.child("data")

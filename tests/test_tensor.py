@@ -1,11 +1,14 @@
 """Kernel-level checks: forward values, backward rules, documented error cases."""
 
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from pairtrack.errors import ContractError, ShapeError
+from pairtrack.harness.verify import unit_gradient_cases
 from pairtrack.numerics import (
     RngStream,
     Tensor,
@@ -167,7 +170,7 @@ def test_attention_shape_errors_and_no_grad():
     q = Tensor(np.ones((2, 5, 6)), requires_grad=True)
     with no_grad():
         out = attention(q, q, q, 2)
-    assert out._parents == () and not out.requires_grad
+    assert out._entry is None and not out.requires_grad
     np.testing.assert_allclose(out.data, 1.0, rtol=0, atol=1e-15)
 
 
@@ -203,10 +206,13 @@ def test_routed_matmul_groups_rows_by_weight():
     a = rng.uniform(-1, 1, (5, 3))
     weights = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for _ in range(3)]
     expert = np.array([2, 0, 2, 2, 0])
+    held = [sys.getrefcount(w) for w in weights]
     out = routed_matmul(constant(a), weights, expert)
     for i, n in enumerate(expert):
         np.testing.assert_allclose(out.data[i], a[i] @ weights[n].data, atol=1e-15)
-    assert weights[1] not in out._parents  # checked before backward consumes the links
+    # the tape holds each picked weight as its gradient slot, and nothing holds weight 1
+    now = [sys.getrefcount(w) for w in weights]
+    assert [n > h for n, h in zip(now, held)] == [True, False, True]
     backward(tsum(out))
     assert weights[1].grad is None  # never picked: not run, not a parent
     np.testing.assert_allclose(weights[0].grad, a[[1, 4]].T @ np.ones((2, 2)), atol=1e-15)
@@ -273,7 +279,7 @@ def test_no_grad_blocks_tape():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
         out = tsum(mul(w, w))
-    assert not out.requires_grad and out._backward is None
+    assert not out.requires_grad and out._entry is None
 
 
 def test_finite_diff_quadratic():
@@ -476,7 +482,7 @@ def test_gradients_that_alias_match_copying_accumulation(monkeypatch):
 
     def copying_accumulate(t, delta):
         # the reference rule: every first gradient is a private copy
-        if t.requires_grad:
+        if t is not None:
             t.grad = np.array(delta, dtype=np.float64) if t.grad is None else t.grad + delta
 
     monkeypatch.setattr(tensor_module, "_accumulate", copying_accumulate)
@@ -503,7 +509,9 @@ def test_backward_consumes_the_tape_and_keeps_leaf_gradients():
     s = nodes[1].data
     backward(nodes[-1])
     for node in nodes:
-        assert node.grad is None and not node._parents and node._backward is None
+        entry = node._entry
+        assert node.grad is None and entry.grad is None
+        assert entry._parents is None and entry._backward is None
     g_h = u * s * (1.0 - s)  # the closures' arithmetic, in their order
     np.testing.assert_array_equal(x.grad, g_h @ w.data.T)
     np.testing.assert_array_equal(w.grad, x.data.T @ g_h)
@@ -531,6 +539,68 @@ def test_backward_of_a_loss_without_a_tape_raises():
     with pytest.raises(ContractError):
         backward(loss)
     assert w.grad is None
+
+
+def _gradient_of(build, x0, u, poison, monkeypatch):
+    """x's gradient of sum(build(x) * u); with ``poison``, every kernel input of the
+    forward, x included, has its ``.data`` rebound to NaNs before the backward."""
+    import pairtrack.numerics.tensor as tensor_module
+
+    inputs = []
+    record = tensor_module._node
+
+    def recording_node(data, parents, bw):
+        inputs.extend(parents)
+        return record(data, parents, bw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_module, "_node", recording_node)
+        x = Tensor(x0, requires_grad=True)
+        loss = tsum(mul(build(x), constant(u)))
+    if poison:
+        for t in inputs:
+            t.data = np.full(t.shape, np.nan)
+    backward(loss)
+    return x.grad
+
+
+@pytest.mark.parametrize("case", unit_gradient_cases(), ids=lambda case: case[0])
+def test_backward_reads_only_arrays_captured_at_forward_time(case, monkeypatch):
+    _, build, shape, low, high = case
+    rng = RngStream(440)
+    x0 = rng.uniform(low, high, shape)
+    with no_grad():
+        u = rng.uniform(-1, 1, build(Tensor(x0)).shape)
+    clean = _gradient_of(build, x0, u, False, monkeypatch)
+    poisoned = _gradient_of(build, x0, u, True, monkeypatch)
+    assert np.all(np.isfinite(clean))
+    assert poisoned.tobytes() == clean.tobytes()
+
+
+def test_the_tape_frees_inputs_that_no_gradient_reads():
+    rng = RngStream(450)
+    x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    frozen = constant(rng.uniform(-1, 1, (3, 2)))
+    trained = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+
+    def dropped_input(op):
+        """op's output, and a weak reference to its intermediate input's array."""
+        h = smul(x, 2.0)
+        return op(h), weakref.ref(h.data)
+
+    by_add, add_in = dropped_input(lambda h: add(h, constant(np.ones((4, 3)))))
+    by_frozen, frozen_in = dropped_input(lambda h: matmul(h, frozen))
+    by_trained, trained_in = dropped_input(lambda h: matmul(h, trained))
+    # add's gradient reads no input, and a frozen weight needs none, so neither keeps its
+    # input; a trainable weight's gradient reads the input rows
+    assert (add_in(), frozen_in()) == (None, None)
+    rows = trained_in()
+    assert rows is not None
+    np.testing.assert_array_equal(rows, 2.0 * x.data)
+    backward(add(add(tsum(by_add), tsum(by_frozen)), tsum(by_trained)))
+    np.testing.assert_array_equal(trained.grad, rows.T @ np.ones((4, 2)))
+    del rows
+    assert trained_in() is None  # the walk let go of it
 
 
 def test_finite_outputs_on_extreme_logits():

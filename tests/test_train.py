@@ -142,22 +142,37 @@ def test_train_without_logged_eval_builds_no_eval_set(monkeypatch):
 
 @pytest.mark.parametrize("n_train, entries", [(8, 2), (6, 3), (3, 1)])
 def test_train_keeps_one_prefix_entry_per_distinct_batch(n_train, entries, monkeypatch):
-    caches = []
+    caches, sizes = [], []
     forward = Tracker.forward
 
     def spy(self, samples, prefix_cache=None):
         caches.append(prefix_cache)
+        sizes.append(None if prefix_cache is None else len(prefix_cache))
         return forward(self, samples, prefix_cache)
 
     monkeypatch.setattr(Tracker, "forward", spy)
     cfg = tiny_config(seed=18, steps=6, batch_size=4, n_train=n_train)
     train(cfg, eval_each_log=False)
-    # the initial and final evaluations pass no cache; every step passes the same one
+    # the initial evaluation passes no cache; every step and the final evaluation pass
+    # the same one
     batches = -(-n_train // 4)
-    assert caches[:batches] == [None] * batches and caches[-batches:] == [None] * batches
-    steps = caches[batches:-batches]
-    assert len(steps) == cfg.steps and all(c is steps[0] for c in steps)
-    assert len(steps[0]) == entries
+    assert caches[:batches] == [None] * batches
+    passes = caches[batches:]
+    assert len(passes) == cfg.steps + batches and all(c is passes[0] for c in passes)
+    # the steps leave one entry per distinct batch; the final evaluation hits them and
+    # adds only a chunk no step ran, the 2 last samples when n_train is 6
+    assert sizes[batches + cfg.steps] == entries
+    assert len(passes[0]) == entries + (n_train == 6)
+
+
+@pytest.mark.parametrize("toggles", ["default", "baseline"])
+def test_final_evaluation_through_the_cache_matches_an_uncached_one(toggles):
+    cfg = tiny_config(seed=19, steps=4, batch_size=2, n_train=4)
+    if toggles == "baseline":
+        cfg = cfg.with_toggles(False, False, False, False)
+    result = train(cfg, eval_each_log=False)
+    fresh = evaluate(result.model, generate_dataset(cfg, cfg.n_train, "data"))
+    assert result.final_loss == fresh.total
 
 
 def test_train_record_usage_accounts_batch_tokens():
@@ -242,6 +257,11 @@ def traced_default_step():
         return tape, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_tape_holds_only_what_backward_reads(traced_default_step):
+    tape, _ = traced_default_step
+    assert tape <= 26 * 2**20, f"the forward tape holds {tape / 2**20:.1f} MiB"
 
 
 def test_backward_frees_the_tape_as_it_walks(traced_default_step):
