@@ -116,9 +116,9 @@ def _slot(t: Tensor) -> _Entry | Tensor | None:
     return t if t.requires_grad else None
 
 
-def _kept(values: np.ndarray, *slots) -> np.ndarray | None:
-    """``values`` if a gradient reads them, for one of ``slots`` that needs it; else None."""
-    return values if any(s is not None for s in slots) else None
+def _kept(values: np.ndarray, slot: _Entry | Tensor | None) -> np.ndarray | None:
+    """``values`` if ``slot`` needs the gradient that reads them; else None."""
+    return None if slot is None else values
 
 
 def _accumulate(slot: _Entry | Tensor | None, delta: np.ndarray) -> None:
@@ -140,11 +140,13 @@ def _node(
     parents: tuple[Tensor, ...],
     backward: Callable[[np.ndarray], None],
 ) -> Tensor:
-    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
+    out = Tensor(data)
+    if _GRAD_ENABLED.get():
         # leaves and constants are sinks of the walk, so leaving them out keeps its order
-        out._entry = _Entry(tuple(p._entry for p in parents if p._entry is not None), backward)
+        entries = tuple([p._entry for p in parents if p._entry is not None])
+        if entries or any([p.requires_grad for p in parents]):  # a leaf that trains has no entry
+            out.requires_grad = True
+            out._entry = _Entry(entries, backward)
     return out
 
 
@@ -539,11 +541,11 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of a [..., D] tensor."""
     if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:
         raise ShapeError(f"add_rowvec: got {a.shape} and {v.shape}")
-    ea, ev, n = _slot(a), _slot(v), v.shape[0]
+    ea, ev = _slot(a), _slot(v)
 
     def bw(g):
         _accumulate(ea, g)
-        _accumulate(ev, np.sum(g.reshape(-1, n), axis=0))
+        _accumulate(ev, np.sum(g.reshape(-1, g.shape[-1]), axis=0))
 
     return _node(a.data + v.data, (a, v), bw)
 
@@ -575,17 +577,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _node(a.data @ b.data, (a, b), bw_batched)
 
     k, n = b.shape
-    a_shape = a.shape
 
-    def bw(g):
-        g_rows = g.reshape(-1, n)
+    def bw(g):  # g is [..., M, N], so a is [..., M, K]
+        g_rows = g.reshape(-1, g.shape[-1])
         if ea is not None:
-            _accumulate(ea, (g_rows @ b_data.T).reshape(a_shape))
+            _accumulate(ea, (g_rows @ b_data.T).reshape(g.shape[:-1] + b_data.shape[:1]))
         if eb is not None:
-            _accumulate(eb, a_data.reshape(-1, k).T @ g_rows)
+            _accumulate(eb, a_data.reshape(-1, a_data.shape[-1]).T @ g_rows)
 
     # one matrix product for the whole stack
-    return _node((a.data.reshape(-1, k) @ b.data).reshape(a_shape[:-1] + (n,)), (a, b), bw)
+    return _node((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -599,7 +600,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     c = 1.0 / np.sqrt(q.shape[-1] // heads)
     eq, ek, ev = _slot(q), _slot(k), _slot(v)
     shape = q.shape
-    q_data, k_data, v_data = _kept(q.data, ek), _kept(k.data, eq), _kept(v.data, eq, ek)
+    q_data, k_data = _kept(q.data, ek), _kept(k.data, eq)
+    v_data = None if eq is None and ek is None else v.data
 
     def split(t: np.ndarray) -> np.ndarray:  # [..., T, D] -> [..., H, T, d] view
         return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
@@ -656,7 +658,7 @@ def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> T
         out_data[rows] = a.data[rows] @ w.data
     ea, shape = _slot(a), a.shape
     kept = [(_slot(w), _kept(w.data, ea), rows) for w, rows in groups]
-    a_data = _kept(a.data, *(ew for ew, _, _ in kept))
+    a_data = a.data if any(ew is not None for ew, _, _ in kept) else None
 
     def bw(g):
         buf = None if ea is None else np.zeros(shape, dtype=np.float64)
