@@ -33,7 +33,7 @@ PLACEMENT_MARGIN = 0.12
 MAX_PLACEMENT_TRIES = 40
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality and hash: a sample keys the prefix cache
 class SyntheticSample:
     template_r: np.ndarray
     template_x: np.ndarray

@@ -297,20 +297,19 @@ class Tracker:
                        cache: dict) -> tuple[Tensor, list[Tensor]]:
         """The frozen prefix of ``batch``, computed on its first call and read-only.
 
-        The key is the samples' identities, in batch order. An entry keeps its
-        samples alive, so no other sample can take over their ids while the
-        cache lives, and nothing needs invalidating: the prefix reads only the
-        samples and frozen weights.
+        The key is the batch's samples, in order; they compare by identity.
+        Nothing needs invalidating: the prefix reads only the samples and
+        frozen weights.
         """
-        key = tuple(map(id, batch))
+        key = tuple(batch)
         if key not in cache:
             tokens, levels = self._frozen_prefix(batch)
             if tokens.requires_grad:
                 raise ContractError("prefix cache: the backbone prefix has trainable weights")
             for t in (tokens, *levels):
                 t.data.flags.writeable = False
-            cache[key] = (batch, tokens, tuple(levels))
-        _, tokens, levels = cache[key]
+            cache[key] = (tokens, tuple(levels))
+        tokens, levels = cache[key]
         return tokens, list(levels)  # a fresh list: the pass appends its own taps
 
     def _tapped(self, i: int) -> bool:
@@ -391,10 +390,11 @@ class Tracker:
         coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
         raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)
         # center = soft-argmax plus a bounded learned correction; size from MLP
+        squashed = sigmoid(raw)
         half = constant(np.full(coords.shape, 0.5))
-        correction = smul(sub(sigmoid(slice_cols(raw, 0, 2)), half), CENTER_CORRECTION)
+        correction = smul(sub(slice_cols(squashed, 0, 2), half), CENTER_CORRECTION)
         centers = add(coords, correction)
-        sizes = sigmoid(slice_cols(raw, 2, 4))
+        sizes = slice_cols(squashed, 2, 4)
         return reshape(concat([centers, sizes], axis=-1), (n, 4)), center
 
 

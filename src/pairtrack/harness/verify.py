@@ -101,6 +101,7 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
     vec = rng.uniform(-1, 1, (4,))
     other = rng.uniform(-2, 2, (5, 4))
     idx_rows = np.array([2, 0, 4, 1])
+    idx_repeated = np.array([2, 0, 2, 1])  # a repeated row takes the np.add.at path
     idx_cols = np.array([[0, 2], [1, 1], [3, 0], [2, 3], [0, 1]])
     squares = rng.uniform(-1, 1, (2, 4, 4))
     # weight 2 is never picked; x is both the routed input and weight 0
@@ -151,6 +152,8 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("attention", lambda x: attention(x, x, x, 2), (2, 5, 4), -2, 2),
         ("attention_keys", lambda x: attention(constant(stack), x, constant(stack), 2),
          (2, 5, 4), -2, 2),
+        ("gather_rows_repeated", lambda x: gather_rows(x, idx_repeated), (4, 3), -2, 2),
+        ("scale_scalar_factor", lambda x: scale(constant(other), x), (), -2, 2),
     ]
 
 

@@ -2,17 +2,19 @@
 
 Every operation runs in double precision on contiguous row-major numpy
 arrays and, when gradients are enabled, gives its output a tape entry: a
-gradient slot, the entries of the parents that need a gradient, and a
-backward closure. ``backward`` replays the tape in a fixed topological
-order, so gradient accumulation is deterministic for a given forward pass.
-It consumes the tape as it goes: only leaves keep gradients, and a second
-pass through a consumed entry is a ``ContractError``.
+gradient slot, its parents' gradient slots and a backward closure.
+``backward`` replays the tape in a fixed topological order, so gradient
+accumulation is deterministic for a given forward pass. It consumes the
+tape as it goes: only leaves keep gradients, and a second pass through a
+consumed entry is a ``ContractError``.
 
-Entries link only to entries, never to a Tensor, and a leaf that requires
-grad is its own gradient slot. Each closure captures, at forward time, only
-the arrays its formula reads, and only when the input whose gradient reads
-them needs one. So an intermediate array goes free as soon as the model
-code drops its Tensor, unless a backward formula holds it.
+A parent's gradient slot is its entry, the parent itself when it is a leaf
+that requires grad, or None; so an entry never links to an intermediate
+Tensor. ``_node`` looks the slots up once, and ``backward`` hands them to
+the closure with the gradient. A kernel decides at forward time only which
+arrays its closure keeps: those its formula reads, and only when the input
+whose gradient reads them needs one. So an intermediate array goes free as
+soon as the model code drops its Tensor, unless a backward formula holds it.
 
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
@@ -59,15 +61,20 @@ def _as_f64(values) -> np.ndarray:
 
 
 class _Entry:
-    """A recorded output's place on the tape; it holds no array of the forward pass."""
+    """A recorded output's place on the tape; it holds no array of the forward pass.
+
+    ``_parents`` holds each parent's gradient slot in parent order: an entry, a
+    leaf that requires grad, or None. The closure takes the gradient, then them.
+    """
 
     __slots__ = ("grad", "_owns_grad", "_parents", "_backward")
 
-    def __init__(self, parents: tuple[_Entry, ...], backward: Callable[[np.ndarray], None]):
+    def __init__(self, parents: tuple[_Entry | Tensor | None, ...],
+                 backward: Callable[..., None]):
         self.grad: np.ndarray | None = None
         self._owns_grad = False
-        self._parents: tuple[_Entry, ...] | None = parents  # None once backward consumed it
-        self._backward: Callable[[np.ndarray], None] | None = backward
+        self._parents: tuple[_Entry | Tensor | None, ...] | None = parents  # None once consumed
+        self._backward: Callable[..., None] | None = backward
 
 
 class Tensor:
@@ -109,18 +116,6 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _slot(t: Tensor) -> _Entry | Tensor | None:
-    """Where t's gradient goes: its tape entry, t itself as a leaf that needs one, or nowhere."""
-    if t._entry is not None:
-        return t._entry
-    return t if t.requires_grad else None
-
-
-def _kept(values: np.ndarray, slot: _Entry | Tensor | None) -> np.ndarray | None:
-    """``values`` if ``slot`` needs the gradient that reads them; else None."""
-    return None if slot is None else values
-
-
 def _accumulate(slot: _Entry | Tensor | None, delta: np.ndarray) -> None:
     if slot is None:
         return
@@ -138,15 +133,19 @@ def _accumulate(slot: _Entry | Tensor | None, delta: np.ndarray) -> None:
 def _node(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
-    backward: Callable[[np.ndarray], None],
+    backward: Callable[..., None],
 ) -> Tensor:
+    """``data`` as a Tensor, recorded with ``backward(grad, *slots)`` if a parent needs a gradient.
+
+    The entry stores each parent's gradient slot, so no kernel looks one up.
+    """
     out = Tensor(data)
     if _GRAD_ENABLED.get():
-        # leaves and constants are sinks of the walk, so leaving them out keeps its order
-        entries = tuple([p._entry for p in parents if p._entry is not None])
-        if entries or any([p.requires_grad for p in parents]):  # a leaf that trains has no entry
+        # a parent's gradient slot: its entry, itself as a leaf that trains, or None
+        slots = tuple([(p._entry or p) if p.requires_grad else None for p in parents])
+        if slots.count(None) != len(slots):
             out.requires_grad = True
-            out._entry = _Entry(entries, backward)
+            out._entry = _Entry(slots, backward)
     return out
 
 
@@ -154,11 +153,12 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf, consuming the tape.
 
     The loss must be a scalar with a tape. Traversal order is a fixed
-    depth-first topological sort, so accumulation order is deterministic. Each
-    entry drops its gradient, parents and closure once the walk passes it, so
-    the gradient and the arrays its closure held go free mid-walk; a later
-    backward that reaches a consumed entry raises ``ContractError`` before it
-    accumulates anything.
+    depth-first topological sort of the entries (leaves and constants are its
+    sinks), so accumulation order is deterministic. Each closure gets its
+    entry's gradient and parent slots. The entry drops its gradient, slots and
+    closure once the walk passes it, so the gradient and the arrays its
+    closure held go free mid-walk; a later backward that reaches a consumed
+    entry raises ``ContractError`` before it accumulates anything.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -183,13 +183,13 @@ def backward(loss: Tensor) -> None:
         seen.add(id(entry))
         stack.append((entry, True))
         for parent in reversed(entry._parents):
-            if id(parent) not in seen:
+            if type(parent) is _Entry and id(parent) not in seen:
                 stack.append((parent, False))
     _accumulate(root, np.ones((), dtype=np.float64))
     while topo:  # popping keeps no reference to a passed entry, so its buffers can go free
         entry = topo.pop()
         if entry.grad is not None:
-            entry._backward(entry.grad)
+            entry._backward(entry.grad, *entry._parents)
         entry.grad, entry._parents, entry._backward = None, None, None
 
 
@@ -205,9 +205,8 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
-    ea, eb = _slot(a), _slot(b)
 
-    def bw(g):
+    def bw(g, ea, eb):
         _accumulate(ea, g)
         _accumulate(eb, g)
 
@@ -216,9 +215,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    ea, eb = _slot(a), _slot(b)
 
-    def bw(g):
+    def bw(g, ea, eb):
         _accumulate(ea, g)
         _accumulate(eb, -g)
 
@@ -227,10 +225,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
-    ea, eb = _slot(a), _slot(b)
-    a_data, b_data = _kept(a.data, eb), _kept(b.data, ea)
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def bw(g):
+    def bw(g, ea, eb):
         if ea is not None:
             _accumulate(ea, g * b_data)
         if eb is not None:
@@ -242,10 +240,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on ties the gradient flows to ``a``."""
     _require_same_shape(a, b, "maximum")
-    ea, eb = _slot(a), _slot(b)
     pick_a = a.data >= b.data
 
-    def bw(g):
+    def bw(g, ea, eb):
         _accumulate(ea, g * pick_a)
         _accumulate(eb, g * (~pick_a))
 
@@ -255,10 +252,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; on ties the gradient flows to ``a``."""
     _require_same_shape(a, b, "minimum")
-    ea, eb = _slot(a), _slot(b)
     pick_a = a.data <= b.data
 
-    def bw(g):
+    def bw(g, ea, eb):
         _accumulate(ea, g * pick_a)
         _accumulate(eb, g * (~pick_a))
 
@@ -268,9 +264,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 def smul(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
     c = float(c)
-    ea = _slot(a)
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g * c)
 
     return _node(a.data * c, (a,), bw)
@@ -283,12 +278,12 @@ def scale(a: Tensor, s: Tensor) -> Tensor:
     """
     if s.shape != a.shape[:s.ndim]:
         raise ShapeError(f"scale: factor shape {s.shape} does not lead {a.shape}")
-    ea, es = _slot(a), _slot(s)
     s_shape = s.shape
     factor = s.data.reshape(s_shape + (1,) * (a.ndim - s.ndim))
-    kept_factor, a_data = _kept(factor, ea), _kept(a.data, es)
+    kept_factor = factor if a.requires_grad else None
+    a_data = a.data if s.requires_grad else None
 
-    def bw(g):
+    def bw(g, ea, es):
         if ea is not None:
             _accumulate(ea, g * kept_factor)
         if es is not None:
@@ -298,10 +293,9 @@ def scale(a: Tensor, s: Tensor) -> Tensor:
 
 
 def reciprocal(a: Tensor) -> Tensor:
-    ea = _slot(a)
     out_data = 1.0 / a.data
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, -g * out_data * out_data)
 
     return _node(out_data, (a,), bw)
@@ -309,18 +303,18 @@ def reciprocal(a: Tensor) -> Tensor:
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    ea, x = _slot(a), a.data
+    x = a.data
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g * p * x ** (p - 1.0))
 
     return _node(x**p, (a,), bw)
 
 
 def log(a: Tensor) -> Tensor:
-    ea, x = _slot(a), a.data
+    x = a.data
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g / x)
 
     return _node(np.log(x), (a,), bw)
@@ -328,10 +322,9 @@ def log(a: Tensor) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     """Elementwise |x| with subgradient 0 at x = 0."""
-    ea = _slot(a)
     sign = np.sign(a.data)
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g * sign)
 
     return _node(np.abs(a.data), (a,), bw)
@@ -339,10 +332,9 @@ def absolute(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is zero where the clip is active."""
-    ea = _slot(a)
     inside = (a.data > lo) & (a.data < hi)
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g * inside)
 
     return _node(np.clip(a.data, lo, hi), (a,), bw)
@@ -359,10 +351,9 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    ea = _slot(a)
     out_data = _logistic(a.data)
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g * out_data * (1.0 - out_data))
 
     return _node(out_data, (a,), bw)
@@ -370,10 +361,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    ea, x = _slot(a), a.data
+    x = a.data
     sig = _logistic(x)
 
-    def bw(g):
+    def bw(g, ea):
         d = x * sig
         d *= 1.0 - sig
         d += sig
@@ -392,9 +383,9 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None) or along one axis."""
     if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} invalid for shape {a.shape}")
-    ea, shape = _slot(a), a.shape
+    shape = a.shape
 
-    def bw(g):
+    def bw(g, ea):
         g = g if axis is None else np.expand_dims(g, axis)
         _accumulate(ea, np.broadcast_to(g, shape).copy())
 
@@ -411,12 +402,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
     ax = axis % a.ndim
-    ea = _slot(a)
     out_data = a.data - np.max(a.data, axis=ax, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= np.sum(out_data, axis=ax, keepdims=True)
 
-    def bw(g):
+    def bw(g, ea):
         inner = np.sum(g * out_data, axis=ax, keepdims=True)
         _accumulate(ea, out_data * (g - inner))
 
@@ -432,9 +422,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    ea, original = _slot(a), a.shape
+    original = a.shape
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, g.reshape(original))
 
     return _node(a.data.reshape(shape), (a,), bw)
@@ -444,9 +434,8 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes of a [..., M, N] tensor."""
     if a.ndim < 2:
         raise ShapeError(f"transpose expects at least two axes, got shape {a.shape}")
-    ea = _slot(a)
 
-    def bw(g):
+    def bw(g, ea):
         _accumulate(ea, np.swapaxes(g, -1, -2))
 
     return _node(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bw)
@@ -469,9 +458,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 )
     sizes = [t.shape[ax] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    slots = [_slot(t) for t in tensors]
 
-    def bw(g):
+    def bw(g, *slots):
         for slot, start, stop in zip(slots, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * ndim
             idx[ax] = slice(start, stop)
@@ -486,9 +474,9 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError("slice_cols expects at least one axis, got a scalar")
     if not 0 <= start < stop <= a.shape[-1]:
         raise ShapeError(f"slice_cols: range [{start}, {stop}) invalid for {a.shape}")
-    ea, shape = _slot(a), a.shape
+    shape = a.shape
 
-    def bw(g):
+    def bw(g, ea):
         buf = np.zeros(shape, dtype=np.float64)
         buf[..., start:stop] = g
         _accumulate(ea, buf)
@@ -503,9 +491,9 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError("gather_rows expects a matrix and a 1-D index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    ea, shape = _slot(a), a.shape
+    shape = a.shape
 
-    def bw(g):
+    def bw(g, ea):
         # a row's first pick is assigned and its later picks are added in pick
         # order; np.add.at alone is an order of magnitude slower on distinct rows
         first = np.unique(idx, return_index=True)[1]
@@ -526,10 +514,10 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError("gather_cols expects a matrix and a [rows, k] index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
         raise ShapeError(f"gather_cols: index out of range for {a.shape[1]} columns")
-    ea, shape = _slot(a), a.shape
+    shape = a.shape
     rows = np.arange(shape[0])[:, None]
 
-    def bw(g):
+    def bw(g, ea):
         buf = np.zeros(shape, dtype=np.float64)
         np.add.at(buf, (np.broadcast_to(rows, idx.shape), idx), g)
         _accumulate(ea, buf)
@@ -541,9 +529,8 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of a [..., D] tensor."""
     if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:
         raise ShapeError(f"add_rowvec: got {a.shape} and {v.shape}")
-    ea, ev = _slot(a), _slot(v)
 
-    def bw(g):
+    def bw(g, ea, ev):
         _accumulate(ea, g)
         _accumulate(ev, np.sum(g.reshape(-1, g.shape[-1]), axis=0))
 
@@ -565,10 +552,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects stacked matrices, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    ea, eb = _slot(a), _slot(b)
-    a_data, b_data = _kept(a.data, eb), _kept(b.data, ea)
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
     if b.ndim > 2:
-        def bw_batched(g):
+        def bw_batched(g, ea, eb):
             if ea is not None:
                 _accumulate(ea, g @ np.swapaxes(b_data, -1, -2))
             if eb is not None:
@@ -578,7 +565,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     k, n = b.shape
 
-    def bw(g):  # g is [..., M, N], so a is [..., M, K]
+    def bw(g, ea, eb):  # g is [..., M, N], so a is [..., M, K]
         g_rows = g.reshape(-1, g.shape[-1])
         if ea is not None:
             _accumulate(ea, (g_rows @ b_data.T).reshape(g.shape[:-1] + b_data.shape[:1]))
@@ -598,10 +585,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     c = 1.0 / np.sqrt(q.shape[-1] // heads)
-    eq, ek, ev = _slot(q), _slot(k), _slot(v)
     shape = q.shape
-    q_data, k_data = _kept(q.data, ek), _kept(k.data, eq)
-    v_data = None if eq is None and ek is None else v.data
+    q_data = q.data if k.requires_grad else None
+    k_data = k.data if q.requires_grad else None
+    v_data = v.data if q.requires_grad or k.requires_grad else None
 
     def split(t: np.ndarray) -> np.ndarray:  # [..., T, D] -> [..., H, T, d] view
         return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
@@ -616,7 +603,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     np.exp(weights, out=weights)
     weights /= np.sum(weights, axis=-1, keepdims=True)
 
-    def bw(g):
+    def bw(g, eq, ek, ev):
         g_h = split(g)
         if ev is not None:
             _accumulate(ev, merged(weights.swapaxes(-1, -2), g_h))
@@ -656,13 +643,13 @@ def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> T
     out_data = np.zeros((a.shape[0], w_shape[1]), dtype=np.float64)
     for w, rows in groups:
         out_data[rows] = a.data[rows] @ w.data
-    ea, shape = _slot(a), a.shape
-    kept = [(_slot(w), _kept(w.data, ea), rows) for w, rows in groups]
-    a_data = a.data if any(ew is not None for ew, _, _ in kept) else None
+    shape = a.shape
+    kept = [(w.data if a.requires_grad else None, rows) for w, rows in groups]
+    a_data = a.data if any([w.requires_grad for w, _ in groups]) else None
 
-    def bw(g):
+    def bw(g, ea, *ews):
         buf = None if ea is None else np.zeros(shape, dtype=np.float64)
-        for ew, w_data, rows in kept:
+        for ew, (w_data, rows) in zip(ews, kept):
             if buf is not None:
                 buf[rows] = g[rows] @ w_data.T
             if ew is not None:

@@ -157,3 +157,49 @@ def test_main_counts_a_failed_output_check_and_exits_1(tmp_path, monkeypatch):
     assert record["all_correct"] is False
     assert workload["summary"]["peak_rss_mb"]["pairs_change_better"] == 1
     assert record["claim"]["met"] is False  # the broken pair counts as not won
+
+
+def _traced_stdout(side, nodes, recorded, unit_ms):
+    """A traced perfbench run as printed: per-span lines, then the result line."""
+    env = {"workload": "train_default", "seed": 1, "git_sha": side * 8, "trace": 1}
+    metrics = {"latency_ms.p90": {"value": 80.0, "unit": "ms"},
+               "peak_rss_mb": {"value": 70.0, "unit": "MiB"},
+               "model.block.calls": {"value": 0.775, "unit": "count"},
+               "tape.nodes_per_sample": {"value": nodes, "unit": "count"},
+               "tape.recorded_per_sample": {"value": recorded, "unit": "count"},
+               "trace.unit_ms": {"value": unit_ms, "unit": "ms"},
+               "trace.coverage_pct": {"value": 97.0, "unit": "%"}}
+    result = {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics}
+    return "\n".join(["env " + json.dumps(env),
+                      f"{'tape.nodes_per_sample':40s} {nodes:16.6f} count",
+                      json.dumps(result), ""])
+
+
+def test_traced_summary_pairs_the_tape_and_trace_figures_of_both_sides():
+    traced = {"parent": bench_pairs.parse_run(_traced_stdout("p", 69.675, 68.75, 56.8)),
+              "change": bench_pairs.parse_run(_traced_stdout("c", 69.425, 68.5, 55.1))}
+    assert bench_pairs.traced_summary(traced) == {
+        "tape.nodes_per_sample": [69.675, 69.425],
+        "tape.recorded_per_sample": [68.75, 68.5],
+        "trace.unit_ms": [56.8, 55.1],
+    }
+    # a traced run that failed its output check prints no metrics
+    traced["change"]["result"]["metrics"] = {}
+    assert bench_pairs.traced_summary(traced)["trace.unit_ms"] == [56.8, None]
+
+
+def test_main_records_the_traced_summary_per_workload(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "SEEDS", (1001,))
+    args = _checkouts(tmp_path)
+    figures = {"parent": (238, 0, 9.5), "change": (237, 0, 9.25)}
+    for side, (nodes, recorded, unit_ms) in figures.items():
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            "import sys\n"
+            f"print({_traced_stdout(side[0], nodes, recorded, unit_ms)!r})\n")
+    assert bench_pairs.main(args) == 0
+    record = json.loads((tmp_path / "BENCH.json").read_text())
+    assert record["workloads"]["train_default"]["traced_summary"] == {
+        "tape.nodes_per_sample": [238, 237],
+        "tape.recorded_per_sample": [0, 0],
+        "trace.unit_ms": [9.5, 9.25],
+    }

@@ -261,7 +261,7 @@ def test_cached_prefix_stays_read_only_and_unchanged_through_training_steps(togg
     samples = generate_dataset(cfg, 4, "prefix")
     cache = {}
     _step(model, samples, cache)
-    (_, tokens, levels), = cache.values()
+    (tokens, levels), = cache.values()
     stored = [tokens, *levels]
     assert len(stored) == (1 if toggles == "default" else 1 + len(cfg.level_taps))
     before = [t.data.copy() for t in stored]
@@ -323,7 +323,7 @@ def _recorded_nodes(out):
         entry = stack.pop()
         if id(entry) not in seen:
             seen.add(id(entry))
-            stack.extend(entry._parents)
+            stack.extend(s for s in entry._parents if s is not None and not isinstance(s, Tensor))
     return len(seen)
 
 
@@ -344,7 +344,7 @@ def test_step_tape_size_is_independent_of_batch_size():
     model = Tracker(cfg)
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
-    assert set(counts.values()) == {195}, counts  # the tiny config's whole step
+    assert set(counts.values()) == {194}, counts  # the tiny config's whole step
 
 
 def _numpy_block(x, block):

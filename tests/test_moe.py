@@ -397,7 +397,7 @@ def _recorded_nodes(out):
         entry = stack.pop()
         if id(entry) not in seen:
             seen.add(id(entry))
-            stack.extend(entry._parents)
+            stack.extend(s for s in entry._parents if s is not None and not isinstance(s, Tensor))
     return len(seen)
 
 

@@ -517,6 +517,31 @@ def test_backward_consumes_the_tape_and_keeps_leaf_gradients():
     np.testing.assert_array_equal(w.grad, x.data.T @ g_h)
 
 
+def test_an_entry_holds_its_parents_slots_in_order_and_hands_them_to_its_closure():
+    rng = RngStream(435)
+    c = rng.uniform(-1, 1, (2, 3))
+    w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    inner = mul(constant(c), w)
+    outer = add(inner, w)
+    slots = {"inner": inner._entry._parents, "outer": outer._entry._parents}
+    # a constant has no slot, a leaf that trains is its own, and a recorded output's is its entry
+    assert len(slots["inner"]) == 2 and slots["inner"][0] is None and slots["inner"][1] is w
+    assert len(slots["outer"]) == 2
+    assert slots["outer"][0] is inner._entry and slots["outer"][1] is w
+    received = []
+    for name, entry in (("inner", inner._entry), ("outer", outer._entry)):
+        def spy(g, *given, name=name, closure=entry._backward):
+            received.append((name, given))
+            closure(g, *given)
+
+        entry._backward = spy
+    backward(tsum(outer))
+    assert [name for name, _ in received] == ["outer", "inner"]
+    for name, given in received:
+        assert len(given) == 2 and all(a is b for a, b in zip(given, slots[name])), name
+    np.testing.assert_array_equal(w.grad, c + 1.0)
+
+
 def test_second_backward_through_a_consumed_tape_raises_and_changes_nothing():
     (x, w), nodes, _ = _small_graph()
     backward(nodes[-1])

@@ -1,5 +1,6 @@
 """Training loop, evaluation metrics, frozen-backbone contract."""
 
+import gc
 import importlib
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from pairtrack.harness import (
     usage_entropy,
 )
 from pairtrack.harness.model import ForwardOutput, gaussian_center_map
+from pairtrack.harness.train import _batch_loss
 from pairtrack.losses import Box, box_iou
 from pairtrack.numerics import backward, constant, mean
 
@@ -267,6 +269,39 @@ def test_the_tape_holds_only_what_backward_reads(traced_default_step):
 def test_backward_frees_the_tape_as_it_walks(traced_default_step):
     tape, peak = traced_default_step
     assert peak <= 1.05 * tape, f"backward peaked at {peak / tape:.2f}x the forward tape"
+
+
+@pytest.mark.parametrize("toggles", ["default", "baseline"])
+def test_a_cached_step_keeps_few_tracked_objects_per_recorded_node(toggles, monkeypatch):
+    """The collector runs once per 700 net new tracked objects, so a step's tape sets how
+    often it runs inside training steps: a budget per recorded node bounds that."""
+    cfg = RunConfig(seed=3)
+    if toggles == "baseline":
+        cfg = cfg.with_toggles(False, False, False, False)
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, cfg.n_train, "data")[:cfg.batch_size]
+    cache = {}
+    _batch_loss(model, samples, 0, cache)  # fills the prefix cache
+    tensor_module = importlib.import_module("pairtrack.numerics.tensor")
+    node, recorded = tensor_module._node, [0]
+
+    def counted(data, parents, bw):
+        out = node(data, parents, bw)
+        recorded[0] += out.requires_grad
+        return out
+
+    monkeypatch.setattr(tensor_module, "_node", counted)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        step = _batch_loss(model, samples, 1, cache)
+        alive = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert recorded[0] > 0 and step[0].requires_grad
+    per_node = alive / recorded[0]
+    assert per_node <= 6.5, f"{alive} tracked objects for {recorded[0]} nodes: {per_node:.2f}"
 
 
 def test_training_steps_do_not_overlap_their_tapes(traced_default_step):

@@ -11,9 +11,11 @@ change first. It then makes one traced run per side per workload at
 checkout's ``BENCHMARK.json``. Each metric's summary gives both sides'
 quartiles, the pairs the change wins and loses, the relative change of the
 median, the parent's quartile spread, whether the change is worse than the
-bound, and whether the parent's spread is too wide to tell. A run whose
-output check failed (``"correct": false``) is counted per side; the record
-then says ``"all_correct": false`` and the tool exits 1. Standard library only.
+bound, and whether the parent's spread is too wide to tell. Each workload's
+``traced_summary`` gives ``[parent, change]`` for the traced runs' tape and
+trace figures (``TRACED_METRICS``). A run whose output check failed
+(``"correct": false``) is counted per side; the record then says
+``"all_correct": false`` and the tool exits 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SEEDS = tuple(range(1001, 1011))
 TRACE_SEED = 1
+TRACED_METRICS = ("tape.nodes_per_sample", "tape.recorded_per_sample", "trace.unit_ms")
 
 
 def parse_run(stdout: str) -> dict:
@@ -87,6 +90,13 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "unresolved": spread > spec["bound"] and not separated,
         }
     return summary
+
+
+def traced_summary(traced: dict) -> dict:
+    """``{metric: [parent, change]}`` over ``TRACED_METRICS``; None where a run lacks it."""
+    return {name: [traced[side]["result"]["metrics"].get(name, {}).get("value")
+                   for side in SIDES]
+            for name in TRACED_METRICS}
 
 
 def failed(pairs: list[dict], side: str) -> str:
@@ -166,8 +176,9 @@ def main(argv=None) -> int:
             "met": claim_met(stats, len(SEEDS)),
         }
     for workload in names:
-        record[f"traced_{workload}_seed{TRACE_SEED}"] = {
-            side: run(side, workload, TRACE_SEED, 1) for side in SIDES}
+        traced = {side: run(side, workload, TRACE_SEED, 1) for side in SIDES}
+        record[f"traced_{workload}_seed{TRACE_SEED}"] = traced
+        record["workloads"][workload]["traced_summary"] = traced_summary(traced)
     record["all_correct"] = not incorrect(runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if record["all_correct"] else 1
