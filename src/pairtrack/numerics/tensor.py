@@ -64,7 +64,8 @@ class _Entry:
     """A recorded output's place on the tape; it holds no array of the forward pass.
 
     ``_parents`` holds each parent's gradient slot in parent order: an entry, a
-    leaf that requires grad, or None. The closure takes the gradient, then them.
+    leaf that requires grad, or None. ``backward`` calls the closure with the
+    gradient followed by these slots.
     """
 
     __slots__ = ("grad", "_owns_grad", "_parents", "_backward")
