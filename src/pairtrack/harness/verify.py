@@ -3,8 +3,9 @@
 ``unit_gradient_suite`` checks every differentiable kernel against central
 finite differences on randomized inputs. ``end_to_end_gradient_check``
 builds a tiny full model and verifies every trainable parameter's analytic
-gradient on the real tracking loss. Large parameters are checked on a
-deterministic sample of coordinates; small ones exhaustively.
+gradient on the real tracking loss with ``finite_diff_grad``. Large matrices,
+each expert of a stack among them, are checked on a deterministic sample of
+coordinates; small ones exhaustively.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..numerics import (
+    Parameter,
     RngStream,
     Tensor,
     absolute,
@@ -107,6 +109,7 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
     # weight 2 is never picked; x is both the routed input and weight 0
     idx_weights = np.array([1, 0, 0, 1])
     stack = rng.uniform(-1, 1, (2, 5, 4))
+    routed_input = rng.uniform(-1, 1, (4, 4))
     return [
         ("add", lambda x: add(x, constant(other)), (5, 4), -2, 2),
         ("sub", lambda x: sub(x, constant(other)), (5, 4), -2, 2),
@@ -134,7 +137,8 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("concat", lambda x: concat([x, constant(other)], axis=1), (5, 4), -2, 2),
         ("slice_cols", lambda x: slice_cols(x, 1, 3), (5, 4), -2, 2),
         ("gather_rows", lambda x: gather_rows(x, idx_rows), (5, 4), -2, 2),
-        ("routed_matmul", lambda x: routed_matmul(x, [x, *map(constant, squares)], idx_weights),
+        ("routed_matmul", lambda x: routed_matmul(
+            x, concat([reshape(x, (1, 4, 4)), constant(squares)], axis=0), idx_weights),
          (4, 4), -2, 2),
         ("gather_cols", lambda x: gather_cols(x, idx_cols), (5, 4), -2, 2),
         ("scale_per_row", lambda x: scale(x, constant(rows)), (5, 4), -2, 2),
@@ -154,6 +158,8 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
          (2, 5, 4), -2, 2),
         ("gather_rows_repeated", lambda x: gather_rows(x, idx_repeated), (4, 3), -2, 2),
         ("scale_scalar_factor", lambda x: scale(constant(other), x), (), -2, 2),
+        ("routed_matmul_weights",
+         lambda x: routed_matmul(constant(routed_input), x, idx_weights), (3, 4, 2), -2, 2),
     ]
 
 
@@ -178,29 +184,26 @@ def tiny_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def _fd_on_coords(f: Callable[[], float], values: np.ndarray, coords):
-    out = np.zeros(len(coords))
-    flat = values.reshape(-1)
-    for j, c in enumerate(coords):
-        orig = flat[c]
-        flat[c] = orig + FD_STEP
-        fp = f()
-        flat[c] = orig - FD_STEP
-        fm = f()
-        flat[c] = orig
-        out[j] = (fp - fm) / (2.0 * FD_STEP)
-    return out
+def sampled_coords(p: Parameter) -> list[int]:
+    """Flat coordinates of ``p`` the end-to-end check perturbs, matrix by matrix.
+
+    A matrix of at most 2 * END_TO_END_COORDS entries is checked whole, a larger
+    one on END_TO_END_COORDS draws keyed by its name: ``name[n]`` in an [N, K, M] stack.
+    """
+    stack = p.shape[0] if p.ndim == 3 else 1
+    size, coords = p.size // stack, []
+    for n in range(stack):
+        label = f"{p.name}[{n}]" if p.ndim == 3 else p.name
+        picks = range(size) if size <= 2 * END_TO_END_COORDS else sorted(
+            {int(i) for i in RngStream(13).child(label).integers(0, size, (END_TO_END_COORDS,))})
+        coords.extend(n * size + i for i in picks)
+    return coords
 
 
 def end_to_end_gradient_check() -> list[CheckResult]:
     cfg = tiny_config()
     model = Tracker(cfg)
     sample = generate_dataset(cfg, 1, "gradcheck")[0]
-
-    def loss_value() -> float:
-        with no_grad():
-            return forward_track(sample, model).bundle.total.item()
-
     model.store.zero_grad()
     backward(mean(forward_track(sample, model).bundle.total))
     results = []
@@ -210,13 +213,16 @@ def end_to_end_gradient_check() -> list[CheckResult]:
         analytic = p.grad
         if analytic is None:
             analytic = np.zeros(p.shape)
-        size = p.size
-        if size <= 2 * END_TO_END_COORDS:
-            coords = list(range(size))
-        else:
-            picker = RngStream(13).child(p.name)
-            coords = sorted(set(int(i) for i in picker.integers(0, size, (END_TO_END_COORDS,))))
-        fd = _fd_on_coords(loss_value, p.data, coords)
+        coords = sampled_coords(p)
+        start = p.data.flat[coords]
+
+        def loss_at(values):
+            p.data.flat[coords] = values
+            with no_grad():
+                return forward_track(sample, model).bundle.total.item()
+
+        fd = finite_diff_grad(loss_at, start, h=FD_STEP)
+        p.data.flat[coords] = start
         err = grad_max_rel_error(analytic.reshape(-1)[coords], fd)
         results.append(CheckResult(name=p.name, error=err, tol=END_TO_END_TOL))
     return results

@@ -3,21 +3,21 @@
 The adapter combines two paths on top of a residual connection:
 
   * a sparse branch where each token picks its top-K of N gated experts
-    (down-project, gate, up-project; SiLU gating), and only picked experts
-    run;
+    (down-project, gate, up-project, each one [N, ...] stack; SiLU gating),
+    and only picked experts run;
   * an always-on shared branch with one serial down-projection, M parallel
-    single-matrix sub-experts mixed by a low-dimensional router, and one
-    serial up-projection.
+    single-matrix sub-experts W_m (column blocks of one [H, M*H] matrix)
+    mixed by a low-dimensional router, and one serial up-projection.
 
 The adapter takes a [..., T, D] stack of token sequences and runs both
 branches once over all of its rows. Both branches record a fixed number of
 tape nodes whatever N, M and the number of sequences are. The sparse branch
 gathers the rows*K (token, pick) pairs into one matrix, token-major, runs
-each expert on its pair rows with ``routed_matmul``, scales rows by the
-router gate, and sums each token's K rows by viewing the pairs as [rows, K,
-D] and summing over K. The shared branch computes sum_m r_tm (h_t W_m)
-directly: one matmul by the column-concatenated [W_1 ... W_M], viewed as
-[rows, M, H], scaled by the router weights r and summed over M.
+each expert on its pair rows with ``routed_matmul`` on each stack, scales
+rows by the router gate, and sums each token's K rows by viewing the pairs
+as [rows, K, D] and summing over K. The shared branch computes
+sum_m r_tm (h_t W_m) directly: one matmul by the stored [W_1 ... W_M],
+viewed as [rows, M, H], scaled by the router weights r and summed over M.
 The balance loss stays per sequence: f and p are taken over each
 sequence's own T tokens, so stacking sequences leaves every term as it was.
 
@@ -37,8 +37,8 @@ from .numerics import (
     RngStream,
     Tensor,
     add,
-    concat,
     constant,
+    fan_in_uniform,
     gather_cols,
     gather_rows,
     matmul,
@@ -107,6 +107,8 @@ class BalanceStats:
 
 @dataclass
 class SpecificExpertParams:
+    """The N experts' projections as stacks: [N, D, H] down and gate, [N, H, D] up."""
+
     w_down: Parameter
     w_gate: Parameter
     w_up: Parameter
@@ -114,8 +116,10 @@ class SpecificExpertParams:
 
 @dataclass
 class DenseSharedParams:
+    """``sub`` is [H, M*H]: column block m is sub-expert W_m."""
+
     w_down: Parameter
-    sub: list[Parameter]
+    sub: Parameter
     w_router: Parameter
     w_up: Parameter
 
@@ -177,24 +181,16 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     return loss, BalanceStats(f=f, p=p.data.copy())
 
 
-def routed_experts(
-    tokens: Tensor, experts: list[SpecificExpertParams], expert: np.ndarray
-) -> Tensor:
+def routed_experts(tokens: Tensor, experts: SpecificExpertParams, expert: np.ndarray) -> Tensor:
     """Gated projection (silu(x W_gate) * (x W_down)) W_up, row i by expert[i]."""
-    def project(x: Tensor, name: str) -> Tensor:
-        return routed_matmul(x, [getattr(e, name) for e in experts], expert)
-
-    return project(mul(silu(project(tokens, "w_gate")), project(tokens, "w_down")), "w_up")
-
-
-def specific_expert(tokens: Tensor, params: SpecificExpertParams) -> Tensor:
-    """One gated expert applied to every token."""
-    return routed_experts(tokens, [params], np.zeros(tokens.shape[0], dtype=np.int64))
+    gated = mul(silu(routed_matmul(tokens, experts.w_gate, expert)),
+                routed_matmul(tokens, experts.w_down, expert))
+    return routed_matmul(gated, experts.w_up, expert)
 
 
 def sparse_moe(
     tokens: Tensor,
-    experts: list[SpecificExpertParams],
+    experts: SpecificExpertParams,
     w_router,
     cfg: MoEConfig,
 ) -> SparseMoEResult:
@@ -203,9 +199,9 @@ def sparse_moe(
     Experts that no token selected are never evaluated; the returned
     ``n_expert_evals`` counts (token, expert) pairs actually run.
     """
-    if len(experts) != cfg.n_experts:
+    if experts.w_down.shape[0] != cfg.n_experts:
         raise ConfigError(
-            f"expected {cfg.n_experts} expert parameter sets, got {len(experts)}"
+            f"expected {cfg.n_experts} experts, got a stack of {experts.w_down.shape[0]}"
         )
     decision = route(tokens, w_router, cfg)
     rows, k = decision.selected.shape
@@ -223,7 +219,7 @@ def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
     r = softmax(matmul(h, params.w_router), axis=1)
     rows, hidden = h.shape
     # columns [m*H, (m+1)*H) of h [W_1 ... W_M] are h W_m
-    per_sub = reshape(matmul(h, concat(params.sub, axis=1)), (rows, len(params.sub), hidden))
+    per_sub = reshape(matmul(h, params.sub), (rows, params.sub.shape[1] // hidden, hidden))
     return matmul(tsum(scale(per_sub, r), axis=1), params.w_up)
 
 
@@ -238,20 +234,17 @@ class MoEAdapter:
         self.cfg = cfg
         d, h = cfg.model_dim, cfg.hidden_dim
         self.w_router = store.uniform_init(f"{prefix}.router.w", (d, cfg.n_experts), d, rng)
-        self.experts = [
-            SpecificExpertParams(
-                w_down=store.uniform_init(f"{prefix}.expert{n}.w_down", (d, h), d, rng),
-                w_gate=store.uniform_init(f"{prefix}.expert{n}.w_gate", (d, h), d, rng),
-                w_up=store.uniform_init(f"{prefix}.expert{n}.w_up", (h, d), h, rng),
-            )
-            for n in range(cfg.n_experts)
-        ]
+        # drawn expert by expert (down, gate, up), then stacked per projection
+        specs = (("w_down", (d, h), d), ("w_gate", (d, h), d), ("w_up", (h, d), h))
+        drawn = [[fan_in_uniform(shape, fan_in, rng) for _, shape, fan_in in specs]
+                 for _ in range(cfg.n_experts)]
+        self.experts = SpecificExpertParams(*(
+            store.add(f"{prefix}.expert.{name}", np.stack(mats))
+            for (name, _, _), mats in zip(specs, zip(*drawn))))
         self.shared = DenseSharedParams(
             w_down=store.uniform_init(f"{prefix}.shared.w_down", (d, h), d, rng),
-            sub=[
-                store.uniform_init(f"{prefix}.shared.sub{m}", (h, h), h, rng)
-                for m in range(cfg.n_shared)
-            ],
+            sub=store.add(f"{prefix}.shared.sub", np.concatenate(
+                [fan_in_uniform((h, h), h, rng) for _ in range(cfg.n_shared)], axis=1)),
             w_router=store.uniform_init(f"{prefix}.shared.router.w", (h, cfg.n_shared), h, rng),
             w_up=store.uniform_init(f"{prefix}.shared.w_up", (h, d), h, rng),
         )

@@ -2,7 +2,7 @@
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import finite_diff_grad, grad_max_rel_error
-from .params import Parameter, ParamStore
+from .params import Parameter, ParamStore, fan_in_uniform
 from .rng import RngStream
 from .tensor import (
     Tensor,
@@ -40,7 +40,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "Tensor", "Parameter", "ParamStore", "RngStream",
+    "Tensor", "Parameter", "ParamStore", "RngStream", "fan_in_uniform",
     "backward", "no_grad", "constant",
     "add", "sub", "mul", "smul", "scale", "maximum", "minimum",
     "reciprocal", "pow_const", "log", "absolute", "clamp",

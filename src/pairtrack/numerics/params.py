@@ -17,6 +17,11 @@ from .rng import RngStream
 from .tensor import Tensor
 
 
+def fan_in_uniform(shape: tuple[int, ...], fan_in: int, rng: RngStream) -> np.ndarray:
+    """Draws uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    return rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), shape)
+
+
 class Parameter(Tensor):
     __slots__ = ("name",)
 
@@ -48,8 +53,7 @@ class ParamStore:
         trainable: bool = True,
     ) -> Parameter:
         """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-        bound = 1.0 / np.sqrt(fan_in)
-        return self.add(name, rng.uniform(-bound, bound, shape), trainable=trainable)
+        return self.add(name, fan_in_uniform(shape, fan_in, rng), trainable=trainable)
 
     def zeros_init(self, name: str, shape: tuple[int, ...], trainable: bool = True) -> Parameter:
         return self.add(name, np.zeros(shape), trainable=trainable)

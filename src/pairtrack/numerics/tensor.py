@@ -19,9 +19,10 @@ soon as the model code drops its Tensor, unless a backward formula holds it.
 Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
 by a factor per leading index, ``add_rowvec`` over any leading shape) and
-``matmul`` of a stack of matrices by one shared matrix; ``attention`` is
-one node over [..., T, D] stacks. Keeping the kernel surface small keeps
-shape bugs loud.
+``matmul`` of a stack of matrices by one shared matrix; ``routed_matmul``
+picks each row's matrix from an [N, K, M] stack, and ``attention`` is one
+node over [..., T, D] stacks. Keeping the kernel surface small keeps shape
+bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
 another slot's gradient. A slot owns its gradient, and adds into it in
@@ -621,43 +622,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _node(merged(weights, split(v.data)), (q, k, v), bw)
 
 
-def routed_matmul(a: Tensor, weights: Sequence[Tensor], expert: np.ndarray) -> Tensor:
-    """Per-row weight choice: out[i] = a[i] @ weights[expert[i]].
+def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:
+    """Per-row weight choice from an [N, K, M] stack: out[i] = a[i] @ w[expert[i]].
 
-    Rows are grouped by weight, one matmul per group. A weight that no row
-    picks does not run and is not a parent, so its gradient stays None.
+    Rows are grouped by weight, one matmul per picked weight. A weight that no
+    row picks does not run, and its slice of the stack's gradient is zero.
     """
     expert = np.asarray(expert, dtype=np.int64)
-    if not weights:
-        raise ContractError("routed_matmul: empty weight list")
-    shapes = {w.shape for w in weights}
-    w_shape = weights[0].shape
-    if (a.ndim != 2 or expert.shape != (a.shape[0],) or len(shapes) != 1
-            or len(w_shape) != 2 or w_shape[0] != a.shape[1]):
-        raise ShapeError(
-            f"routed_matmul: input {a.shape}, weights {sorted(shapes)}, index {expert.shape}"
-        )
-    if expert.size and (expert.min() < 0 or expert.max() >= len(weights)):
-        raise ShapeError(f"routed_matmul: weight index out of range for {len(weights)} weights")
-    groups = [(w, rows) for n, w in enumerate(weights)
-              if (rows := np.flatnonzero(expert == n)).size]
-    out_data = np.zeros((a.shape[0], w_shape[1]), dtype=np.float64)
-    for w, rows in groups:
-        out_data[rows] = a.data[rows] @ w.data
-    shape = a.shape
-    kept = [(w.data if a.requires_grad else None, rows) for w, rows in groups]
-    a_data = a.data if any([w.requires_grad for w, _ in groups]) else None
+    if a.ndim != 2 or w.ndim != 3 or expert.shape != (a.shape[0],) or w.shape[1] != a.shape[1]:
+        raise ShapeError(f"routed_matmul: input {a.shape}, weights {w.shape}, index {expert.shape}")
+    if expert.size and (expert.min() < 0 or expert.max() >= w.shape[0]):
+        raise ShapeError(f"routed_matmul: weight index out of range for {w.shape[0]} weights")
+    groups = [(n, rows) for n in range(w.shape[0]) if (rows := np.flatnonzero(expert == n)).size]
+    out_data = np.zeros((a.shape[0], w.shape[2]), dtype=np.float64)
+    for n, rows in groups:
+        out_data[rows] = a.data[rows] @ w.data[n]
+    a_shape, w_shape = a.shape, w.shape
+    a_data = a.data if w.requires_grad else None
+    w_data = w.data if a.requires_grad else None
 
-    def bw(g, ea, *ews):
-        buf = None if ea is None else np.zeros(shape, dtype=np.float64)
-        for ew, (w_data, rows) in zip(ews, kept):
-            if buf is not None:
-                buf[rows] = g[rows] @ w_data.T
-            if ew is not None:
-                _accumulate(ew, a_data[rows].T @ g[rows])
-        _accumulate(ea, buf)
+    def bw(g, ea, ew):
+        buf_a = None if ea is None else np.zeros(a_shape, dtype=np.float64)
+        buf_w = None if ew is None else np.zeros(w_shape, dtype=np.float64)
+        for n, rows in groups:
+            if buf_a is not None:
+                buf_a[rows] = g[rows] @ w_data[n].T
+            if buf_w is not None:
+                buf_w[n] = a_data[rows].T @ g[rows]
+        _accumulate(ea, buf_a)
+        _accumulate(ew, buf_w)
 
-    return _node(out_data, (a,) + tuple(w for w, _ in groups), bw)
+    return _node(out_data, (a, w), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -15,6 +15,7 @@ from pairtrack.harness import (
     tiny_config,
 )
 from pairtrack.harness.train import _batch_loss
+from pairtrack.harness.verify import sampled_coords
 from pairtrack.losses import Box
 from pairtrack.harness.model import Block
 from pairtrack.numerics import ParamStore, RngStream, Tensor, backward, mean, smul
@@ -336,7 +337,7 @@ def test_backbone_tape_size_is_independent_of_batch_size():
         features = model._backbone(samples[:b])[0]
         assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
         counts[b] = _recorded_nodes(features)
-    assert set(counts.values()) == {65}, counts  # the tiny config's backbone
+    assert set(counts.values()) == {63}, counts  # the tiny config's backbone
 
 
 def test_step_tape_size_is_independent_of_batch_size():
@@ -344,7 +345,7 @@ def test_step_tape_size_is_independent_of_batch_size():
     model = Tracker(cfg)
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
-    assert set(counts.values()) == {194}, counts  # the tiny config's whole step
+    assert set(counts.values()) == {192}, counts  # the tiny config's whole step
 
 
 def _numpy_block(x, block):
@@ -380,3 +381,15 @@ def test_block_attention_is_one_node_and_matches_the_head_split_chain():
     # q, k, v, attention, output projection, residual add, MLP matmul, silu, matmul, add
     assert _recorded_nodes(out) == 10
     np.testing.assert_array_equal(out.data, _numpy_block(x.data, block))
+
+
+def test_the_end_to_end_check_samples_each_expert_matrix_on_its_own():
+    stacks = [p for p in Tracker(tiny_config()).store if ".expert." in p.name]
+    assert len(stacks) == 2 * 3 and all(p.shape[0] == 2 for p in stacks)
+    coords = {p.name: sampled_coords(p) for p in stacks}
+    # one parameter per expert matrix gave 166 distinct coordinates; stacks give no fewer
+    assert sum(len(c) for c in coords.values()) >= 166
+    for p in stacks:
+        assert len(set(coords[p.name])) == len(coords[p.name])
+        per_matrix = np.bincount(np.asarray(coords[p.name]) // (p.size // 2), minlength=2)
+        assert per_matrix.min() >= 8, (p.name, per_matrix)  # every expert gets its own draws

@@ -10,14 +10,15 @@ from pairtrack.moe import (
     MoEAdapter,
     MoEConfig,
     RouterDecision,
+    DenseSharedParams,
     SpecificExpertParams,
     adapter_param_count,
     balance_loss,
     dense_shared_moe,
     dense_shared_param_count,
     route,
+    routed_experts,
     sparse_moe,
-    specific_expert,
 )
 from pairtrack.numerics import (
     ParamStore,
@@ -175,30 +176,41 @@ def test_balance_loss_stats_sums():
     assert np.all(stats.f >= 0) and np.all(stats.p >= 0)
 
 
-def _expert_from_arrays(store, prefix, w_down, w_gate, w_up):
-    return SpecificExpertParams(
-        w_down=store.add(f"{prefix}.w_down", w_down),
-        w_gate=store.add(f"{prefix}.w_gate", w_gate),
-        w_up=store.add(f"{prefix}.w_up", w_up),
-    )
+def _experts_from_arrays(store, per_expert):
+    """One stack per projection from per-expert (w_down, w_gate, w_up) arrays."""
+    return SpecificExpertParams(*(
+        store.add(f"e.{name}", np.stack(mats))
+        for name, mats in zip(("w_down", "w_gate", "w_up"), zip(*per_expert))
+    ))
+
+
+def _random_experts(store, rng, n):
+    return _experts_from_arrays(store, [
+        (rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (2, 8)))
+        for _ in range(n)
+    ])
+
+
+def _one_expert(tokens, params):
+    """A stack of one gated expert applied to every token."""
+    return routed_experts(tokens, params, np.zeros(tokens.shape[0], dtype=np.int64))
 
 
 def test_specific_expert_zero_cases():
     store = ParamStore()
     rng = RngStream(11)
-    params = _expert_from_arrays(
-        store, "e", rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2)),
-        np.zeros((2, 4)),
+    params = _experts_from_arrays(
+        store, [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2)), np.zeros((2, 4)))],
     )
-    out = specific_expert(constant(rng.uniform(-1, 1, (3, 4))), params)
+    out = _one_expert(constant(rng.uniform(-1, 1, (3, 4))), params)
     np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
     store2 = ParamStore()
-    params2 = _expert_from_arrays(
-        store2, "e", rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2)),
-        rng.uniform(-1, 1, (2, 4)),
+    params2 = _experts_from_arrays(
+        store2, [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2)),
+                  rng.uniform(-1, 1, (2, 4)))],
     )
-    out2 = specific_expert(constant(np.zeros((3, 4))), params2)
+    out2 = _one_expert(constant(np.zeros((3, 4))), params2)
     np.testing.assert_array_equal(out2.data, np.zeros((3, 4)))
 
 
@@ -207,9 +219,9 @@ def test_specific_expert_hand_oracle():
     w_gate = np.array([[0.5, 0.0], [0.0, 0.25], [0.25, 0.0], [0.0, 0.5]])
     w_down = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     w_up = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
-    params = _expert_from_arrays(store, "e", w_down, w_gate, w_up)
+    params = _experts_from_arrays(store, [(w_down, w_gate, w_up)])
     token = np.array([[1.0, 2.0, -1.0, 0.5]])
-    out = specific_expert(constant(token), params)
+    out = _one_expert(constant(token), params)
     # hand computation: g = [0.25, 0.75], d = [0, 2.5]
     g1 = _silu(0.75) * 2.5
     np.testing.assert_allclose(out.data, [[0.0, g1, g1, 0.0]], atol=1e-12)
@@ -222,33 +234,25 @@ def test_sparse_moe_identical_experts_symmetry():
     w_down = rng.uniform(-1, 1, (8, 2))
     w_gate = rng.uniform(-1, 1, (8, 2))
     w_up = rng.uniform(-1, 1, (2, 8))
-    experts = [
-        _expert_from_arrays(store, f"e{n}", w_down, w_gate, w_up) for n in range(4)
-    ]
+    experts = _experts_from_arrays(store, [(w_down, w_gate, w_up)] * 4)
     w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
     tokens = constant(rng.uniform(-1, 1, (10, 8)))
     result = sparse_moe(tokens, experts, w_router, cfg)
-    single = specific_expert(tokens, experts[0])
+    single = _one_expert(tokens, _experts_from_arrays(ParamStore(), [(w_down, w_gate, w_up)]))
     expected = single.data * result.decision.gate.data[:, :1]
     np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
 
 
 def test_sparse_moe_dense_evaluation_oracle():
     # brute force: evaluate every expert densely in plain numpy, mask to top-K
-    def expert_np(x, p):
-        return (_silu(x @ p.w_gate.data) * (x @ p.w_down.data)) @ p.w_up.data
+    def expert_np(x, p, n):
+        return (_silu(x @ p.w_gate.data[n]) * (x @ p.w_down.data[n])) @ p.w_up.data[n]
 
     for top_k in (1, 2):
         cfg = MoEConfig(model_dim=8, n_experts=4, top_k=top_k, reduction=4)
         store = ParamStore()
         rng = RngStream(13)
-        experts = [
-            _expert_from_arrays(
-                store, f"e{n}", rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 2)),
-                rng.uniform(-1, 1, (2, 8)),
-            )
-            for n in range(4)
-        ]
+        experts = _random_experts(store, rng, 4)
         w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
         toks = rng.uniform(-1, 1, (8, 8))
         result = sparse_moe(constant(toks), experts, w_router, cfg)
@@ -257,7 +261,7 @@ def test_sparse_moe_dense_evaluation_oracle():
         expected = np.zeros_like(toks)
         for t in range(8):
             for n in result.decision.selected[t]:
-                expected[t] += scores[t, n] * expert_np(toks[t : t + 1], experts[n])[0]
+                expected[t] += scores[t, n] * expert_np(toks[t : t + 1], experts, n)[0]
         np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
         assert result.n_expert_evals == 8 * top_k
 
@@ -267,13 +271,7 @@ def test_sparse_moe_dispatch_count_is_exactly_t(n_experts):
     cfg = MoEConfig(model_dim=8, n_experts=n_experts, top_k=1, reduction=4)
     store = ParamStore()
     rng = RngStream(100 + n_experts)
-    experts = [
-        _expert_from_arrays(
-            store, f"e{n}", rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 2)),
-            rng.uniform(-1, 1, (2, 8)),
-        )
-        for n in range(n_experts)
-    ]
+    experts = _random_experts(store, rng, n_experts)
     w_router = store.add("router", rng.uniform(-1, 1, (8, n_experts)))
     t_count = 23
     result = sparse_moe(constant(rng.uniform(-1, 1, (t_count, 8))), experts, w_router, cfg)
@@ -282,15 +280,15 @@ def test_sparse_moe_dispatch_count_is_exactly_t(n_experts):
 
 def test_sparse_moe_wrong_expert_count():
     cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
+    experts = _random_experts(ParamStore(), RngStream(28), 3)
     with pytest.raises(ConfigError):
-        sparse_moe(constant(np.zeros((2, 8))), [], _store_with("w", np.zeros((8, 4))), cfg)
+        sparse_moe(constant(np.zeros((2, 8))), experts, _store_with("w", np.zeros((8, 4))), cfg)
 
 
 def test_dense_shared_identity_subexperts():
     cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4, n_shared=3)
     adapter, store, _ = _make_adapter(d=8, g=4, m=3, seed=14)
-    for m in range(3):
-        store.set_values(f"adapter.shared.sub{m}", np.eye(2))
+    store.set_values("adapter.shared.sub", np.hstack([np.eye(2)] * 3))
     tokens = constant(RngStream(15).uniform(-1, 1, (6, 8)))
     out = dense_shared_moe(tokens, adapter.shared)
     expected = tokens.data @ adapter.shared.w_down.data @ adapter.shared.w_up.data
@@ -305,13 +303,11 @@ def test_dense_shared_zero_up_projection():
 
 
 def test_dense_shared_hand_oracle():
-    from pairtrack.moe import DenseSharedParams
-
     store = ParamStore()
     w_down = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     params = DenseSharedParams(
         w_down=store.add("d", w_down),
-        sub=[store.add("s0", np.eye(2)), store.add("s1", 2.0 * np.eye(2))],
+        sub=store.add("s", np.hstack([np.eye(2), 2.0 * np.eye(2)])),
         w_router=store.add("r", np.zeros((2, 2))),
         w_up=store.add("u", np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])),
     )
@@ -332,15 +328,50 @@ def test_dense_shared_matches_per_sub_expert_loop_with_a_random_router():
     r = np.exp(logits - logits.max(axis=1, keepdims=True))
     r /= r.sum(axis=1, keepdims=True)
     assert np.ptp(r, axis=1).min() > 0.05
+    hidden = h.shape[1]
+    sub = [shared.sub.data[:, m * hidden:(m + 1) * hidden] for m in range(3)]  # block m is W_m
     low = np.zeros_like(h)
-    for m, w_m in enumerate(shared.sub):
-        low += r[:, m:m + 1] * (h @ w_m.data)
+    for m, w_m in enumerate(sub):
+        low += r[:, m:m + 1] * (h @ w_m)
     expected = low @ shared.w_up.data
     out = dense_shared_moe(constant(x), shared)
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
     # the oracle tells the mixing order apart: other sub-experts per weight give other rows
-    swapped = sum(r[:, m:m + 1] * (h @ shared.sub[(m + 1) % 3].data) for m in range(3))
+    swapped = sum(r[:, m:m + 1] * (h @ sub[(m + 1) % 3]) for m in range(3))
     assert np.abs(swapped @ shared.w_up.data - expected).max() > 1e-6
+
+
+def test_a_fresh_adapter_holds_the_draws_of_one_matrix_per_expert_and_sub_expert():
+    adapter, store, cfg = _make_adapter(d=12, n=3, g=4, m=2, seed=29)
+    d, h = cfg.model_dim, cfg.hidden_dim
+    rng = RngStream(29)
+
+    def draw(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, shape)
+
+    # the order of a layout with one parameter per expert matrix and per sub-expert
+    router = draw((d, 3), d)
+    experts = [(draw((d, h), d), draw((d, h), d), draw((h, d), h)) for _ in range(3)]
+    shared_down = draw((d, h), d)
+    subs = [draw((h, h), h) for _ in range(2)]
+    shared_router, shared_up = draw((h, 2), h), draw((h, d), h)
+    assert [p.name for p in store] == [
+        "adapter.router.w", "adapter.expert.w_down", "adapter.expert.w_gate",
+        "adapter.expert.w_up", "adapter.shared.w_down", "adapter.shared.sub",
+        "adapter.shared.router.w", "adapter.shared.w_up",
+    ]
+    assert adapter.w_router.data.tobytes() == router.tobytes()
+    for n, (w_down, w_gate, w_up) in enumerate(experts):
+        assert adapter.experts.w_down.data[n].tobytes() == w_down.tobytes()
+        assert adapter.experts.w_gate.data[n].tobytes() == w_gate.tobytes()
+        assert adapter.experts.w_up.data[n].tobytes() == w_up.tobytes()
+    shared = adapter.shared
+    assert shared.w_down.data.tobytes() == shared_down.tobytes()
+    for m, w_m in enumerate(subs):
+        assert shared.sub.data[:, m * h:(m + 1) * h].tobytes() == w_m.tobytes()
+    assert shared.w_router.data.tobytes() == shared_router.tobytes()
+    assert shared.w_up.data.tobytes() == shared_up.tobytes()
 
 
 def _zero_adapter(store, prefix="adapter"):
@@ -407,7 +438,7 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
         adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
-    assert counts == {26}, counts
+    assert counts == {25}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():

@@ -184,10 +184,21 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
         load_checkpoint(other, str(tmp_path / "ck"))
 
 
+def _per_expert_lines(line):
+    """A stacked expert line as the layout with one parameter per expert matrix wrote it."""
+    name, shape, offset = line.rstrip("\n").split("\t")
+    if name != "adapter0.expert.w_down":
+        return line
+    n, *matrix = (int(d) for d in shape.split(","))
+    step = 8 * int(np.prod(matrix))
+    return "".join(f"adapter0.expert{e}.w_down\t{','.join(map(str, matrix))}\t"
+                   f"{int(offset) + e * step}\n" for e in range(n))
+
+
 @pytest.mark.parametrize(
     "damage",
     ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable",
-     "no-checkpoint"],
+     "no-checkpoint", "old-expert-layout"],
 )
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
@@ -221,6 +232,7 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
             "malformed": [lines[0].rsplit("\t", 1)[0] + "\n"] + lines[1:],
             "dropped-line": lines[:-1],
             "duplicate-line": lines + lines[:1],
+            "old-expert-layout": [_per_expert_lines(line) for line in lines],
         }[damage]
         with open(manifest, "w", encoding="utf-8") as fh:
             fh.writelines(edited)

@@ -204,35 +204,37 @@ def test_linear_leading_broadcast():
 def test_routed_matmul_groups_rows_by_weight():
     rng = RngStream(13)
     a = rng.uniform(-1, 1, (5, 3))
-    weights = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for _ in range(3)]
+    w = Tensor(rng.uniform(-1, 1, (3, 3, 2)), requires_grad=True)
     expert = np.array([2, 0, 2, 2, 0])
-    held = [sys.getrefcount(w) for w in weights]
-    out = routed_matmul(constant(a), weights, expert)
+    held = sys.getrefcount(w)
+    out = routed_matmul(constant(a), w, expert)
     for i, n in enumerate(expert):
-        np.testing.assert_allclose(out.data[i], a[i] @ weights[n].data, atol=1e-15)
-    # the tape holds each picked weight as its gradient slot, and nothing holds weight 1
-    now = [sys.getrefcount(w) for w in weights]
-    assert [n > h for n, h in zip(now, held)] == [True, False, True]
+        np.testing.assert_allclose(out.data[i], a[i] @ w.data[n], atol=1e-15)
+    # the stack is the node's one weight parent, and the tape holds it as its gradient slot
+    assert out._entry._parents == (None, w)
+    assert sys.getrefcount(w) == held + 1
     backward(tsum(out))
-    assert weights[1].grad is None  # never picked: not run, not a parent
-    np.testing.assert_allclose(weights[0].grad, a[[1, 4]].T @ np.ones((2, 2)), atol=1e-15)
+    assert w.grad.shape == (3, 3, 2)
+    assert not w.grad[1].any()  # never picked: not run, a zero gradient
+    np.testing.assert_allclose(w.grad[0], a[[1, 4]].T @ np.ones((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(w.grad[2], a[[0, 2, 3]].T @ np.ones((3, 2)), atol=1e-15)
 
 
 def test_routed_matmul_shape_and_index_errors():
     a = constant(np.zeros((3, 4)))
-    w = [constant(np.zeros((4, 2))), constant(np.zeros((4, 2)))]
+    w = constant(np.zeros((2, 4, 2)))
     with pytest.raises(ShapeError):  # one index per row
         routed_matmul(a, w, np.array([0, 1]))
     with pytest.raises(ShapeError):  # inner dimensions disagree
-        routed_matmul(a, [constant(np.zeros((3, 2)))], np.zeros(3))
-    with pytest.raises(ShapeError):  # weights must share one shape
-        routed_matmul(a, [w[0], constant(np.zeros((4, 3)))], np.zeros(3))
+        routed_matmul(a, constant(np.zeros((1, 3, 2))), np.zeros(3))
+    with pytest.raises(ShapeError):  # the weights are one [N, K, M] stack
+        routed_matmul(a, constant(np.zeros((4, 2))), np.zeros(3))
     with pytest.raises(ShapeError):  # index past the last weight
         routed_matmul(a, w, np.array([0, 2, 1]))
     with pytest.raises(ShapeError):  # negative index
         routed_matmul(a, w, np.array([0, -1, 1]))
-    with pytest.raises(ContractError):
-        routed_matmul(a, [], np.zeros(3))
+    with pytest.raises(ShapeError):  # an empty stack has no weight to pick
+        routed_matmul(a, constant(np.zeros((0, 4, 2))), np.zeros(3))
 
 
 def test_linear_shape_error():
@@ -353,7 +355,9 @@ UNARY_CASES = [
     (lambda x: slice_cols(x, 1, 3), (4, 5), (-2, 2)),
     (lambda x: clamp(x, -0.5, 0.5), (4, 4), (-2, 2)),
     (lambda x: gather_rows(x, np.array([2, 0, 2, 1])), (4, 3), (-2, 2)),
-    (lambda x: routed_matmul(x, [x, transpose(x), constant(np.eye(4))], np.array([2, 0, 1, 0])),
+    (lambda x: routed_matmul(
+        x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
+        np.array([2, 0, 1, 0])),
      (4, 4), (-2, 2)),
     (lambda x: gather_cols(x, np.array([[0, 2], [1, 1], [3, 0]])), (3, 4), (-2, 2)),
 ]
