@@ -107,7 +107,7 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
     idx_cols = np.array([[0, 2], [1, 1], [3, 0], [2, 3], [0, 1]])
     squares = rng.uniform(-1, 1, (2, 4, 4))
     # weight 2 is never picked; x is both the routed input and weight 0
-    idx_weights = np.array([1, 0, 0, 1])
+    idx_weights = np.array([0, 0, 1, 1])  # rows sorted by weight
     stack = rng.uniform(-1, 1, (2, 5, 4))
     routed_input = rng.uniform(-1, 1, (4, 4))
     return [

@@ -12,12 +12,14 @@ The adapter combines two paths on top of a residual connection:
 The adapter takes a [..., T, D] stack of token sequences and runs both
 branches once over all of its rows. Both branches record a fixed number of
 tape nodes whatever N, M and the number of sequences are. The sparse branch
-gathers the rows*K (token, pick) pairs into one matrix, token-major, runs
-each expert on its pair rows with ``routed_matmul`` on each stack, scales
-rows by the router gate, and sums each token's K rows by viewing the pairs
-as [rows, K, D] and summing over K. The shared branch computes
-sum_m r_tm (h_t W_m) directly: one matmul by the stored [W_1 ... W_M],
-viewed as [rows, M, H], scaled by the router weights r and summed over M.
+stable-sorts the rows*K (token, pick) pairs by expert once per pass and
+gathers the token rows into that order once, so each expert's pairs are one
+contiguous segment, and ``routed_matmul`` runs each stack as one product per
+segment. One gather takes the outputs back to token order as [rows, K, D],
+where the router gate scales them and they are summed over K. The shared
+branch computes sum_m r_tm (h_t W_m) directly: one matmul by the stored
+[W_1 ... W_M], viewed as [rows, M, H], scaled by the router weights r and
+summed over M.
 The balance loss stays per sequence: f and p are taken over each
 sequence's own T tokens, so stacking sequences leaves every term as it was.
 
@@ -205,11 +207,12 @@ def sparse_moe(
         )
     decision = route(tokens, w_router, cfg)
     rows, k = decision.selected.shape
-    # pair row t*K + i holds token t's i-th pick
-    pair_token = np.repeat(np.arange(rows), k)
-    pair_out = routed_experts(gather_rows(tokens, pair_token), experts, decision.selected.ravel())
-    scaled = scale(pair_out, reshape(decision.gate, (rows * k,)))
-    output = tsum(reshape(scaled, (rows, k, tokens.shape[1])), axis=1)
+    # pair p = t*K + i is token t's i-th pick; a stable sort keeps token order per expert
+    picks = decision.selected.ravel()
+    order = np.argsort(picks, kind="stable")
+    sorted_out = routed_experts(gather_rows(tokens, order // k), experts, picks[order])
+    pair_out = gather_rows(sorted_out, np.argsort(order).reshape(rows, k))
+    output = tsum(scale(pair_out, decision.gate), axis=1)
     return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 
 

@@ -20,7 +20,8 @@ Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
 by a factor per leading index, ``add_rowvec`` over any leading shape) and
 ``matmul`` of a stack of matrices by one shared matrix; ``routed_matmul``
-picks each row's matrix from an [N, K, M] stack, and ``attention`` is one
+picks each row's matrix from an [N, K, M] stack, over rows sorted by matrix
+so that each matrix multiplies one contiguous slice, and ``attention`` is one
 node over [..., T, D] stacks. Keeping the kernel surface small keeps shape
 bugs loud.
 
@@ -382,10 +383,12 @@ def silu(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over all elements (axis=None) or along one axis."""
+    """Sum over all elements (axis=None) or along one axis; a length-1 axis is a reshape."""
     if axis is not None and not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} invalid for shape {a.shape}")
     shape = a.shape
+    if axis is not None and shape[axis] == 1:  # nothing to add: a view without the axis
+        return reshape(a, shape[:axis % a.ndim] + shape[axis % a.ndim + 1:])
 
     def bw(g, ea):
         g = g if axis is None else np.expand_dims(g, axis)
@@ -487,10 +490,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows by integer index (duplicates allowed)."""
+    """a[idx]: entries of a's first axis by an integer index of any shape (duplicates allowed)."""
     idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 2 or idx.ndim != 1:
-        raise ShapeError("gather_rows expects a matrix and a 1-D index array")
+    if a.ndim < 1:
+        raise ShapeError("gather_rows expects an array with at least one axis, got a scalar")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
     shape = a.shape
@@ -498,12 +501,13 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def bw(g, ea):
         # a row's first pick is assigned and its later picks are added in pick
         # order; np.add.at alone is an order of magnitude slower on distinct rows
-        first = np.unique(idx, return_index=True)[1]
-        again = np.ones(idx.size, dtype=bool)
+        flat, g = idx.ravel(), g.reshape((idx.size,) + shape[1:])
+        first = np.unique(flat, return_index=True)[1]
+        again = np.ones(flat.size, dtype=bool)
         again[first] = False
         buf = np.zeros(shape, dtype=np.float64)
-        buf[idx[first]] = g[first]
-        np.add.at(buf, idx[again], g[again])
+        buf[flat[first]] = g[first]
+        np.add.at(buf, flat[again], g[again])
         _accumulate(ea, buf)
 
     return _node(a.data[idx], (a,), bw)
@@ -625,32 +629,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:
     """Per-row weight choice from an [N, K, M] stack: out[i] = a[i] @ w[expert[i]].
 
-    Rows are grouped by weight, one matmul per picked weight. A weight that no
-    row picks does not run, and its slice of the stack's gradient is zero.
+    Rows come sorted by weight index, so weight n's rows are one contiguous
+    segment, and each segment is one matmul on a slice of ``a``. A weight that
+    no row picks has an empty segment, which costs nothing; its slice of the
+    stack's gradient is zero.
     """
     expert = np.asarray(expert, dtype=np.int64)
     if a.ndim != 2 or w.ndim != 3 or expert.shape != (a.shape[0],) or w.shape[1] != a.shape[1]:
         raise ShapeError(f"routed_matmul: input {a.shape}, weights {w.shape}, index {expert.shape}")
     if expert.size and (expert.min() < 0 or expert.max() >= w.shape[0]):
         raise ShapeError(f"routed_matmul: weight index out of range for {w.shape[0]} weights")
-    groups = [(n, rows) for n in range(w.shape[0]) if (rows := np.flatnonzero(expert == n)).size]
-    out_data = np.zeros((a.shape[0], w.shape[2]), dtype=np.float64)
-    for n, rows in groups:
-        out_data[rows] = a.data[rows] @ w.data[n]
+    if np.any(expert[1:] < expert[:-1]):
+        raise ContractError("routed_matmul: rows are not sorted by weight index")
+    bounds = np.searchsorted(expert, np.arange(w.shape[0] + 1)).tolist()  # n: bounds[n:n + 2]
+    out_data = np.empty((a.shape[0], w.shape[2]))  # the segments cover every row
+    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(a.data[lo:hi], w.data[n], out=out_data[lo:hi])
     a_shape, w_shape = a.shape, w.shape
     a_data = a.data if w.requires_grad else None
     w_data = w.data if a.requires_grad else None
 
     def bw(g, ea, ew):
-        buf_a = None if ea is None else np.zeros(a_shape, dtype=np.float64)
-        buf_w = None if ew is None else np.zeros(w_shape, dtype=np.float64)
-        for n, rows in groups:
-            if buf_a is not None:
-                buf_a[rows] = g[rows] @ w_data[n].T
-            if buf_w is not None:
-                buf_w[n] = a_data[rows].T @ g[rows]
-        _accumulate(ea, buf_a)
-        _accumulate(ew, buf_w)
+        if ea is not None:
+            buf_a = np.empty(a_shape)
+            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                np.matmul(g[lo:hi], w_data[n].T, out=buf_a[lo:hi])
+            _accumulate(ea, buf_a)
+        if ew is not None:
+            buf_w = np.zeros(w_shape)
+            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                np.matmul(a_data[lo:hi].T, g[lo:hi], out=buf_w[n])
+            _accumulate(ew, buf_w)
 
     return _node(out_data, (a, w), bw)
 

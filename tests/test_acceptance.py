@@ -8,6 +8,7 @@ under half an hour on one CPU core.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from pairtrack.moe import (
     sparse_moe,
 )
 from pairtrack.numerics import ParamStore, RngStream, constant
+
+DETERMINISM_CONFIG = Path(__file__).with_name("determinism.cfg")  # tools/same_output.py runs it too
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -188,17 +191,9 @@ def test_zero_init_safety():
 
 
 def test_determinism_byte_identical_metrics(tmp_path):
-    config_text = (
-        "model_dim = 16\ndepth = 2\nheads = 4\nreduction_g = 4\nn_experts = 2\n"
-        "shared_m = 2\ntemplate_size = 8\nsearch_size = 16\nhead_hidden = 16\n"
-        "level_taps = 1,2\nsteps = 6\nbatch_size = 2\nlog_interval = 2\n"
-        "n_train = 4\nn_eval = 4\nepsilon_mode = fixed\nepsilon_value = 0.8\n"
-    )
-    cfg_path = tmp_path / "determinism.cfg"
-    cfg_path.write_text(config_text, encoding="utf-8")
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["train", "--config", str(cfg_path), "--seed", "3", "--out", out_a]) == 0
-    assert main(["train", "--config", str(cfg_path), "--seed", "3", "--out", out_b]) == 0
+    assert main(["train", "--config", str(DETERMINISM_CONFIG), "--seed", "3", "--out", out_a]) == 0
+    assert main(["train", "--config", str(DETERMINISM_CONFIG), "--seed", "3", "--out", out_b]) == 0
     bytes_a = open(os.path.join(out_a, "metrics.tsv"), "rb").read()
     bytes_b = open(os.path.join(out_b, "metrics.tsv"), "rb").read()
     ok = bytes_a == bytes_b and len(bytes_a) > 0

@@ -438,7 +438,7 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
         adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
-    assert counts == {25}, counts
+    assert counts == {24}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():

@@ -29,6 +29,24 @@ def main(argv):
 """
 
 
+# stands in for same_output.PROBE: the change nudges one output and one gradient by 2**-50
+# and 2**-40 of their values' scale
+_FAKE_PROBE = """
+import sys
+from pathlib import Path
+import numpy as np
+side = Path("side.txt").read_text()
+with open("../calls.txt", "a") as log:
+    log.write(f"{side} probe {sys.argv[2]}\\n")
+if Path("no_probe").exists():
+    sys.exit(3)
+nudge = 2.0 ** -50 if side == "change" else 0.0
+np.savez(sys.argv[1], **{"forward.box": np.array([1.0, -2.0 * (1 + nudge)]),
+                         "forward.total": np.array([3.0]),
+                         "grad.w": np.array([[4.0, 0.5 + 2.0 ** 10 * nudge]])})
+"""
+
+
 def _checkouts(tmp_path, broken=""):
     for side in ("parent", "change"):
         package = tmp_path / side / "src" / "pairtrack" / "harness"
@@ -52,11 +70,36 @@ def test_same_bytes_on_every_pinned_config_exit_0(tmp_path, capsys):
         "3 - - model_dim = 16", "0 40 1 -", "0 40 2 -") for side in ("parent", "change")]
 
 
-def test_different_bytes_or_a_failed_run_exit_1(tmp_path, capsys):
+def test_different_bytes_or_a_failed_run_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
     assert same_output.main(_checkouts(tmp_path / "bytes", broken="bytes")) == 1
-    verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:3]]
     assert verdicts == ["same", "same", "DIFFERENT"]
     assert same_output.main(_checkouts(tmp_path / "exit", broken="exit")) == 1
     captured = capsys.readouterr()
-    assert [line.split()[1] for line in captured.out.splitlines()] == ["same", "DIFFERENT", "same"]
+    assert [line.split()[1] for line in captured.out.splitlines()[:3]] == [
+        "same", "DIFFERENT", "same"]
     assert "train exited 3" in captured.err
+
+
+def test_a_difference_prints_the_probe_batch_differences_at_k1_and_k2(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
+    assert same_output.main(_checkouts(tmp_path, broken="bytes")) == 1
+    probed = capsys.readouterr().out.splitlines()[3:]
+    forward, grad = 2.0 ** -50, 2.0 ** -40 / 4.0  # each relative to the parent's largest value
+    assert probed == [f"{f'probe-batch-k{k}':22s} largest relative difference: forward "
+                      f"{forward:.1e}, gradients {grad:.1e}" for k in (1, 2)]
+    calls = (tmp_path / "calls.txt").read_text().splitlines()
+    assert calls[6:] == [f"{side} probe {k}" for k in (1, 2) for side in ("parent", "change")]
+
+
+def test_a_failed_probe_is_reported_and_leaves_the_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
+    args = _checkouts(tmp_path, broken="bytes")
+    (tmp_path / "change" / "no_probe").write_text("")
+    assert same_output.main(args) == 1
+    captured = capsys.readouterr()
+    assert [line.split() for line in captured.out.splitlines()[3:]] == [
+        ["probe-batch-k1", "failed"], ["probe-batch-k2", "failed"]]
+    assert "probe exited 3" in captured.err

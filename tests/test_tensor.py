@@ -205,7 +205,7 @@ def test_routed_matmul_groups_rows_by_weight():
     rng = RngStream(13)
     a = rng.uniform(-1, 1, (5, 3))
     w = Tensor(rng.uniform(-1, 1, (3, 3, 2)), requires_grad=True)
-    expert = np.array([2, 0, 2, 2, 0])
+    expert = np.array([0, 0, 2, 2, 2])  # weight 1's segment, in the middle, is empty
     held = sys.getrefcount(w)
     out = routed_matmul(constant(a), w, expert)
     for i, n in enumerate(expert):
@@ -216,8 +216,8 @@ def test_routed_matmul_groups_rows_by_weight():
     backward(tsum(out))
     assert w.grad.shape == (3, 3, 2)
     assert not w.grad[1].any()  # never picked: not run, a zero gradient
-    np.testing.assert_allclose(w.grad[0], a[[1, 4]].T @ np.ones((2, 2)), atol=1e-15)
-    np.testing.assert_allclose(w.grad[2], a[[0, 2, 3]].T @ np.ones((3, 2)), atol=1e-15)
+    np.testing.assert_allclose(w.grad[0], a[[0, 1]].T @ np.ones((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(w.grad[2], a[[2, 3, 4]].T @ np.ones((3, 2)), atol=1e-15)
 
 
 def test_routed_matmul_shape_and_index_errors():
@@ -235,6 +235,8 @@ def test_routed_matmul_shape_and_index_errors():
         routed_matmul(a, w, np.array([0, -1, 1]))
     with pytest.raises(ShapeError):  # an empty stack has no weight to pick
         routed_matmul(a, constant(np.zeros((0, 4, 2))), np.zeros(3))
+    with pytest.raises(ContractError):  # rows must come sorted by weight index
+        routed_matmul(a, w, np.array([1, 0, 1]))
 
 
 def test_linear_shape_error():
@@ -357,7 +359,7 @@ UNARY_CASES = [
     (lambda x: gather_rows(x, np.array([2, 0, 2, 1])), (4, 3), (-2, 2)),
     (lambda x: routed_matmul(
         x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
-        np.array([2, 0, 1, 0])),
+        np.array([0, 0, 1, 2])),
      (4, 4), (-2, 2)),
     (lambda x: gather_cols(x, np.array([[0, 2], [1, 1], [3, 0]])), (3, 4), (-2, 2)),
 ]

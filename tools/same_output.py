@@ -4,9 +4,18 @@
 
 Runs ``pairtrack train`` from each checkout's ``src/`` with
 ``OPENBLAS_NUM_THREADS=1`` on each of ``CONFIGS``: the acceptance
-determinism config at seed 3, and 40 default steps at seed 0 with K=1 and
-with K=2. Prints one line per config and exits 1 if any pair of files
-differs or a run fails. Standard library only.
+determinism config (``tests/determinism.cfg``, which
+tests/test_acceptance.py runs too) at seed 3, and 40 default steps at seed 0
+with K=1 and with K=2. Prints one line per config and exits 1 if any pair of
+files differs or a run fails.
+
+When a pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
+K=2: the forward and backward of the first default-config training batch
+(seed 0). For each, it prints the largest relative difference between the
+checkouts over the forward outputs and over the gradients, each array's
+difference taken relative to the parent's largest magnitude in it. The exit
+code does not depend on these figures. Standard library, plus numpy for the
+probe.
 """
 
 from __future__ import annotations
@@ -18,31 +27,87 @@ import sys
 import tempfile
 from pathlib import Path
 
-# tests/test_acceptance.py::test_determinism_byte_identical_metrics
-DETERMINISM_CONFIG = (
-    "model_dim = 16\ndepth = 2\nheads = 4\nreduction_g = 4\nn_experts = 2\n"
-    "shared_m = 2\ntemplate_size = 8\nsearch_size = 16\nhead_hidden = 16\n"
-    "level_taps = 1,2\nsteps = 6\nbatch_size = 2\nlog_interval = 2\n"
-    "n_train = 4\nn_eval = 4\nepsilon_mode = fixed\nepsilon_value = 0.8\n"
-)
+DETERMINISM_CONFIG = Path(__file__).resolve().parent.parent / "tests" / "determinism.cfg"
 CONFIGS = {
-    "determinism-seed3": ["--config", "{config}", "--seed", "3"],
+    "determinism-seed3": ["--config", str(DETERMINISM_CONFIG), "--seed", "3"],
     "default-40-steps-k1": ["--seed", "0", "--steps", "40", "--top-k", "1"],
     "default-40-steps-k2": ["--seed", "0", "--steps", "40", "--top-k", "2"],
 }
 RUN = "import sys; from pairtrack.harness.cli import main; sys.exit(main(sys.argv[1:]))"
+# argv: the .npz to write, K; keys "forward.*" for outputs and "grad.*" for gradients
+PROBE = """
+import sys
+import numpy as np
+from pairtrack.harness.config import RunConfig
+from pairtrack.harness.data import generate_dataset
+from pairtrack.harness.model import Tracker
+from pairtrack.harness.train import forward_track
+from pairtrack.numerics import backward, mean
+
+cfg = RunConfig(seed=0, top_k=int(sys.argv[2]))
+model = Tracker(cfg)
+result = forward_track(generate_dataset(cfg, cfg.batch_size, "data"), model)
+backward(mean(result.bundle.total))
+arrays = {f"forward.{name}": getattr(result.output, name).data
+          for name in ("box_tensor", "center_map", "balance")}
+arrays["forward.total"] = result.bundle.total.data
+arrays.update({f"grad.{p.name}": p.grad for p in model.store if p.grad is not None})
+np.savez(sys.argv[1], **arrays)
+"""
+PROBE_TOP_K = (1, 2)
+
+
+def _run(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout.resolve() / "src"))
+    return subprocess.run([sys.executable, "-c", *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
 
 
 def metrics_bytes(checkout: Path, args: list[str], out: Path) -> bytes | None:
     """``metrics.tsv`` of one ``pairtrack train`` run in ``checkout``, or None if it failed."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(checkout.resolve() / "src"))
-    done = subprocess.run([sys.executable, "-c", RUN, "train", *args, "--out", str(out)],
-                          cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    done = _run(checkout, [RUN, "train", *args, "--out", str(out)])
     if done.returncode != 0:
         print(f"{checkout}: train exited {done.returncode}: {done.stderr.strip()}",
               file=sys.stderr)
         return None
     return (out / "metrics.tsv").read_bytes()
+
+
+def largest_relative_differences(parent: Path, change: Path) -> dict[str, float]:
+    """Per kind ("forward", "grad"), the largest max|change - parent| / max|parent| of its arrays."""
+    import numpy as np
+
+    worst = {"forward": 0.0, "grad": 0.0}
+    with np.load(parent) as old, np.load(change) as new:
+        if sorted(old.files) != sorted(new.files):
+            raise ValueError("the checkouts' probes hold different arrays")
+        for name in old.files:
+            a, b = old[name], new[name]
+            if a.shape != b.shape:
+                raise ValueError(f"{name}: shapes {a.shape} and {b.shape} differ")
+            diff = float(np.max(np.abs(b - a), initial=0.0))
+            size = float(np.max(np.abs(a), initial=0.0))
+            kind = name.split(".", 1)[0]
+            worst[kind] = max(worst[kind], diff / size if size else (np.inf if diff else 0.0))
+    return worst
+
+
+def probe(parent: Path, change: Path, tmp: Path) -> None:
+    """Print the largest relative differences of the probe batch at each of ``PROBE_TOP_K``."""
+    for top_k in PROBE_TOP_K:
+        files = []
+        for side, checkout in (("parent", parent), ("change", change)):
+            files.append(tmp / f"probe-k{top_k}-{side}.npz")
+            done = _run(checkout, [PROBE, str(files[-1]), str(top_k)])
+            if done.returncode != 0:
+                print(f"{checkout}: probe exited {done.returncode}: {done.stderr.strip()}",
+                      file=sys.stderr)
+                print(f"{f'probe-batch-k{top_k}':22s} failed", flush=True)
+                break
+        else:
+            worst = largest_relative_differences(*files)
+            print(f"{f'probe-batch-k{top_k}':22s} largest relative difference: forward "
+                  f"{worst['forward']:.1e}, gradients {worst['grad']:.1e}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -52,10 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "determinism.cfg"
-        config.write_text(DETERMINISM_CONFIG, encoding="utf-8")
-        for name, template in CONFIGS.items():
-            run_args = [a.format(config=config) for a in template]
+        for name, run_args in CONFIGS.items():
             parent, change = (metrics_bytes(checkout, run_args, Path(tmp) / f"{name}-{side}")
                               for side, checkout in (("parent", args.parent),
                                                      ("change", args.change)))
@@ -63,6 +125,8 @@ def main(argv=None) -> int:
             differ += not same
             sizes = "/".join("failed" if b is None else f"{len(b)} B" for b in (parent, change))
             print(f"{name:22s} {'same' if same else 'DIFFERENT'} ({sizes})", flush=True)
+        if differ:
+            probe(args.parent, args.change, Path(tmp))
     return 1 if differ else 0
 
 
