@@ -160,6 +160,9 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("scale_scalar_factor", lambda x: scale(constant(other), x), (), -2, 2),
         ("routed_matmul_weights",
          lambda x: routed_matmul(constant(routed_input), x, idx_weights), (3, 4, 2), -2, 2),
+        ("routed_matmul_empty_middle", lambda x: routed_matmul(  # weight 1 is never picked
+            x, concat([reshape(x, (1, 4, 4)), constant(squares)], 0), np.array([0, 0, 2, 2])),
+         (4, 4), -2, 2),
     ]
 
 

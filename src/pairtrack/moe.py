@@ -12,16 +12,15 @@ The adapter combines two paths on top of a residual connection:
 The adapter takes a [..., T, D] stack of token sequences and runs both
 branches once over all of its rows. Both branches record a fixed number of
 tape nodes whatever N, M and the number of sequences are. The sparse branch
-stable-sorts the rows*K (token, pick) pairs by expert once per pass and
-gathers the token rows into that order once, so each expert's pairs are one
-contiguous segment, and ``routed_matmul`` runs each stack as one product per
-segment. One gather takes the outputs back to token order as [rows, K, D],
-where the router gate scales them and they are summed over K. The shared
-branch computes sum_m r_tm (h_t W_m) directly: one matmul by the stored
-[W_1 ... W_M], viewed as [rows, M, H], scaled by the router weights r and
-summed over M.
-The balance loss stays per sequence: f and p are taken over each
-sequence's own T tokens, so stacking sequences leaves every term as it was.
+stable-sorts the rows*K (token, pick) pairs by expert and gathers the token
+rows in that order, so ``routed_matmul`` runs each expert on one contiguous
+segment; the gate scales the [pairs, H] hidden before the up-projection, and
+one gather takes the outputs back to token order as [rows, K, D], summed
+over K. The shared branch computes sum_m r_tm (h_t W_m) directly: one matmul
+by the stored [W_1 ... W_M], viewed as [rows, M, H], scaled by the router
+weights r and summed over M. The balance loss stays per sequence: f and p
+are taken over each sequence's own T tokens, so stacking sequences leaves
+every term as it was.
 
 Projections carry no biases so an all-zero adapter is exactly the identity.
 """
@@ -183,11 +182,12 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     return loss, BalanceStats(f=f, p=p.data.copy())
 
 
-def routed_experts(tokens: Tensor, experts: SpecificExpertParams, expert: np.ndarray) -> Tensor:
-    """Gated projection (silu(x W_gate) * (x W_down)) W_up, row i by expert[i]."""
-    gated = mul(silu(routed_matmul(tokens, experts.w_gate, expert)),
-                routed_matmul(tokens, experts.w_down, expert))
-    return routed_matmul(gated, experts.w_up, expert)
+def routed_experts(tokens: Tensor, experts: SpecificExpertParams, expert: np.ndarray,
+                   gate: Tensor) -> Tensor:
+    """Gated projection (silu(x W_gate) * (x W_down) * gate) W_up, rows sorted by expert[i]."""
+    hidden = mul(silu(routed_matmul(tokens, experts.w_gate, expert)),
+                 routed_matmul(tokens, experts.w_down, expert))
+    return routed_matmul(scale(hidden, gate), experts.w_up, expert)
 
 
 def sparse_moe(
@@ -210,9 +210,9 @@ def sparse_moe(
     # pair p = t*K + i is token t's i-th pick; a stable sort keeps token order per expert
     picks = decision.selected.ravel()
     order = np.argsort(picks, kind="stable")
-    sorted_out = routed_experts(gather_rows(tokens, order // k), experts, picks[order])
-    pair_out = gather_rows(sorted_out, np.argsort(order).reshape(rows, k))
-    output = tsum(scale(pair_out, decision.gate), axis=1)
+    gate = gather_rows(reshape(decision.gate, (rows * k,)), order)
+    sorted_out = routed_experts(gather_rows(tokens, order // k), experts, picks[order], gate)
+    output = tsum(gather_rows(sorted_out, np.argsort(order).reshape(rows, k)), axis=1)
     return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 
 

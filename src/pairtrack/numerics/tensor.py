@@ -20,9 +20,8 @@ Broadcasting is deliberately narrow: elementwise ops require identical
 shapes, and the only broadcast forms are the dedicated helpers (``scale``
 by a factor per leading index, ``add_rowvec`` over any leading shape) and
 ``matmul`` of a stack of matrices by one shared matrix; ``routed_matmul``
-picks each row's matrix from an [N, K, M] stack, over rows sorted by matrix
-so that each matrix multiplies one contiguous slice, and ``attention`` is one
-node over [..., T, D] stacks. Keeping the kernel surface small keeps shape
+multiplies rows sorted by matrix by their matrix of an [N, K, M] stack, and
+``attention`` is one node over [..., T, D] stacks. Keeping the kernel surface small keeps shape
 bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
@@ -363,18 +362,24 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    x = a.data
-    sig = _logistic(x)
+    """y = x * s, s = 1 / (1 + exp(-x)), with backward g * (s + y - y * s).
+
+    exp(-x) overflows to inf only where s is 0, and 1 / (1 + inf) is exactly 0.
+    """
+    sig = np.negative(a.data, out=np.empty_like(a.data))  # still an array when x is 0-d
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    np.reciprocal(np.add(sig, 1.0, out=sig), out=sig)
+    y = a.data * sig
 
     def bw(g, ea):
-        d = x * sig
-        d *= 1.0 - sig
+        d = y * sig
+        np.subtract(y, d, out=d)
         d += sig
         d *= g
         _accumulate(ea, d)
 
-    return _node(x * sig, (a,), bw)
+    return _node(y, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +591,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over [..., T, D] stacks, as one node.
 
     Head h owns columns [h*d, (h+1)*d), d = D / heads. The tape keeps the
-    weights, and the inputs only where a gradient reads them.
+    weights, and the inputs and the output only where a gradient reads them:
+    the q and k gradients take softmax's row term from the rows of dO * O.
     """
     if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
@@ -608,6 +614,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     weights -= np.max(weights, axis=-1, keepdims=True)  # softmax's arithmetic, in place
     np.exp(weights, out=weights)
     weights /= np.sum(weights, axis=-1, keepdims=True)
+    out_data = merged(weights, split(v.data))
+    kept_out = out_data if v_data is not None else None
 
     def bw(g, eq, ek, ev):
         g_h = split(g)
@@ -616,32 +624,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         if v_data is None:
             return
         d_scores = g_h @ split(v_data).swapaxes(-1, -2)
-        d_scores -= np.sum(d_scores * weights, axis=-1, keepdims=True)
+        d_scores -= np.sum(g_h * split(kept_out), axis=-1, keepdims=True)
         d_scores *= weights
         if eq is not None:
             _accumulate(eq, merged(d_scores, split(k_data)) * c)
         if ek is not None:
             _accumulate(ek, merged(d_scores.swapaxes(-1, -2), split(q_data * c)))
 
-    return _node(merged(weights, split(v.data)), (q, k, v), bw)
+    return _node(out_data, (q, k, v), bw)
 
 
 def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:
     """Per-row weight choice from an [N, K, M] stack: out[i] = a[i] @ w[expert[i]].
 
-    Rows come sorted by weight index, so weight n's rows are one contiguous
-    segment, and each segment is one matmul on a slice of ``a``. A weight that
-    no row picks has an empty segment, which costs nothing; its slice of the
-    stack's gradient is zero.
+    Rows come sorted by weight index, so each weight multiplies one contiguous
+    slice of ``a``. A weight that no row picks has an empty slice, which costs
+    nothing, and its slice of the stack's gradient is zero.
     """
     expert = np.asarray(expert, dtype=np.int64)
     if a.ndim != 2 or w.ndim != 3 or expert.shape != (a.shape[0],) or w.shape[1] != a.shape[1]:
         raise ShapeError(f"routed_matmul: input {a.shape}, weights {w.shape}, index {expert.shape}")
-    if expert.size and (expert.min() < 0 or expert.max() >= w.shape[0]):
-        raise ShapeError(f"routed_matmul: weight index out of range for {w.shape[0]} weights")
-    if np.any(expert[1:] < expert[:-1]):
-        raise ContractError("routed_matmul: rows are not sorted by weight index")
-    bounds = np.searchsorted(expert, np.arange(w.shape[0] + 1)).tolist()  # n: bounds[n:n + 2]
+    if expert.size and (np.any(expert[1:] < expert[:-1]) or expert[0] < 0
+                        or expert[-1] >= w.shape[0]):
+        raise ShapeError(f"routed_matmul: weight indices unsorted or outside [0, {w.shape[0]})")
+    bounds = np.searchsorted(expert, np.arange(w.shape[0] + 1)).tolist()  # segment edges
     out_data = np.empty((a.shape[0], w.shape[2]))  # the segments cover every row
     for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(a.data[lo:hi], w.data[n], out=out_data[lo:hi])
@@ -650,16 +656,15 @@ def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:
     w_data = w.data if a.requires_grad else None
 
     def bw(g, ea, ew):
-        if ea is not None:
-            buf_a = np.empty(a_shape)
-            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        buf_a = None if ea is None else np.empty(a_shape)
+        buf_w = None if ew is None else np.zeros(w_shape)
+        for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if buf_a is not None:
                 np.matmul(g[lo:hi], w_data[n].T, out=buf_a[lo:hi])
-            _accumulate(ea, buf_a)
-        if ew is not None:
-            buf_w = np.zeros(w_shape)
-            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if buf_w is not None:
                 np.matmul(a_data[lo:hi].T, g[lo:hi], out=buf_w[n])
-            _accumulate(ew, buf_w)
+        _accumulate(ea, buf_a)
+        _accumulate(ew, buf_w)
 
     return _node(out_data, (a, w), bw)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairtrack.errors import ConfigError, ContractError, ShapeError
 from pairtrack.moe import (
@@ -26,11 +28,19 @@ from pairtrack.numerics import (
     Tensor,
     add,
     backward,
+    concat,
     constant,
     finite_diff_grad,
+    gather_cols,
+    gather_rows,
     grad_max_rel_error,
+    matmul,
     mul,
     no_grad,
+    reshape,
+    scale,
+    silu,
+    softmax,
     tsum,
 )
 
@@ -193,7 +203,8 @@ def _random_experts(store, rng, n):
 
 def _one_expert(tokens, params):
     """A stack of one gated expert applied to every token."""
-    return routed_experts(tokens, params, np.zeros(tokens.shape[0], dtype=np.int64))
+    rows = tokens.shape[0]
+    return routed_experts(tokens, params, np.zeros(rows, dtype=np.int64), constant(np.ones(rows)))
 
 
 def test_specific_expert_zero_cases():
@@ -264,6 +275,61 @@ def test_sparse_moe_dense_evaluation_oracle():
                 expected[t] += scores[t, n] * expert_np(toks[t : t + 1], experts, n)[0]
         np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
         assert result.n_expert_evals == 8 * top_k
+
+
+def _per_token_loop(tokens, experts, w_router, k):
+    """sparse_moe's output as a sum over each token's picks, one token and one expert at a time."""
+    scores = softmax(matmul(tokens, w_router), axis=1)
+    picks = np.argsort(-scores.data, axis=1, kind="stable")[:, :k]
+    rows = []
+    for t, token_picks in enumerate(picks):
+        x, total = gather_rows(tokens, np.array([t])), None
+        for n in token_picks:
+            w_down, w_gate, w_up = (reshape(gather_rows(w, np.array([n])), w.shape[1:])
+                                    for w in (experts.w_down, experts.w_gate, experts.w_up))
+            gate = gather_cols(gather_rows(scores, np.array([t])), np.array([[n]]))
+            out = matmul(mul(silu(matmul(x, w_gate)), matmul(x, w_down)), w_up)
+            term = scale(out, reshape(gate, (1,)))
+            total = term if total is None else add(total, term)
+        rows.append(total)
+    return concat(rows, axis=0)
+
+
+experts_and_picks = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+
+
+# derandomized and without an example database, so a run of the same tests draws the same examples
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(experts_and_picks, st.integers(1, 3), st.integers(1, 6), st.data())
+def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count, data):
+    n, k = n_and_k
+    starved = data.draw(st.integers(0, n - 1), label="expert no pair picks")
+    rng = RngStream(data.draw(st.integers(0, 2**16), label="seed"))
+    cfg = MoEConfig(model_dim=8, n_experts=n, top_k=k, reduction=4)
+    store = ParamStore()
+    experts = _random_experts(store, rng, n)
+    router = rng.uniform(-1, 1, (8, n))
+    router[0, starved] = -100.0  # feature 0 is 1 on every row, so no row ranks it in its top K
+    w_router = store.add("router", router)
+    values = rng.uniform(-1, 1, (n_seq * t_count, 8))  # the rows of n_seq stacked sequences
+    values[:, 0] = 1.0
+    u = constant(rng.uniform(-1, 1, values.shape))
+    results = []
+    for build in (lambda x: sparse_moe(x, experts, w_router, cfg).output,
+                  lambda x: _per_token_loop(x, experts, w_router, k)):
+        store.zero_grad()
+        tokens = Tensor(values, requires_grad=True)
+        out = build(tokens)
+        backward(tsum(mul(out, u)))
+        results.append({"output": out.data, "tokens": tokens.grad,
+                        **{p.name: p.grad for p in store}})
+    got, want = results
+    assert starved not in sparse_moe(constant(values), experts, w_router, cfg).decision.selected
+    assert all(not got[name][starved].any() for name in ("e.w_down", "e.w_gate", "e.w_up"))
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert np.max(np.abs(got[name] - value)) <= 1e-12 * np.max(np.abs(value)), name
 
 
 @pytest.mark.parametrize("n_experts", [2, 4, 8])
@@ -438,7 +504,7 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
         adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
-    assert counts == {24}, counts
+    assert counts == {26}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():

@@ -235,7 +235,7 @@ def test_routed_matmul_shape_and_index_errors():
         routed_matmul(a, w, np.array([0, -1, 1]))
     with pytest.raises(ShapeError):  # an empty stack has no weight to pick
         routed_matmul(a, constant(np.zeros((0, 4, 2))), np.zeros(3))
-    with pytest.raises(ContractError):  # rows must come sorted by weight index
+    with pytest.raises(ShapeError):  # rows must come sorted by weight index
         routed_matmul(a, w, np.array([1, 0, 1]))
 
 

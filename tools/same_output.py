@@ -74,7 +74,7 @@ def metrics_bytes(checkout: Path, args: list[str], out: Path) -> bytes | None:
 
 
 def largest_relative_differences(parent: Path, change: Path) -> dict[str, float]:
-    """Per kind ("forward", "grad"), the largest max|change - parent| / max|parent| of its arrays."""
+    """Per kind ("forward", "grad"): the largest max|change - parent| / max|parent| of an array."""
     import numpy as np
 
     worst = {"forward": 0.0, "grad": 0.0}
