@@ -29,8 +29,8 @@ def main(argv):
 """
 
 
-# stands in for same_output.PROBE: the change nudges one output and one gradient by 2**-50
-# and 2**-40 of their values' scale
+# stands in for same_output.PROBE: the change moves one output by 2**-50 and one gradient by
+# 2**-42 of their arrays' largest values
 _FAKE_PROBE = """
 import sys
 from pathlib import Path
@@ -41,9 +41,10 @@ with open("../calls.txt", "a") as log:
 if Path("no_probe").exists():
     sys.exit(3)
 nudge = 2.0 ** -50 if side == "change" else 0.0
+name = "grad.renamed" if Path("renamed").exists() else "grad.w"
 np.savez(sys.argv[1], **{"forward.box": np.array([1.0, -2.0 * (1 + nudge)]),
                          "forward.total": np.array([3.0]),
-                         "grad.w": np.array([[4.0, 0.5 + 2.0 ** 10 * nudge]])})
+                         name: np.array([[4.0, 0.5 + 2.0 ** 10 * nudge]])})
 """
 
 
@@ -87,7 +88,7 @@ def test_a_difference_prints_the_probe_batch_differences_at_k1_and_k2(tmp_path, 
     monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
     assert same_output.main(_checkouts(tmp_path, broken="bytes")) == 1
     probed = capsys.readouterr().out.splitlines()[3:]
-    forward, grad = 2.0 ** -50, 2.0 ** -40 / 4.0  # each relative to the parent's largest value
+    forward, grad = 2.0 ** -50, 2.0 ** -42
     assert probed == [f"{f'probe-batch-k{k}':22s} largest relative difference: forward "
                       f"{forward:.1e}, gradients {grad:.1e}" for k in (1, 2)]
     calls = (tmp_path / "calls.txt").read_text().splitlines()
@@ -103,3 +104,13 @@ def test_a_failed_probe_is_reported_and_leaves_the_exit_code(tmp_path, capsys, m
     assert [line.split() for line in captured.out.splitlines()[3:]] == [
         ["probe-batch-k1", "failed"], ["probe-batch-k2", "failed"]]
     assert "probe exited 3" in captured.err
+
+
+def test_probes_that_hold_different_arrays_are_reported_not_compared(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
+    args = _checkouts(tmp_path, broken="bytes")
+    (tmp_path / "change" / "renamed").write_text("")
+    assert same_output.main(args) == 1
+    assert [line.split()[:3] for line in capsys.readouterr().out.splitlines()[3:]] == [
+        ["probe-batch-k1", "not", "comparable:"], ["probe-batch-k2", "not", "comparable:"]]

@@ -362,6 +362,9 @@ UNARY_CASES = [
         np.array([0, 0, 1, 2])),
      (4, 4), (-2, 2)),
     (lambda x: gather_cols(x, np.array([[0, 2], [1, 1], [3, 0]])), (3, 4), (-2, 2)),
+    # gather_rows over any leading axis, by an index of any shape
+    (lambda x: gather_rows(x, np.array([[2, 0], [2, 1]])), (4, 3), (-2, 2)),
+    (lambda x: gather_rows(x, np.array([1, 1, 0, 2])), (3,), (-2, 2)),
 ]
 
 

@@ -13,9 +13,9 @@ When a pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
 K=2: the forward and backward of the first default-config training batch
 (seed 0). For each, it prints the largest relative difference between the
 checkouts over the forward outputs and over the gradients, each array's
-difference taken relative to the parent's largest magnitude in it. The exit
-code does not depend on these figures. Standard library, plus numpy for the
-probe.
+difference taken relative to the parent's largest magnitude in it, or that
+the two probes hold different arrays. The exit code does not depend on these
+figures. Standard library, plus numpy for the probe.
 """
 
 from __future__ import annotations
@@ -105,7 +105,11 @@ def probe(parent: Path, change: Path, tmp: Path) -> None:
                 print(f"{f'probe-batch-k{top_k}':22s} failed", flush=True)
                 break
         else:
-            worst = largest_relative_differences(*files)
+            try:
+                worst = largest_relative_differences(*files)
+            except ValueError as exc:  # e.g. a parameter layout the other side lacks
+                print(f"{f'probe-batch-k{top_k}':22s} not comparable: {exc}", flush=True)
+                continue
             print(f"{f'probe-batch-k{top_k}':22s} largest relative difference: forward "
                   f"{worst['forward']:.1e}, gradients {worst['grad']:.1e}", flush=True)
 
