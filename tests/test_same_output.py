@@ -8,7 +8,8 @@ _spec = importlib.util.spec_from_file_location("same_output", _PATH)
 same_output = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_output)
 
-# stands in for pairtrack.harness.cli: logs its call and writes metrics.tsv from its arguments
+# stands in for pairtrack.harness.cli: logs its call and writes metrics.tsv and the checkpoint
+# from its arguments
 _FAKE_CLI = """
 import os
 from pathlib import Path
@@ -25,6 +26,10 @@ def main(argv):
     extra = side if broken == "bytes" and args.get("--top-k") == "2" else ""
     os.makedirs(args["--out"])
     Path(args["--out"], "metrics.tsv").write_text(f"step\\t{args['--seed']}\\t{extra}\\n")
+    if broken != "no-checkpoint":
+        weights = side if broken == "blob" and args.get("--top-k") == "1" else ""
+        Path(args["--out"], "checkpoint.blob").write_text(f"{args['--seed']}{weights}")
+        Path(args["--out"], "checkpoint.manifest").write_text("w\\t1\\t0\\n")
     return 0
 """
 
@@ -66,6 +71,7 @@ def test_same_bytes_on_every_pinned_config_exit_0(tmp_path, capsys):
     assert [line.split()[:2] for line in lines] == [
         ["determinism-seed3", "same"], ["default-40-steps-k1", "same"],
         ["default-40-steps-k2", "same"]]
+    assert all(line.endswith(", checkpoint same") for line in lines)
     calls = (tmp_path / "calls.txt").read_text().splitlines()
     assert calls == [f"{side} train 1 {run}" for run in (
         "3 - - model_dim = 16", "0 40 1 -", "0 40 2 -") for side in ("parent", "change")]
@@ -114,3 +120,24 @@ def test_probes_that_hold_different_arrays_are_reported_not_compared(tmp_path, c
     assert same_output.main(args) == 1
     assert [line.split()[:3] for line in capsys.readouterr().out.splitlines()[3:]] == [
         ["probe-batch-k1", "not", "comparable:"], ["probe-batch-k2", "not", "comparable:"]]
+
+
+def test_equal_metrics_with_a_different_blob_exit_0_and_name_the_blob(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
+    assert same_output.main(_checkouts(tmp_path, broken="blob")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(", ")[1] for line in lines[:3]] == [
+        "checkpoint same", "checkpoint DIFFERENT checkpoint.blob", "checkpoint same"]
+    assert [line.split()[1] for line in lines[:3]] == ["same", "same", "same"]
+    # the moved weights get the probe's figures, as a metrics difference does
+    assert [line.split()[0] for line in lines[3:]] == ["probe-batch-k1", "probe-batch-k2"]
+
+
+def test_a_missing_checkpoint_is_reported_and_leaves_the_exit_code(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
+    assert same_output.main(_checkouts(tmp_path, broken="no-checkpoint")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(", checkpoint missing checkpoint.blob,checkpoint.manifest")
+               for line in lines[:3])

@@ -7,9 +7,12 @@ Runs ``pairtrack train`` from each checkout's ``src/`` with
 determinism config (``tests/determinism.cfg``, which
 tests/test_acceptance.py runs too) at seed 3, and 40 default steps at seed 0
 with K=1 and with K=2. Prints one line per config and exits 1 if any pair of
-files differs or a run fails.
+``metrics.tsv`` files differs or a run fails. The line also says whether the
+runs' ``checkpoint.blob`` and ``checkpoint.manifest`` are byte-identical:
+``metrics.tsv`` prints 12 significant digits, so trained weights can move in
+their last bits while it stays the same. That verdict leaves the exit code.
 
-When a pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
+When either pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
 K=2: the forward and backward of the first default-config training batch
 (seed 0). For each, it prints the largest relative difference between the
 checkouts over the forward outputs and over the gradients, each array's
@@ -33,6 +36,9 @@ CONFIGS = {
     "default-40-steps-k1": ["--seed", "0", "--steps", "40", "--top-k", "1"],
     "default-40-steps-k2": ["--seed", "0", "--steps", "40", "--top-k", "2"],
 }
+# the checkpoint ``pairtrack train`` writes beside metrics.tsv (names from
+# pairtrack.numerics.checkpoint)
+CHECKPOINT = ("checkpoint.blob", "checkpoint.manifest")
 RUN = "import sys; from pairtrack.harness.cli import main; sys.exit(main(sys.argv[1:]))"
 # argv: the .npz to write, K; keys "forward.*" for outputs and "grad.*" for gradients
 PROBE = """
@@ -63,14 +69,30 @@ def _run(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=False)
 
 
-def metrics_bytes(checkout: Path, args: list[str], out: Path) -> bytes | None:
-    """``metrics.tsv`` of one ``pairtrack train`` run in ``checkout``, or None if it failed."""
+def train_outputs(checkout: Path, args: list[str], out: Path) -> dict[str, bytes | None] | None:
+    """The bytes of ``metrics.tsv`` and ``CHECKPOINT`` after one ``pairtrack train`` run.
+
+    None if the run failed; a checkpoint file the run did not write reads None.
+    """
     done = _run(checkout, [RUN, "train", *args, "--out", str(out)])
     if done.returncode != 0:
         print(f"{checkout}: train exited {done.returncode}: {done.stderr.strip()}",
               file=sys.stderr)
         return None
-    return (out / "metrics.tsv").read_bytes()
+    checkpoint = {name: (out / name).read_bytes() if (out / name).is_file() else None
+                  for name in CHECKPOINT}
+    return {"metrics.tsv": (out / "metrics.tsv").read_bytes(), **checkpoint}
+
+
+def checkpoint_verdict(parent: dict | None, change: dict | None) -> str:
+    """``same``, or which checkpoint files differ or are missing, for two runs' outputs."""
+    if parent is None or change is None:
+        return "not compared"
+    missing = [name for name in CHECKPOINT if parent[name] is None or change[name] is None]
+    if missing:
+        return f"missing {','.join(missing)}"
+    differ = [name for name in CHECKPOINT if parent[name] != change[name]]
+    return f"DIFFERENT {','.join(differ)}" if differ else "same"
 
 
 def largest_relative_differences(parent: Path, change: Path) -> dict[str, float]:
@@ -119,17 +141,22 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     args = parser.parse_args(argv)
-    differ = 0
+    differ = probed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, run_args in CONFIGS.items():
-            parent, change = (metrics_bytes(checkout, run_args, Path(tmp) / f"{name}-{side}")
+            parent, change = (train_outputs(checkout, run_args, Path(tmp) / f"{name}-{side}")
                               for side, checkout in (("parent", args.parent),
                                                      ("change", args.change)))
-            same = parent is not None and parent == change
+            same = parent is not None and change is not None and (
+                parent["metrics.tsv"] == change["metrics.tsv"])
+            checkpoint = checkpoint_verdict(parent, change)
             differ += not same
-            sizes = "/".join("failed" if b is None else f"{len(b)} B" for b in (parent, change))
-            print(f"{name:22s} {'same' if same else 'DIFFERENT'} ({sizes})", flush=True)
-        if differ:
+            probed += not same or checkpoint != "same"
+            sizes = "/".join("failed" if out is None else f"{len(out['metrics.tsv'])} B"
+                             for out in (parent, change))
+            print(f"{name:22s} {'same' if same else 'DIFFERENT'} ({sizes}), "
+                  f"checkpoint {checkpoint}", flush=True)
+        if probed:
             probe(args.parent, args.change, Path(tmp))
     return 1 if differ else 0
 
