@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..losses import (
     total_loss,
     weighted_focal,
 )
-from ..numerics import backward, mean, no_grad
+from ..numerics import Tensor, backward, mean, no_grad
 from .config import RunConfig
 from .data import SyntheticSample, complementary_split, generate_dataset
 from .metrics import MetricsRecord, usage_entropy
@@ -61,11 +61,23 @@ def forward_track(samples: SyntheticSample | Sequence[SyntheticSample],
     return TrackResult(output, bundle)
 
 
-def _add_losses(components: dict[str, float], bundle: LossBundle) -> None:
-    """Add each sample's loss floats to ``components``, in sample order."""
-    for row in zip(*(getattr(bundle, name).data for name in LOSS_NAMES)):
-        for name, value in zip(LOSS_NAMES, row):
-            components[name] += float(value)
+def _loss_sums(bundles: Sequence[LossBundle]) -> dict[str, float]:
+    """Each loss component summed over the bundles' samples, in bundle and sample order."""
+    sums = dict.fromkeys(LOSS_NAMES, 0.0)
+    for bundle in bundles:
+        for row in zip(*(getattr(bundle, name).data for name in LOSS_NAMES)):
+            for name, value in zip(LOSS_NAMES, row):
+                sums[name] += float(value)
+    return sums
+
+
+def _mean_losses(sums: dict[str, float], n: int, step: int) -> dict[str, float]:
+    """The per-sample means of loss sums over n samples, each checked finite."""
+    means = {name: sums[name] / n for name in LOSS_NAMES}
+    for name, value in means.items():
+        if not np.isfinite(value):
+            raise NumericError(f"evaluate: mean loss '{name}' is not finite (step {step})")
+    return means
 
 
 @dataclass
@@ -77,8 +89,9 @@ class TrainResult:
 
 
 def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int,
-                prefix_cache: dict | None = None):
-    """Mean loss over samples, run in one pass; component means summed in sample order."""
+                prefix_cache: dict | None = None
+                ) -> tuple[Tensor, LossBundle, np.ndarray]:
+    """Mean loss over samples, run in one pass; also the pass's [B] losses and expert usage."""
     try:
         result = forward_track(samples, model, prefix_cache)
     except NumericError as exc:
@@ -87,40 +100,41 @@ def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int,
         loss = mean(result.bundle.total)
     if not np.isfinite(loss.item()):
         raise NumericError(f"batch mean loss is not finite (training step {step})")
-    components = dict.fromkeys(LOSS_NAMES, 0.0)
-    _add_losses(components, result.bundle)
-    for name in components:
-        components[name] /= len(samples)
-    return (loss, components,
-            result.output.usage_histogram(model.cfg.n_experts))
+    return loss, result.bundle, result.output.usage_histogram(model.cfg.n_experts)
+
+
+def _passes(model: Tracker, dataset: list[SyntheticSample],
+            prefix_cache: dict | None = None
+            ) -> Iterator[tuple[list[SyntheticSample], TrackResult]]:
+    """No-grad passes over ``dataset`` in order, each chunk with its result.
+
+    A pass holds at most ``batch_size`` samples, the shape of a training step.
+    """
+    size = model.cfg.batch_size
+    for start in range(0, len(dataset), size):
+        chunk = dataset[start:start + size]
+        with no_grad():
+            result = forward_track(chunk, model, prefix_cache)
+        yield chunk, result
 
 
 def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0,
              prefix_cache: dict | None = None) -> MetricsRecord:
     """Mean IoU and success rates plus loss components, without gradients.
 
-    Runs passes of at most ``batch_size`` samples, the shape of a training step.
-    ``prefix_cache`` goes to ``Tracker.forward``.
+    Runs the passes of ``_passes``; ``prefix_cache`` goes to ``Tracker.forward``.
     """
     if not dataset:
         raise ContractError("evaluate: empty dataset")
-    size = model.cfg.batch_size
-    with no_grad():
-        components = dict.fromkeys(LOSS_NAMES, 0.0)
-        usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
-        ious = []
-        for start in range(0, len(dataset), size):
-            chunk = dataset[start:start + size]
-            result = forward_track(chunk, model, prefix_cache)
-            _add_losses(components, result.bundle)
-            usage += result.output.usage_histogram(model.cfg.n_experts)
-            ious.extend(box_iou(box, sample.gt_box)
-                        for box, sample in zip(result.output.boxes, chunk))
-    n = len(dataset)
-    means = {name: components[name] / n for name in LOSS_NAMES}
-    for name, value in means.items():
-        if not np.isfinite(value):
-            raise NumericError(f"evaluate: mean loss '{name}' is not finite (step {step})")
+    bundles = []
+    usage = np.zeros(model.cfg.n_experts, dtype=np.int64)
+    ious = []
+    for chunk, result in _passes(model, dataset, prefix_cache):
+        bundles.append(result.bundle)
+        usage += result.output.usage_histogram(model.cfg.n_experts)
+        ious.extend(box_iou(box, sample.gt_box)
+                    for box, sample in zip(result.output.boxes, chunk))
+    means = _mean_losses(_loss_sums(bundles), len(dataset), step)
     ious = np.asarray(ious)
     return MetricsRecord(
         step=step, **means,
@@ -137,9 +151,14 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
     Initial and final losses are both measured on the full training set, so
     the convergence ratio is batch-size independent. Frozen weights never
     move: the optimizer skips them. So the frozen backbone prefix of a batch
-    never changes either: the step that first sees a batch computes it, and
-    later steps on that batch start from it, and so does the final
-    evaluation. The cache lives for this call; see README, "Frozen prefix".
+    never changes either: the pass that first sees a batch computes it, and
+    later passes on that batch start from it. The cache lives for this call;
+    see README, "Frozen prefix".
+
+    Step 0's batch is the initial evaluation's first pass, at the same
+    weights, so the initial loss takes that pass's losses from step 0's
+    forward. Set-up runs only the evaluation's other passes, through the
+    cache, which the steps and the final evaluation on those batches then hit.
     """
     model = Tracker(cfg)
     train_set = generate_dataset(cfg, cfg.n_train, "data")
@@ -147,18 +166,20 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
     batch = min(cfg.batch_size, len(train_set))
     records: list[MetricsRecord] = []
     prefix_cache: dict = {}
-    initial = evaluate(model, train_set).total
+    later = [result.bundle for _, result in _passes(model, train_set[batch:], prefix_cache)]
     for step in range(cfg.steps):
         start = (step * batch) % len(train_set)
         samples = [train_set[(start + j) % len(train_set)] for j in range(batch)]
         model.store.zero_grad()
-        loss_t, components, usage = _batch_loss(model, samples, step, prefix_cache)
+        loss_t, bundle, usage = _batch_loss(model, samples, step, prefix_cache)
+        if step == 0:  # samples are train_set[:batch], the evaluation's first pass
+            initial = _mean_losses(_loss_sums([bundle, *later]), len(train_set), 0)["total"]
         if step % cfg.log_interval == 0 or step == cfg.steps - 1:
+            components = {name: total / len(samples)
+                          for name, total in _loss_sums([bundle]).items()}
             eval_rec = evaluate(model, eval_set, step) if eval_each_log else None
             records.append(MetricsRecord(
-                step=step,
-                total=components["total"], cls=components["cls"],
-                iou=components["iou"], l1=components["l1"], eb=components["eb"],
+                step=step, **components,
                 expert_usage=usage, entropy=usage_entropy(usage),
                 mean_iou=eval_rec.mean_iou if eval_rec else 0.0,
                 success_at_50=eval_rec.success_at_50 if eval_rec else 0.0,

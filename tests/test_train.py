@@ -155,16 +155,18 @@ def test_train_keeps_one_prefix_entry_per_distinct_batch(n_train, entries, monke
     monkeypatch.setattr(Tracker, "forward", spy)
     cfg = tiny_config(seed=18, steps=6, batch_size=4, n_train=n_train)
     train(cfg, eval_each_log=False)
-    # the initial evaluation passes no cache; every step and the final evaluation pass
-    # the same one
+    # step 0's pass is the initial evaluation's first, so set-up runs the other passes;
+    # they, every step and the final evaluation pass the same cache
     batches = -(-n_train // 4)
-    assert caches[:batches] == [None] * batches
-    passes = caches[batches:]
-    assert len(passes) == cfg.steps + batches and all(c is passes[0] for c in passes)
-    # the steps leave one entry per distinct batch; the final evaluation hits them and
-    # adds only a chunk no step ran, the 2 last samples when n_train is 6
-    assert sizes[batches + cfg.steps] == entries
-    assert len(passes[0]) == entries + (n_train == 6)
+    setup = batches - 1
+    assert len(caches) == setup + cfg.steps + batches
+    assert caches[0] is not None and all(c is caches[0] for c in caches)
+    # set-up stores one entry per pass; the steps add one per distinct batch that set-up
+    # did not see, and the final evaluation hits them all. A chunk no step runs, the 2
+    # last samples when n_train is 6, is set-up's
+    assert sizes[setup] == setup
+    assert sizes[setup + cfg.steps] == entries + (n_train == 6)
+    assert len(caches[0]) == entries + (n_train == 6)
 
 
 @pytest.mark.parametrize("toggles", ["default", "baseline"])
@@ -175,6 +177,29 @@ def test_final_evaluation_through_the_cache_matches_an_uncached_one(toggles):
     result = train(cfg, eval_each_log=False)
     fresh = evaluate(result.model, generate_dataset(cfg, cfg.n_train, "data"))
     assert result.final_loss == fresh.total
+
+
+@pytest.mark.parametrize("toggles", ["default", "baseline"])
+@pytest.mark.parametrize("n_train", [8, 6, 3])
+def test_initial_loss_equals_an_evaluation_of_the_initial_model(n_train, toggles):
+    cfg = tiny_config(seed=20, steps=2, batch_size=4, n_train=n_train)
+    if toggles == "baseline":
+        cfg = cfg.with_toggles(False, False, False, False)
+    result = train(cfg, eval_each_log=False)
+    fresh = evaluate(Tracker(cfg), generate_dataset(cfg, cfg.n_train, "data"))
+    assert result.initial_loss == fresh.total
+
+
+@pytest.mark.parametrize("batch_size, message", [
+    (4, "batch mean loss is not finite (training step 0)"),  # step 0's own check
+    (1, "mean loss 'total' is not finite (step 0)"),  # each batch is finite, the sum is not
+])
+def test_an_overflowing_initial_loss_raises_numeric_error(batch_size, message):
+    cfg = tiny_config(seed=12, steps=3, batch_size=batch_size, n_train=8,
+                      lambda_iou=1e308, lambda_l1=1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+        train(cfg, eval_each_log=False)
+    assert message in str(exc.value)
 
 
 def test_train_record_usage_accounts_batch_tokens():
