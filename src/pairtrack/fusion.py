@@ -92,17 +92,28 @@ class HyperConvParams:
     theta2: Parameter
 
 
-def multi_level_fuse(levels: list[Tensor], w) -> Tensor:
-    """Concatenate per-layer features along the feature axis and project."""
+def multi_level_fuse(levels: list[Tensor], weights: list[Tensor]) -> Tensor:
+    """Sum over levels of level_l @ W_l: the concatenated levels times the stacked W_l.
+
+    Each level is projected by its own [D, D'] matrix and the products are
+    added in level order, so no [..., L*D] concatenation is built.
+    """
     if not levels:
         raise ContractError("multi_level_fuse: empty level list")
+    if len(weights) != len(levels):
+        raise ContractError(
+            f"multi_level_fuse: {len(levels)} levels but {len(weights)} weights"
+        )
     shape = levels[0].shape
     for lvl in levels[1:]:
         if lvl.shape != shape:
             raise ContractError(
                 f"multi_level_fuse: shapes differ: {shape} vs {lvl.shape}"
             )
-    return linear(concat(levels, axis=-1), w)
+    fused = linear(levels[0], weights[0])
+    for lvl, w in zip(levels[1:], weights[1:]):
+        fused = add(fused, linear(lvl, w))
+    return fused
 
 
 def gram_basis(k: Tensor) -> GramBasis:

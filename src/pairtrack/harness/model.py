@@ -10,9 +10,11 @@ predictions intact at insertion time.
 A forward pass takes B samples at once and carries their tokens as one
 [B, 2, T, D] stack: sample, modality (R, then X), token, feature. One
 patch embedding covers the template and search frames of both modalities,
-and the blocks and the adapters run once over the stack, each block's
-multi-head attention as one tape node. The multi-level fusion runs on the
-tapped blocks' token stacks, and one gather then takes the search tokens
+and the blocks and the adapters run once over the stack. Each block projects
+q, k and v with one packed [D, 3D] matrix, and its multi-head attention is
+one tape node that reads the three as column views of that product. The
+multi-level fusion adds each tapped block's token stack times its own [D, D]
+matrix, and one gather then takes the search tokens
 to the [B, Ts, D] stacks of R and X features on which cross-modal fusion
 and the head run once. The pass predicts [B, 4] boxes, [B, side, side]
 center maps and B balance terms, and returns them as one
@@ -53,6 +55,7 @@ from ..numerics import (
     attention,
     concat,
     constant,
+    fan_in_uniform,
     gather_rows,
     linear,
     matmul,
@@ -109,16 +112,16 @@ class Block:
             # blocks are the frozen backbone
             return store.uniform_init(f"{prefix}.{name}", shape, fan_in, rng, trainable=False)
 
-        self.wq = weight("attn.wq", (dim, dim), dim)
-        self.wk = weight("attn.wk", (dim, dim), dim)
-        self.wv = weight("attn.wv", (dim, dim), dim)
+        # the q, k and v projections as one [D, 3D] matrix, drawn in that order
+        self.wqkv = store.add(f"{prefix}.attn.wqkv", np.concatenate(
+            [fan_in_uniform((dim, dim), dim, rng) for _ in range(3)], axis=1), trainable=False)
         self.wo = weight("attn.wo", (dim, dim), dim)
         self.w1 = weight("mlp.w1", (dim, mlp_dim), dim)
         self.w2 = weight("mlp.w2", (mlp_dim, dim), mlp_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         """Both residual branches on a [..., T, D] stack of sequences."""
-        attn = attention(matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv), self.heads)
+        attn = attention(matmul(x, self.wqkv), self.heads)
         x = add(x, matmul(attn, self.wo))
         hidden = silu(matmul(x, self.w1))
         return add(x, matmul(hidden, self.w2))
@@ -196,10 +199,9 @@ class Tracker:
             ]
 
         fu_rng = root.child("fusion")
-        n_taps = len(cfg.level_taps)
-        self.mff_w = None
-        if cfg.toggle_mff:
-            self.mff_w = self.store.zeros_init("fusion.mff.w", (n_taps * d, d))
+        # one [D, D] projection per tapped block, named by its tap
+        self.mff_weights = [self.store.zeros_init(f"fusion.mff.w{tap}", (d, d))
+                      for tap in cfg.level_taps] if cfg.toggle_mff else []
         self.key_w = self.align = None
         self.fuse_w = self.out_w = self.conv = None
         if cfg.toggle_gram:
@@ -314,7 +316,7 @@ class Tracker:
 
     def _tapped(self, i: int) -> bool:
         """Whether multi-level fusion reads the stack after block ``i``."""
-        return self.mff_w is not None and (i + 1) in self.cfg.level_taps
+        return bool(self.mff_weights) and (i + 1) in self.cfg.level_taps
 
     def _backbone(self, batch: list[SyntheticSample], prefix_cache: dict | None = None
                   ) -> tuple[Tensor, Tensor, list[np.ndarray], list[int]]:
@@ -348,7 +350,7 @@ class Tracker:
         # each adapter pass gives [B, 2] terms; a sample's balance is the mean of its row
         balance = mean(concat(balances, axis=1), axis=1) if balances else constant(np.zeros(n))
         if levels:
-            tokens = add(tokens, multi_level_fuse(levels, self.mff_w))
+            tokens = add(tokens, multi_level_fuse(levels, self.mff_weights))
         # the stack's row numbers at its search tokens, in sample, token, modality order
         stack_rows = np.arange(2 * n * n_tok).reshape(n, 2, n_tok)
         search_rows = stack_rows[:, :, cfg.n_template_tokens:].swapaxes(1, 2).ravel()

@@ -152,8 +152,9 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
     the convergence ratio is batch-size independent. Frozen weights never
     move: the optimizer skips them. So the frozen backbone prefix of a batch
     never changes either: the pass that first sees a batch computes it, and
-    later passes on that batch start from it. The cache lives for this call;
-    see README, "Frozen prefix".
+    later passes on that batch start from it. One cache serves the training
+    batches and the logging evaluations' ``eval_set`` batches, and lives for
+    this call; see README, "Frozen prefix".
 
     Step 0's batch is the initial evaluation's first pass, at the same
     weights, so the initial loss takes that pass's losses from step 0's
@@ -177,7 +178,8 @@ def train(cfg: RunConfig, eval_each_log: bool = True) -> TrainResult:
         if step % cfg.log_interval == 0 or step == cfg.steps - 1:
             components = {name: total / len(samples)
                           for name, total in _loss_sums([bundle]).items()}
-            eval_rec = evaluate(model, eval_set, step) if eval_each_log else None
+            eval_rec = (evaluate(model, eval_set, step, prefix_cache=prefix_cache)
+                        if eval_each_log else None)
             records.append(MetricsRecord(
                 step=step, **components,
                 expert_usage=usage, entropy=usage_entropy(usage),

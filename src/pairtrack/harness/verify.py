@@ -153,9 +153,9 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("scale_leading", lambda x: scale(x, constant(rows[:2])), (2, 5, 4), -2, 2),
         ("scale_leading_factor", lambda x: scale(constant(stack), x), (2,), -2, 2),
         ("slice_cols_stack", lambda x: slice_cols(x, 1, 3), (2, 5, 4), -2, 2),
-        ("attention", lambda x: attention(x, x, x, 2), (2, 5, 4), -2, 2),
-        ("attention_keys", lambda x: attention(constant(stack), x, constant(stack), 2),
-         (2, 5, 4), -2, 2),
+        ("attention", lambda x: attention(x, 2), (2, 5, 12), -2, 2),
+        ("attention_keys", lambda x: attention(
+            concat([constant(stack), x, constant(stack)], axis=-1), 2), (2, 5, 4), -2, 2),
         ("gather_rows_repeated", lambda x: gather_rows(x, idx_repeated), (4, 3), -2, 2),
         ("scale_scalar_factor", lambda x: scale(constant(other), x), (), -2, 2),
         ("routed_matmul_weights",

@@ -21,8 +21,8 @@ shapes, and the only broadcast forms are the dedicated helpers (``scale``
 by a factor per leading index, ``add_rowvec`` over any leading shape) and
 ``matmul`` of a stack of matrices by one shared matrix; ``routed_matmul``
 multiplies rows sorted by matrix by their matrix of an [N, K, M] stack, and
-``attention`` is one node over [..., T, D] stacks. Keeping the kernel surface small keeps shape
-bugs loud.
+``attention`` is one node over a [..., T, 3D] stack that packs q, k and v.
+Keeping the kernel surface small keeps shape bugs loud.
 
 A gradient is kept without a copy when it first arrives, so it may alias
 another slot's gradient. A slot owns its gradient, and adds into it in
@@ -504,13 +504,17 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     shape = a.shape
 
     def bw(g, ea):
+        flat, g = idx.ravel(), g.reshape((idx.size,) + shape[1:])
+        buf = np.zeros(shape, dtype=np.float64)
+        if flat.size == 0 or np.bincount(flat).max() == 1:  # no row picked twice
+            buf[flat] = g
+            _accumulate(ea, buf)
+            return
         # a row's first pick is assigned and its later picks are added in pick
         # order; np.add.at alone is an order of magnitude slower on distinct rows
-        flat, g = idx.ravel(), g.reshape((idx.size,) + shape[1:])
         first = np.unique(flat, return_index=True)[1]
         again = np.ones(flat.size, dtype=bool)
         again[first] = False
-        buf = np.zeros(shape, dtype=np.float64)
         buf[flat[first]] = g[first]
         np.add.at(buf, flat[again], g[again])
         _accumulate(ea, buf)
@@ -587,51 +591,55 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [..., T, D] stacks, as one node.
+def attention(qkv: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over a packed [..., T, 3D] stack, as one node.
 
-    Head h owns columns [h*d, (h+1)*d), d = D / heads. The tape keeps the
-    weights, and the inputs and the output only where a gradient reads them:
-    the q and k gradients take softmax's row term from the rows of dO * O.
+    Columns [0, D) of ``qkv`` are the queries, [D, 2D) the keys and [2D, 3D)
+    the values; the kernel reads each as a column view of the stack, and head
+    h owns columns [h*d, (h+1)*d) of each, d = D / heads. The output is
+    [..., T, D]. The tape keeps the weights, the stack and the output, and
+    backward writes dq, dk and dv into one [..., T, 3D] gradient; the q and k
+    gradients take softmax's row term from the rows of dO * O.
     """
-    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
-    c = 1.0 / np.sqrt(q.shape[-1] // heads)
-    shape = q.shape
-    q_data = q.data if k.requires_grad else None
-    k_data = k.data if q.requires_grad else None
-    v_data = v.data if q.requires_grad or k.requires_grad else None
+    if qkv.ndim < 2 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention: packed qkv {qkv.shape}, {heads} heads")
+    dim = qkv.shape[-1] // 3
+    c = 1.0 / np.sqrt(dim // heads)
+    shape = qkv.shape[:-1] + (dim,)
 
     def split(t: np.ndarray) -> np.ndarray:  # [..., T, D] -> [..., H, T, d] view
         return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
-    def merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a @ b, written as [..., T, D]
-        out = np.empty(shape)
-        np.matmul(a, b, out=split(out))
+    def part(t: np.ndarray, i: int) -> np.ndarray:  # q, k or v (i = 0, 1, 2) as a head view
+        return split(t[..., i * dim:(i + 1) * dim])
+
+    def merged(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(a, b, out=split(out))  # a @ b, written as [..., T, D]
         return out
 
-    weights = split(q.data * c) @ split(k.data).swapaxes(-1, -2)  # [..., H, T, T]
+    data = qkv.data
+    weights = split(data[..., :dim] * c) @ part(data, 1).swapaxes(-1, -2)  # [..., H, T, T]
     weights -= np.max(weights, axis=-1, keepdims=True)  # softmax's arithmetic, in place
     np.exp(weights, out=weights)
     weights /= np.sum(weights, axis=-1, keepdims=True)
-    out_data = merged(weights, split(v.data))
-    kept_out = out_data if v_data is not None else None
+    out_data = merged(weights, part(data, 2), np.empty(shape))
+    kept = (data, out_data) if qkv.requires_grad else None
 
-    def bw(g, eq, ek, ev):
+    def bw(g, eqkv):
+        data, out_data = kept
+        buf = np.empty(data.shape)
+        dq, dk, dv = (buf[..., i * dim:(i + 1) * dim] for i in range(3))
         g_h = split(g)
-        if ev is not None:
-            _accumulate(ev, merged(weights.swapaxes(-1, -2), g_h))
-        if v_data is None:
-            return
-        d_scores = g_h @ split(v_data).swapaxes(-1, -2)
-        d_scores -= np.sum(g_h * split(kept_out), axis=-1, keepdims=True)
+        merged(weights.swapaxes(-1, -2), g_h, dv)
+        d_scores = g_h @ part(data, 2).swapaxes(-1, -2)
+        d_scores -= np.sum(g_h * split(out_data), axis=-1, keepdims=True)
         d_scores *= weights
-        if eq is not None:
-            _accumulate(eq, merged(d_scores, split(k_data)) * c)
-        if ek is not None:
-            _accumulate(ek, merged(d_scores.swapaxes(-1, -2), split(q_data * c)))
+        merged(d_scores, part(data, 1), dq)
+        dq *= c
+        merged(d_scores.swapaxes(-1, -2), split(data[..., :dim] * c), dk)
+        _accumulate(eqkv, buf)
 
-    return _node(out_data, (q, k, v), bw)
+    return _node(out_data, (qkv,), bw)
 
 
 def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:

@@ -98,6 +98,19 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_the_sides_sep
     assert not bench_pairs.summarize(narrow, spec)["peak_rss_mb"]["unresolved"]
 
 
+def test_rusage_summary_gives_each_sides_medians_whole_and_per_attempted_unit():
+    pairs = [_pair(n, (150.0, 0.25), (86.0, 0.25)) for n in (1, 2, 3)]
+    for n, pair in enumerate(pairs, start=1):  # every run attempted 20 units
+        pair["parent"]["rusage"] = {"minflt": 8000 * n, "utime_s": 1.0 + n, "stime_s": 0.4}
+        pair["change"]["rusage"] = {"minflt": 2000 * n, "utime_s": 1.8, "stime_s": 0.1 * n}
+    summary = bench_pairs.rusage_summary(pairs)
+    assert summary["parent"] == {"minflt": 16000, "minflt_per_attempted": 800.0,
+                                 "utime_s": 3.0, "utime_s_per_attempted": 0.15,
+                                 "stime_s": 0.4, "stime_s_per_attempted": 0.02}
+    assert summary["change"]["minflt_per_attempted"] == 200.0
+    assert summary["change"]["stime_s"] == pytest.approx(0.2)
+
+
 _FAKE_RUN = """
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -146,6 +159,12 @@ def test_main_alternates_sides_and_writes_the_record(tmp_path, monkeypatch):
     assert set(record["traced_train_default_seed1"]) == {"parent", "change"}
     assert workload["incorrect_runs"] == {"parent": 0, "change": 0}
     assert record["all_correct"] is True
+    # each run's own process: a fresh interpreter faults pages and spends CPU time
+    for run in [p[side] for p in workload["pairs"] for side in ("parent", "change")]:
+        assert set(run["rusage"]) == {"minflt", "utime_s", "stime_s"}
+        assert run["rusage"]["minflt"] > 0 and run["rusage"]["utime_s"] > 0
+    assert set(workload["rusage"]) == {"parent", "change"}
+    assert workload["rusage"]["change"]["minflt_per_attempted"] > 0
 
 
 def test_main_counts_a_failed_output_check_and_exits_1(tmp_path, monkeypatch):

@@ -25,10 +25,13 @@ from pairtrack.fusion import (
 from pairtrack.numerics import (
     ParamStore,
     RngStream,
+    Tensor,
     backward,
+    concat,
     constant,
     finite_diff_grad,
     grad_max_rel_error,
+    matmul,
     mul,
     no_grad,
     tsum,
@@ -37,7 +40,7 @@ from pairtrack.numerics import (
 
 def test_multi_level_fuse_single_level_identity():
     x = constant(RngStream(1).uniform(-1, 1, (5, 3)))
-    out = multi_level_fuse([x], constant(np.eye(3)))
+    out = multi_level_fuse([x], [constant(np.eye(3))])
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -45,28 +48,50 @@ def test_multi_level_fuse_selector_weights():
     rng = RngStream(2)
     a = constant(rng.uniform(-1, 1, (4, 3)))
     b = constant(rng.uniform(-1, 1, (4, 3)))
-    selector = np.vstack([np.eye(3), np.zeros((3, 3))])
-    out = multi_level_fuse([a, b], constant(selector))
+    out = multi_level_fuse([a, b], [constant(np.eye(3)), constant(np.zeros((3, 3)))])
     np.testing.assert_allclose(out.data, a.data, atol=1e-15)
 
 
-def test_multi_level_fuse_matches_concat_matmul_oracle():
+def _concat_fuse(levels, weights):
+    """The fusion as one matmul of the feature-concatenated levels by the stacked weights."""
+    return matmul(concat(levels, axis=-1), concat(weights, axis=0))
+
+
+@pytest.mark.parametrize("frozen_levels", [False, True], ids=["taped-levels", "prefix-constants"])
+def test_multi_level_fuse_matches_concat_matmul_oracle(frozen_levels):
+    """Values and gradients; with prefix constants only the weights take a gradient, as when
+    the level taps sit in the cached frozen prefix."""
     rng = RngStream(3)
-    levels = [constant(rng.uniform(-1, 1, (6, 4))) for _ in range(3)]
-    w = rng.uniform(-1, 1, (12, 4))
-    out = multi_level_fuse(levels, constant(w))
-    expected = np.concatenate([l.data for l in levels], axis=1) @ w
-    assert np.max(np.abs(out.data - expected)) <= 1e-12
+    level_values = [rng.uniform(-1, 1, (2, 6, 4)) for _ in range(3)]
+    weight_values = [rng.uniform(-1, 1, (4, 5)) for _ in range(3)]
+    u = constant(rng.uniform(-1, 1, (2, 6, 5)))
+    results = []
+    for fuse in (multi_level_fuse, _concat_fuse):
+        levels = [Tensor(x, requires_grad=not frozen_levels) for x in level_values]
+        weights = [Tensor(w, requires_grad=True) for w in weight_values]
+        out = fuse(levels, weights)
+        backward(tsum(mul(out, u)))
+        results.append((out.data, [t.grad for t in levels + weights]))
+    (out, grads), (expected, oracle) = results
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert all(g is None for g in grads[:3]) == frozen_levels
+    for got, want in zip(grads, oracle, strict=True):
+        if want is None:
+            assert got is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_multi_level_fuse_contract_errors():
     with pytest.raises(ContractError):
-        multi_level_fuse([], constant(np.eye(2)))
+        multi_level_fuse([], [])
     with pytest.raises(ContractError):
         multi_level_fuse(
             [constant(np.zeros((2, 2))), constant(np.zeros((3, 2)))],
-            constant(np.eye(4)),
+            [constant(np.eye(2)), constant(np.eye(2))],
         )
+    with pytest.raises(ContractError):  # one weight per level
+        multi_level_fuse([constant(np.zeros((2, 2)))] * 2, [constant(np.eye(2))])
 
 
 def test_gram_basis_identity_keys():

@@ -18,7 +18,9 @@ from pairtrack.harness.train import _batch_loss
 from pairtrack.harness.verify import sampled_coords
 from pairtrack.losses import Box
 from pairtrack.harness.model import Block
-from pairtrack.numerics import ParamStore, RngStream, Tensor, backward, mean, smul
+from pairtrack.numerics import (
+    ParamStore, RngStream, Tensor, backward, fan_in_uniform, mean, smul,
+)
 
 
 def test_patch_count_shape_arithmetic():
@@ -281,7 +283,7 @@ def test_cached_prefix_stays_read_only_and_unchanged_through_training_steps(togg
 def test_a_prefix_with_a_trainable_weight_is_not_cached():
     cfg = tiny_config(seed=26)
     model = Tracker(cfg)
-    model.blocks[0].wq.requires_grad = True
+    model.blocks[0].wqkv.requires_grad = True
     cache = {}
     with pytest.raises(ContractError, match="trainable"):
         forward_track(generate_dataset(cfg, 2, "prefix"), model, cache)
@@ -337,7 +339,7 @@ def test_backbone_tape_size_is_independent_of_batch_size():
         features = model._backbone(samples[:b])[0]
         assert features.shape == (2 * b * cfg.n_search_tokens, cfg.model_dim)
         counts[b] = _recorded_nodes(features)
-    assert set(counts.values()) == {65}, counts  # the tiny config's backbone
+    assert set(counts.values()) == {64}, counts  # the tiny config's backbone
 
 
 def test_step_tape_size_is_independent_of_batch_size():
@@ -345,7 +347,7 @@ def test_step_tape_size_is_independent_of_batch_size():
     model = Tracker(cfg)
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
-    assert set(counts.values()) == {194}, counts  # the tiny config's whole step
+    assert set(counts.values()) == {193}, counts  # the tiny config's whole step
 
 
 def _numpy_block(x, block):
@@ -359,9 +361,10 @@ def _numpy_block(x, block):
     def split(t, axes):
         return np.ascontiguousarray(t.reshape(n_seq, n_tok, block.heads, d).transpose(axes))
 
-    q = split(project(x, block.wq) * (1.0 / np.sqrt(d)), (0, 2, 1, 3))
-    k_t = split(project(x, block.wk), (0, 2, 3, 1))
-    v = split(project(x, block.wv), (0, 2, 1, 3))
+    qkv = project(x, block.wqkv)
+    q = split(qkv[..., :dim] * (1.0 / np.sqrt(d)), (0, 2, 1, 3))
+    k_t = split(qkv[..., dim:2 * dim], (0, 2, 3, 1))
+    v = split(qkv[..., 2 * dim:], (0, 2, 1, 3))
     scores = q @ k_t
     weights = scores - np.max(scores, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
@@ -377,9 +380,17 @@ def test_block_attention_is_one_node_and_matches_the_head_split_chain():
     block = Block(ParamStore(), "block", 24, 4, 2, RngStream(21))
     x = Tensor(RngStream(22).uniform(-1, 1, (3, 13, 24)), requires_grad=True)
     out = block(x)
-    # q, k, v, attention, output projection, residual add, MLP matmul, silu, matmul, add
-    assert _recorded_nodes(out) == 10
+    # packed qkv, attention, output projection, residual add, MLP matmul, silu, matmul, add
+    assert _recorded_nodes(out) == 8
     np.testing.assert_array_equal(out.data, _numpy_block(x.data, block))
+
+
+def test_the_packed_projection_holds_the_q_k_v_draws_in_their_order():
+    block = Block(ParamStore(), "block", 24, 4, 2, RngStream(21))
+    rng = RngStream(21)
+    q, k, v, o = (fan_in_uniform((24, 24), 24, rng) for _ in range(4))
+    np.testing.assert_array_equal(block.wqkv.data, np.concatenate([q, k, v], axis=1))
+    np.testing.assert_array_equal(block.wo.data, o)  # the draws after it are unchanged too
 
 
 def test_the_end_to_end_check_samples_each_expert_matrix_on_its_own():

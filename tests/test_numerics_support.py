@@ -195,10 +195,30 @@ def _per_expert_lines(line):
                    f"{int(offset) + e * step}\n" for e in range(n))
 
 
+def _one_fusion_matrix_lines(lines):
+    """The per-tap fusion lines as the layout with one [L*D, D] fusion matrix wrote them."""
+    taps = [line.split("\t") for line in lines if line.startswith("fusion.mff.w")]
+    rows, cols = (int(d) for d in taps[0][1].split(","))
+    merged = f"fusion.mff.w\t{len(taps) * rows},{cols}\t{taps[0][2]}"
+    return [merged if line.startswith("fusion.mff.w1\t") else line for line in lines
+            if not line.startswith("fusion.mff.w") or line.startswith("fusion.mff.w1\t")]
+
+
+def _separate_qkv_lines(line):
+    """A packed attention line as the layout with separate q, k and v matrices wrote it."""
+    name, shape, offset = line.rstrip("\n").split("\t")
+    if not name.endswith(".attn.wqkv"):
+        return line
+    rows, cols = (int(d) for d in shape.split(","))
+    step = 8 * rows * (cols // 3)
+    return "".join(f"{name[:-3]}{part}\t{rows},{cols // 3}\t{int(offset) + i * step}\n"
+                   for i, part in enumerate("qkv"))
+
+
 @pytest.mark.parametrize(
     "damage",
     ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable",
-     "no-checkpoint", "old-expert-layout"],
+     "no-checkpoint", "old-expert-layout", "old-fusion-layout", "old-attention-layout"],
 )
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
@@ -233,7 +253,10 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
             "dropped-line": lines[:-1],
             "duplicate-line": lines + lines[:1],
             "old-expert-layout": [_per_expert_lines(line) for line in lines],
+            "old-fusion-layout": _one_fusion_matrix_lines(lines),
+            "old-attention-layout": [_separate_qkv_lines(line) for line in lines],
         }[damage]
+        assert edited != lines
         with open(manifest, "w", encoding="utf-8") as fh:
             fh.writelines(edited)
     assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 1

@@ -42,14 +42,16 @@ from pathlib import Path
 import numpy as np
 side = Path("side.txt").read_text()
 with open("../calls.txt", "a") as log:
-    log.write(f"{side} probe {sys.argv[2]}\\n")
+    log.write(f"{side} probe {sys.argv[2]} {sys.argv[3]}\\n")
 if Path("no_probe").exists():
     sys.exit(3)
 nudge = 2.0 ** -50 if side == "change" else 0.0
-name = "grad.renamed" if Path("renamed").exists() else "grad.w"
+grads = {"grad.w": np.array([[4.0, 0.5 + 2.0 ** 10 * nudge]])}
+if Path("renamed").exists():  # the change regroups grad.w into two halves
+    grads = {"grad.w0": grads["grad.w"][:, :1], "grad.w1": grads["grad.w"][:, 1:]}
+total = np.array([3.0, 3.0] if Path("reshaped").exists() else [3.0])
 np.savez(sys.argv[1], **{"forward.box": np.array([1.0, -2.0 * (1 + nudge)]),
-                         "forward.total": np.array([3.0]),
-                         name: np.array([[4.0, 0.5 + 2.0 ** 10 * nudge]])})
+                         "forward.total": total, **grads})
 """
 
 
@@ -98,7 +100,8 @@ def test_a_difference_prints_the_probe_batch_differences_at_k1_and_k2(tmp_path, 
     assert probed == [f"{f'probe-batch-k{k}':22s} largest relative difference: forward "
                       f"{forward:.1e}, gradients {grad:.1e}" for k in (1, 2)]
     calls = (tmp_path / "calls.txt").read_text().splitlines()
-    assert calls[6:] == [f"{side} probe {k}" for k in (1, 2) for side in ("parent", "change")]
+    assert calls[6:] == [f"{side} probe {k} {same_output.PROBE_STEPS}"
+                         for k in (1, 2) for side in ("parent", "change")]
 
 
 def test_a_failed_probe_is_reported_and_leaves_the_exit_code(tmp_path, capsys, monkeypatch):
@@ -112,11 +115,18 @@ def test_a_failed_probe_is_reported_and_leaves_the_exit_code(tmp_path, capsys, m
     assert "probe exited 3" in captured.err
 
 
-def test_probes_that_hold_different_arrays_are_reported_not_compared(tmp_path, capsys,
-                                                                      monkeypatch):
+def test_probes_compare_the_arrays_both_hold_and_list_the_others(tmp_path, capsys,
+                                                                  monkeypatch):
     monkeypatch.setattr(same_output, "PROBE", _FAKE_PROBE)
     args = _checkouts(tmp_path, broken="bytes")
     (tmp_path / "change" / "renamed").write_text("")
+    assert same_output.main(args) == 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        f"{f'probe-batch-k{k}':22s} largest relative difference: forward {2.0 ** -50:.1e}, "
+        f"gradients none shared; only in parent: grad.w; only in change: grad.w0, grad.w1"
+        for k in (1, 2)]
+    # a name both hold with different shapes cannot be compared
+    (tmp_path / "change" / "reshaped").write_text("")
     assert same_output.main(args) == 1
     assert [line.split()[:3] for line in capsys.readouterr().out.splitlines()[3:]] == [
         ["probe-batch-k1", "not", "comparable:"], ["probe-batch-k2", "not", "comparable:"]]

@@ -124,9 +124,12 @@ def test_softmax_invalid_axis():
         softmax(constant(np.zeros((2, 2))), axis=2)
 
 
-def _attention_oracle(q, k, v, heads):
-    """Multi-head attention from single-head kernels: per-head columns, softmax, concat."""
-    d = q.shape[-1] // heads
+def _attention_oracle(qkv, heads):
+    """Multi-head attention from single-head kernels: q, k, v column slices of the packed
+    stack, per-head columns, softmax, concat."""
+    dim = qkv.shape[-1] // 3
+    q, k, v = (slice_cols(qkv, i * dim, (i + 1) * dim) for i in range(3))
+    d = dim // heads
     q = smul(q, 1.0 / np.sqrt(d))
     outs = []
     for h in range(heads):
@@ -142,34 +145,68 @@ def test_attention_matches_head_split_oracle(n_seq, heads):
     for n_tok in (5, 11, 17):
         rng = RngStream(100 * n_seq + 10 * heads + n_tok)
         shape = (n_seq, n_tok, 4 * heads)
-        values = [rng.uniform(-2, 2, shape) for _ in range(3)]
+        packed = np.concatenate([rng.uniform(-2, 2, shape) for _ in range(3)], axis=-1)
         u = rng.uniform(-1, 1, shape)
         grads = []
         for op in (attention, _attention_oracle):
-            q, k, v = (Tensor(x, requires_grad=True) for x in values)
-            out = op(q, k, v, heads)
+            qkv = Tensor(packed, requires_grad=True)
+            out = op(qkv, heads)
             backward(tsum(mul(out, constant(u))))
-            grads.append((out.data, q.grad, k.grad, v.grad))
-        (out, *kernel), (expected, *oracle) = grads
+            grads.append((out.data, np.split(qkv.grad, 3, axis=-1)))
+        (out, kernel), (expected, oracle) = grads
         np.testing.assert_array_equal(out, expected)
-        for got, want in zip(kernel, oracle, strict=True):
+        for got, want in zip(kernel, oracle, strict=True):  # dq, dk, dv
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _unique_add_at_gradient(shape, idx, g):
+    """gather_rows's backward as the duplicate path computes it: each row's first pick
+    assigned, its later picks added in pick order."""
+    flat, g = idx.ravel(), g.reshape((idx.size,) + shape[1:])
+    first = np.unique(flat, return_index=True)[1]
+    again = np.ones(flat.size, dtype=bool)
+    again[first] = False
+    buf = np.zeros(shape)
+    buf[flat[first]] = g[first]
+    np.add.at(buf, flat[again], g[again])
+    return buf
+
+
+@pytest.mark.parametrize("idx, duplicates", [
+    (np.array([4, 0, 5, 2]), False),
+    (np.array([[3, 1], [0, 5]]), False),
+    (np.array([], dtype=np.int64), False),
+    (np.array([2, 0, 2, 1, 2]), True),  # as the sparse dispatch gathers at K=2
+    (np.array([[1, 1], [4, 1]]), True),
+])
+def test_gather_rows_backward_scatters_distinct_rows_and_matches_the_duplicate_path(
+        idx, duplicates, monkeypatch):
+    rng = RngStream(130 + idx.size)
+    x = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+    out = gather_rows(x, idx)
+    g = rng.uniform(-1, 1, out.shape)
+    unique_calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: unique_calls.append(1) or unique(*a, **k))
+    backward(tsum(mul(out, constant(g))))
+    monkeypatch.undo()
+    assert bool(unique_calls) == duplicates  # only a repeated row takes np.unique + np.add.at
+    assert x.grad.tobytes() == _unique_add_at_gradient(x.shape, idx, g).tobytes()
+
+
 def test_attention_shape_errors_and_no_grad():
-    x = constant(np.zeros((2, 5, 6)))
     with pytest.raises(ShapeError):
-        attention(x, x, constant(np.zeros((2, 5, 4))), 2)
+        attention(constant(np.zeros((2, 5, 16))), 2)  # 16 columns are no q|k|v stack
     with pytest.raises(ShapeError):
-        attention(x, constant(np.zeros((2, 4, 6))), x, 2)
+        attention(constant(np.zeros((2, 5, 18))), 4)  # 6 columns do not split into 4 heads
     with pytest.raises(ShapeError):
-        attention(x, x, x, 4)  # 6 columns do not split into 4 heads
-    row = constant(np.zeros(6))
+        attention(constant(np.zeros(18)), 1)
     with pytest.raises(ShapeError):
-        attention(row, row, row, 1)
-    q = Tensor(np.ones((2, 5, 6)), requires_grad=True)
+        attention(constant(np.zeros((2, 5, 18))), 0)
+    qkv = Tensor(np.ones((2, 5, 18)), requires_grad=True)
     with no_grad():
-        out = attention(q, q, q, 2)
+        out = attention(qkv, 2)
+    assert out.shape == (2, 5, 6)
     assert out._entry is None and not out.requires_grad
     np.testing.assert_allclose(out.data, 1.0, rtol=0, atol=1e-15)
 

@@ -169,6 +169,29 @@ def test_train_keeps_one_prefix_entry_per_distinct_batch(n_train, entries, monke
     assert len(caches[0]) == entries + (n_train == 6)
 
 
+def test_logging_evaluations_share_one_prefix_cache_and_match_uncached_ones(monkeypatch):
+    train_module = importlib.import_module("pairtrack.harness.train")
+    cfg = tiny_config(seed=20, steps=3, batch_size=2, log_interval=1, n_train=4, n_eval=6)
+    plain_evaluate, logged = train_module.evaluate, []
+
+    def spy(model, dataset, step=0, prefix_cache=None):
+        before = None if prefix_cache is None else len(prefix_cache)
+        record = plain_evaluate(model, dataset, step, prefix_cache)
+        if len(dataset) == cfg.n_eval:  # a logging evaluation, not the final one
+            logged.append((prefix_cache, len(prefix_cache) - before))
+            fresh = plain_evaluate(model, dataset, step)
+            assert [getattr(record, f) for f in ("total", "mean_iou", "success_at_50")] == [
+                getattr(fresh, f) for f in ("total", "mean_iou", "success_at_50")]
+            np.testing.assert_array_equal(record.expert_usage, fresh.expert_usage)
+        return record
+
+    monkeypatch.setattr(train_module, "evaluate", spy)
+    train(cfg, eval_each_log=True)
+    assert len(logged) == cfg.steps and all(c is logged[0][0] for c, _ in logged)
+    # the first logging evaluation stores the eval set's 3 batches; later ones hit them
+    assert [added for _, added in logged] == [3, 0, 0]
+
+
 @pytest.mark.parametrize("toggles", ["default", "baseline"])
 def test_final_evaluation_through_the_cache_matches_an_uncached_one(toggles):
     cfg = tiny_config(seed=19, steps=4, batch_size=2, n_train=4)

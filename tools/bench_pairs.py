@@ -13,7 +13,11 @@ quartiles, the pairs the change wins and loses, the relative change of the
 median, the parent's quartile spread, whether the change is worse than the
 bound, and whether the parent's spread is too wide to tell. Each workload's
 ``traced_summary`` gives ``[parent, change]`` for the traced runs' tape and
-trace figures (``TRACED_METRICS``). A run whose output check failed
+trace figures (``TRACED_METRICS``). Each run also records what its perfbench
+process cost the operating system, from ``getrusage(RUSAGE_CHILDREN)`` taken
+around it: minor page faults and user and system CPU seconds, whole and per
+attempted unit (an optimizer step or a frame, set-up included); each
+workload's ``rusage`` gives their medians per side. A run whose output check failed
 (``"correct": false``) is counted per side; the record then says
 ``"all_correct": false`` and the tool exits 1. Standard library only.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -31,6 +36,7 @@ SIDES = ("parent", "change")
 SEEDS = tuple(range(1001, 1011))
 TRACE_SEED = 1
 TRACED_METRICS = ("tape.nodes_per_sample", "tape.recorded_per_sample", "trace.unit_ms")
+RUSAGE_FIELDS = {"minflt": "ru_minflt", "utime_s": "ru_utime", "stime_s": "ru_stime"}
 
 
 def parse_run(stdout: str) -> dict:
@@ -44,13 +50,20 @@ def parse_run(stdout: str) -> dict:
 
 def run_side(checkout: Path, command: list[str], workload: str, seed: int,
              seconds: float, trace: int) -> dict:
+    """One perfbench run: its env and result lines and, under ``rusage``, its process's
+    ``RUSAGE_FIELDS``."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(args, cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode not in (0, 1):  # 1 still prints a result line: "correct": false
         raise RuntimeError(f"{' '.join(args)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr}")
-    return parse_run(done.stdout)
+    run = parse_run(done.stdout)
+    run["rusage"] = {name: getattr(after, field) - getattr(before, field)
+                     for name, field in RUSAGE_FIELDS.items()}
+    return run
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -97,6 +110,19 @@ def traced_summary(traced: dict) -> dict:
     return {name: [traced[side]["result"]["metrics"].get(name, {}).get("value")
                    for side in SIDES]
             for name in TRACED_METRICS}
+
+
+def rusage_summary(pairs: list[dict]) -> dict:
+    """Per side, the median of each ``RUSAGE_FIELDS`` figure, whole and per attempted unit."""
+    summary = {}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        summary[side] = {}
+        for name in RUSAGE_FIELDS:
+            summary[side][name] = statistics.median(r["rusage"][name] for r in runs)
+            summary[side][f"{name}_per_attempted"] = statistics.median(
+                r["rusage"][name] / r["result"]["attempted"] for r in runs)
+    return summary
 
 
 def failed(pairs: list[dict], side: str) -> str:
@@ -159,6 +185,7 @@ def main(argv=None) -> int:
             "summary": summarize(pairs, bench["end_to_end"]),
             "failed": {side: failed(pairs, side) for side in SIDES},
             "incorrect_runs": {side: incorrect([p[side] for p in pairs]) for side in SIDES},
+            "rusage": rusage_summary(pairs),
             "pairs": pairs,
         }
     first = record["workloads"][names[0]]["pairs"][0]

@@ -13,12 +13,18 @@ runs' ``checkpoint.blob`` and ``checkpoint.manifest`` are byte-identical:
 their last bits while it stays the same. That verdict leaves the exit code.
 
 When either pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
-K=2: the forward and backward of the first default-config training batch
-(seed 0). For each, it prints the largest relative difference between the
-checkouts over the forward outputs and over the gradients, each array's
-difference taken relative to the parent's largest magnitude in it, or that
-the two probes hold different arrays. The exit code does not depend on these
-figures. Standard library, plus numpy for the probe.
+K=2: ``train()`` takes ``PROBE_STEPS`` SGD steps at the default config (seed
+0), and the probe is the forward and backward of the first training batch at
+the weights they reach. Trained weights matter: the tracker zero-initialises
+its insertions, so at the initial weights a change confined to them adds
+exactly zero to the forward. For each K, it prints the largest relative
+difference between the checkouts over the forward outputs and over the
+gradients, each array's difference taken relative to the parent's largest
+magnitude in it. Arrays are compared under the names both probes hold, and
+the line lists the names only one side holds, as when a change regroups
+parameters; an array whose shape differs between the sides makes the probe
+not comparable. The exit code does not depend on these figures. Standard
+library, plus numpy for the probe.
 """
 
 from __future__ import annotations
@@ -40,18 +46,20 @@ CONFIGS = {
 # pairtrack.numerics.checkpoint)
 CHECKPOINT = ("checkpoint.blob", "checkpoint.manifest")
 RUN = "import sys; from pairtrack.harness.cli import main; sys.exit(main(sys.argv[1:]))"
-# argv: the .npz to write, K; keys "forward.*" for outputs and "grad.*" for gradients
+PROBE_STEPS = 3
+# argv: the .npz to write, K, the SGD steps; keys "forward.*" for outputs and "grad.*" for
+# gradients
 PROBE = """
 import sys
 import numpy as np
 from pairtrack.harness.config import RunConfig
 from pairtrack.harness.data import generate_dataset
-from pairtrack.harness.model import Tracker
-from pairtrack.harness.train import forward_track
+from pairtrack.harness.train import forward_track, train
 from pairtrack.numerics import backward, mean
 
-cfg = RunConfig(seed=0, top_k=int(sys.argv[2]))
-model = Tracker(cfg)
+cfg = RunConfig(seed=0, top_k=int(sys.argv[2]), steps=int(sys.argv[3]))
+model = train(cfg, eval_each_log=False).model
+model.store.zero_grad()
 result = forward_track(generate_dataset(cfg, cfg.batch_size, "data"), model)
 backward(mean(result.bundle.total))
 arrays = {f"forward.{name}": getattr(result.output, name).data
@@ -95,32 +103,43 @@ def checkpoint_verdict(parent: dict | None, change: dict | None) -> str:
     return f"DIFFERENT {','.join(differ)}" if differ else "same"
 
 
-def largest_relative_differences(parent: Path, change: Path) -> dict[str, float]:
-    """Per kind ("forward", "grad"): the largest max|change - parent| / max|parent| of an array."""
+def largest_relative_differences(parent: Path, change: Path
+                                 ) -> tuple[dict[str, float | None], dict[str, list[str]]]:
+    """The largest max|change - parent| / max|parent| per kind ("forward", "grad").
+
+    Only arrays both probes hold count; a kind with none reads None. Also
+    returns, per side, the names of the arrays only that side's probe holds.
+    Raises ValueError when a shared name holds arrays of different shapes.
+    """
     import numpy as np
 
-    worst = {"forward": 0.0, "grad": 0.0}
+    worst: dict[str, float | None] = {"forward": None, "grad": None}
     with np.load(parent) as old, np.load(change) as new:
-        if sorted(old.files) != sorted(new.files):
-            raise ValueError("the checkouts' probes hold different arrays")
-        for name in old.files:
+        only = {"parent": sorted(set(old.files) - set(new.files)),
+                "change": sorted(set(new.files) - set(old.files))}
+        for name in sorted(set(old.files) & set(new.files)):
             a, b = old[name], new[name]
             if a.shape != b.shape:
                 raise ValueError(f"{name}: shapes {a.shape} and {b.shape} differ")
             diff = float(np.max(np.abs(b - a), initial=0.0))
             size = float(np.max(np.abs(a), initial=0.0))
             kind = name.split(".", 1)[0]
-            worst[kind] = max(worst[kind], diff / size if size else (np.inf if diff else 0.0))
-    return worst
+            rel = diff / size if size else (np.inf if diff else 0.0)
+            worst[kind] = max(worst[kind] or 0.0, rel)
+    return worst, only
+
+
+def _figure(value: float | None) -> str:
+    return "none shared" if value is None else f"{value:.1e}"
 
 
 def probe(parent: Path, change: Path, tmp: Path) -> None:
-    """Print the largest relative differences of the probe batch at each of ``PROBE_TOP_K``."""
+    """Print the largest relative differences of the trained probe at each of ``PROBE_TOP_K``."""
     for top_k in PROBE_TOP_K:
         files = []
         for side, checkout in (("parent", parent), ("change", change)):
             files.append(tmp / f"probe-k{top_k}-{side}.npz")
-            done = _run(checkout, [PROBE, str(files[-1]), str(top_k)])
+            done = _run(checkout, [PROBE, str(files[-1]), str(top_k), str(PROBE_STEPS)])
             if done.returncode != 0:
                 print(f"{checkout}: probe exited {done.returncode}: {done.stderr.strip()}",
                       file=sys.stderr)
@@ -128,12 +147,15 @@ def probe(parent: Path, change: Path, tmp: Path) -> None:
                 break
         else:
             try:
-                worst = largest_relative_differences(*files)
-            except ValueError as exc:  # e.g. a parameter layout the other side lacks
+                worst, only = largest_relative_differences(*files)
+            except ValueError as exc:
                 print(f"{f'probe-batch-k{top_k}':22s} not comparable: {exc}", flush=True)
                 continue
+            sides = "".join(f"; only in {side}: {', '.join(names)}"
+                            for side, names in only.items() if names)
             print(f"{f'probe-batch-k{top_k}':22s} largest relative difference: forward "
-                  f"{worst['forward']:.1e}, gradients {worst['grad']:.1e}", flush=True)
+                  f"{_figure(worst['forward'])}, gradients {_figure(worst['grad'])}{sides}",
+                  flush=True)
 
 
 def main(argv=None) -> int:
