@@ -1,10 +1,13 @@
-"""Cross-modal feature fusion: Gram alignment and hypergraph convolution.
+"""Feature fusion: multi-level projection, Gram alignment and hypergraph convolution.
 
-The alignment half maps one modality's tokens through the other modality's
-Frobenius-normalized Gram matrix, blends with a learnable scalar, and fuses
-the two directions through a fully connected layer. The hypergraph half
-groups vertices by epsilon-balls in feature space and applies a residual
-degree-normalized convolution.
+Multi-level fusion projects each tapped level through its own matrix and
+adds the products, which equals one projection of the concatenated levels
+without building that concatenation. The alignment half maps one
+modality's tokens through the other modality's Frobenius-normalized Gram
+matrix, blends with a learnable scalar, and fuses the two directions
+through a fully connected layer. The hypergraph half groups vertices by
+epsilon-balls in feature space and applies a residual degree-normalized
+convolution.
 
 Features come as one sample's [T, D] tokens or a [..., T, D] stack of
 samples, and every leading index is its own sample: one Gram matrix and

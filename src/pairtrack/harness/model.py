@@ -201,7 +201,7 @@ class Tracker:
         fu_rng = root.child("fusion")
         # one [D, D] projection per tapped block, named by its tap
         self.mff_weights = [self.store.zeros_init(f"fusion.mff.w{tap}", (d, d))
-                      for tap in cfg.level_taps] if cfg.toggle_mff else []
+                            for tap in cfg.level_taps] if cfg.toggle_mff else []
         self.key_w = self.align = None
         self.fuse_w = self.out_w = self.conv = None
         if cfg.toggle_gram:

@@ -57,29 +57,29 @@ def _concat_fuse(levels, weights):
     return matmul(concat(levels, axis=-1), concat(weights, axis=0))
 
 
-@pytest.mark.parametrize("frozen_levels", [False, True], ids=["taped-levels", "prefix-constants"])
-def test_multi_level_fuse_matches_concat_matmul_oracle(frozen_levels):
-    """Values and gradients; with prefix constants only the weights take a gradient, as when
-    the level taps sit in the cached frozen prefix."""
+def test_multi_level_fuse_matches_concat_matmul_oracle():
+    """Values and gradients; with prefix constants as levels only the weights take a
+    gradient, as when the level taps sit in the cached frozen prefix."""
     rng = RngStream(3)
     level_values = [rng.uniform(-1, 1, (2, 6, 4)) for _ in range(3)]
     weight_values = [rng.uniform(-1, 1, (4, 5)) for _ in range(3)]
     u = constant(rng.uniform(-1, 1, (2, 6, 5)))
-    results = []
-    for fuse in (multi_level_fuse, _concat_fuse):
-        levels = [Tensor(x, requires_grad=not frozen_levels) for x in level_values]
-        weights = [Tensor(w, requires_grad=True) for w in weight_values]
-        out = fuse(levels, weights)
-        backward(tsum(mul(out, u)))
-        results.append((out.data, [t.grad for t in levels + weights]))
-    (out, grads), (expected, oracle) = results
-    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert all(g is None for g in grads[:3]) == frozen_levels
-    for got, want in zip(grads, oracle, strict=True):
-        if want is None:
-            assert got is None
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for frozen_levels in (False, True):
+        results = []
+        for fuse in (multi_level_fuse, _concat_fuse):
+            levels = [Tensor(x, requires_grad=not frozen_levels) for x in level_values]
+            weights = [Tensor(w, requires_grad=True) for w in weight_values]
+            out = fuse(levels, weights)
+            backward(tsum(mul(out, u)))
+            results.append((out.data, [t.grad for t in levels + weights]))
+        (out, grads), (expected, oracle) = results
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert all(g is None for g in grads[:3]) == frozen_levels
+        for got, want in zip(grads, oracle, strict=True):
+            if want is None:
+                assert got is None
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_multi_level_fuse_contract_errors():

@@ -13,11 +13,12 @@ quartiles, the pairs the change wins and loses, the relative change of the
 median, the parent's quartile spread, whether the change is worse than the
 bound, and whether the parent's spread is too wide to tell. Each workload's
 ``traced_summary`` gives ``[parent, change]`` for the traced runs' tape and
-trace figures (``TRACED_METRICS``). Each run also records what its perfbench
-process cost the operating system, from ``getrusage(RUSAGE_CHILDREN)`` taken
-around it: minor page faults and user and system CPU seconds, whole and per
-attempted unit (an optimizer step or a frame, set-up included); each
-workload's ``rusage`` gives their medians per side. A run whose output check failed
+trace figures (``TRACED_METRICS``). Each run also records what its
+perfbench process cost the operating system, from
+``getrusage(RUSAGE_CHILDREN)`` taken around it: minor page faults and user
+and system CPU seconds (``RUSAGE_FIELDS``). Each workload's ``rusage`` gives
+their medians per side, whole and per attempted unit (an optimizer step or
+a frame, set-up included). A run whose output check failed
 (``"correct": false``) is counted per side; the record then says
 ``"all_correct": false`` and the tool exits 1. Standard library only.
 """
