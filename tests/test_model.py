@@ -7,6 +7,7 @@ import pytest
 
 from pairtrack.errors import ContractError
 from pairtrack.harness import (
+    RunConfig,
     Tracker,
     forward_track,
     gaussian_center_map,
@@ -19,7 +20,7 @@ from pairtrack.harness.verify import sampled_coords
 from pairtrack.losses import Box
 from pairtrack.harness.model import Block
 from pairtrack.numerics import (
-    ParamStore, RngStream, Tensor, backward, fan_in_uniform, mean, smul,
+    ParamStore, RngStream, Tensor, backward, fan_in_uniform, mean, no_grad, smul,
 )
 
 
@@ -348,6 +349,30 @@ def test_step_tape_size_is_independent_of_batch_size():
     samples = generate_dataset(cfg, 4, "step-tape")
     counts = {b: _recorded_nodes(_batch_loss(model, samples[:b], step=0)[0]) for b in (1, 2, 4)}
     assert set(counts.values()) == {193}, counts  # the tiny config's whole step
+
+
+def test_default_config_node_counts(monkeypatch):
+    """The nodes a cached default training pass and a no-grad track frame create, as
+    perfbench's ``tape.nodes_per_sample`` counts them."""
+    cfg = RunConfig(seed=3)
+    model = Tracker(cfg)
+    samples = generate_dataset(cfg, cfg.batch_size, "data")
+    cache = {}
+    forward_track(samples, model, cache)
+    tensor_module = importlib.import_module("pairtrack.numerics.tensor")
+    node, count = tensor_module._node, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return node(*args)
+
+    monkeypatch.setattr(tensor_module, "_node", counted)
+    forward_track(samples, model, cache)
+    assert count[0] == 275
+    count[0] = 0
+    with no_grad():
+        model.forward(samples[0])
+    assert count[0] == 234
 
 
 def _numpy_block(x, block):
