@@ -7,7 +7,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ContractError, NumericError
+from ..errors import ConfigError, ContractError, NumericError
 from ..losses import (
     LOSS_NAMES,
     Box,
@@ -211,8 +211,11 @@ class AblationRow:
 
 def ablate(cfg: RunConfig) -> list[AblationRow]:
     """Train the standard variant ladder on shared data and compare."""
-    rows = []
     test_split = complementary_split(generate_dataset(cfg, cfg.n_eval, "eval"))
+    if not test_split:  # tags cycle from "none", so sample 1 is the first degraded one
+        raise ConfigError(f"ablate: the complementary test split of n_eval={cfg.n_eval} "
+                          "samples is empty; it needs n_eval >= 2")
+    rows = []
     for name, toggles in ABLATION_VARIANTS:
         variant_cfg = cfg.with_toggles(*toggles)
         result = train(variant_cfg, eval_each_log=False)

@@ -28,7 +28,6 @@ from ..numerics import (
     concat,
     constant,
     finite_diff_grad,
-    gather_cols,
     gather_rows,
     grad_max_rel_error,
     log,
@@ -104,7 +103,6 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
     other = rng.uniform(-2, 2, (5, 4))
     idx_rows = np.array([2, 0, 4, 1])
     idx_repeated = np.array([2, 0, 2, 1])  # a repeated row takes the np.add.at path
-    idx_cols = np.array([[0, 2], [1, 1], [3, 0], [2, 3], [0, 1]])
     squares = rng.uniform(-1, 1, (2, 4, 4))
     # weight 2 is never picked; x is both the routed input and weight 0
     idx_weights = np.array([0, 0, 1, 1])  # rows sorted by weight
@@ -140,7 +138,6 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("routed_matmul", lambda x: routed_matmul(
             x, concat([reshape(x, (1, 4, 4)), constant(squares)], axis=0), idx_weights),
          (4, 4), -2, 2),
-        ("gather_cols", lambda x: gather_cols(x, idx_cols), (5, 4), -2, 2),
         ("scale_per_row", lambda x: scale(x, constant(rows)), (5, 4), -2, 2),
         ("add_rowvec", lambda x: add_rowvec(x, constant(vec)), (5, 4), -2, 2),
         ("matmul_left", lambda x: matmul(x, constant(w)), (5, 4), -2, 2),

@@ -14,13 +14,15 @@ branches once over all of its rows. Both branches record a fixed number of
 tape nodes whatever N, M and the number of sequences are. The sparse branch
 stable-sorts the rows*K (token, pick) pairs by expert and gathers the token
 rows in that order, so ``routed_matmul`` runs each expert on one contiguous
-segment; the gate scales the [pairs, H] hidden before the up-projection, and
-one gather takes the outputs back to token order as [rows, K, D], summed
-over K. The shared branch computes sum_m r_tm (h_t W_m) directly: one matmul
-by the stored [W_1 ... W_M], viewed as [rows, M, H], scaled by the router
-weights r and summed over M. The balance loss stays per sequence: f and p
-are taken over each sequence's own T tokens, so stacking sequences leaves
-every term as it was.
+segment. Each pair's gate, its token's router score for the picked expert,
+is one gather from the flattened [rows*N] scores in that order, and it
+scales the [pairs, H] hidden before the up-projection; one gather takes the
+outputs back to token order as [rows, K, D], summed over K. The shared
+branch computes sum_m r_tm (h_t W_m) directly: one matmul by the stored
+[W_1 ... W_M], viewed as [rows, M, H], scaled by the router weights r and
+summed over M. The balance loss stays per sequence: f and p are taken over
+each sequence's own T tokens, so stacking sequences leaves every term as it
+was.
 
 Projections carry no biases so an all-zero adapter is exactly the identity.
 """
@@ -40,7 +42,6 @@ from .numerics import (
     add,
     constant,
     fan_in_uniform,
-    gather_cols,
     gather_rows,
     matmul,
     mul,
@@ -87,15 +88,12 @@ class MoEConfig:
 class RouterDecision:
     """Per-token routing outcome.
 
-    ``scores`` is the full softmax over experts, ``selected`` the top-K
-    expert indices per token (ties broken toward the lowest index), and
-    ``gate`` the scores of the selected experts; a decision made only for
-    ``balance_loss``, which reads no gate, may leave it None.
+    ``scores`` is the full softmax over experts and ``selected`` the top-K
+    expert indices per token (ties broken toward the lowest index).
     """
 
     scores: Tensor
     selected: np.ndarray
-    gate: Tensor | None = None
 
 
 @dataclass
@@ -153,9 +151,7 @@ def route(tokens: Tensor, w_router: Tensor, cfg: MoEConfig) -> RouterDecision:
     scores = softmax(matmul(tokens, w_router), axis=1)
     # stable argsort of -scores keeps the lowest expert index first on ties
     order = np.argsort(-scores.data, axis=1, kind="stable")
-    selected = np.ascontiguousarray(order[:, : cfg.top_k])
-    gate = gather_cols(scores, selected)
-    return RouterDecision(scores=scores, selected=selected, gate=gate)
+    return RouterDecision(scores=scores, selected=np.ascontiguousarray(order[:, : cfg.top_k]))
 
 
 def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, BalanceStats]:
@@ -207,11 +203,14 @@ def sparse_moe(
         )
     decision = route(tokens, w_router, cfg)
     rows, k = decision.selected.shape
+    n = cfg.n_experts
     # pair p = t*K + i is token t's i-th pick; a stable sort keeps token order per expert
     picks = decision.selected.ravel()
     order = np.argsort(picks, kind="stable")
-    gate = gather_rows(reshape(decision.gate, (rows * k,)), order)
-    sorted_out = routed_experts(gather_rows(tokens, order // k), experts, picks[order], gate)
+    token, expert = order // k, picks[order]
+    # the gate of pair (t, e) is scores[t, e], entry t*N + e of the flat scores
+    gate = gather_rows(reshape(decision.scores, (rows * n,)), token * n + expert)
+    sorted_out = routed_experts(gather_rows(tokens, token), experts, expert, gate)
     output = tsum(gather_rows(sorted_out, np.argsort(order).reshape(rows, k)), axis=1)
     return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 
@@ -259,7 +258,6 @@ class MoEAdapter:
         sparse = sparse_moe(rows, self.experts, self.w_router, self.cfg)
         output = add(add(rows, sparse.output), dense_shared_moe(rows, self.shared))
         decision = sparse.decision
-        # the balance loss reads no gate, so the per-sequence view leaves it out
         per_sequence = RouterDecision(
             scores=reshape(decision.scores, (*lead, t_count, self.cfg.n_experts)),
             selected=decision.selected.reshape(*lead, t_count, self.cfg.top_k),

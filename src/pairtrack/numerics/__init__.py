@@ -14,7 +14,6 @@ from .tensor import (
     clamp,
     concat,
     constant,
-    gather_cols,
     gather_rows,
     linear,
     log,
@@ -46,7 +45,7 @@ __all__ = [
     "reciprocal", "pow_const", "log", "absolute", "clamp",
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
-    "gather_rows", "gather_cols", "add_rowvec",
+    "gather_rows", "add_rowvec",
     "matmul", "routed_matmul", "linear", "attention",
     "finite_diff_grad", "grad_max_rel_error",
     "save_checkpoint", "load_checkpoint",

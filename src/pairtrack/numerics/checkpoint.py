@@ -89,7 +89,8 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
         n = int(np.prod(shape)) if shape else 1
         if offset < 0 or offset + 8 * n > len(raw):
             raise ContractError(f"checkpoint entry {name} runs past the blob's end")
-        values[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
+        # a copy: a view of the blob's bytes would be read-only and could alias another entry
+        values[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
     missing = [p.name for p in store if p.name not in values]
     if missing:
         raise ContractError(f"checkpoint lacks parameters: {', '.join(missing)}")

@@ -522,24 +522,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _node(a.data[idx], (a,), bw)
 
 
-def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row column gather: out[t, k] = a[t, idx[t, k]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise ShapeError("gather_cols expects a matrix and a [rows, k] index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ShapeError(f"gather_cols: index out of range for {a.shape[1]} columns")
-    shape = a.shape
-    rows = np.arange(shape[0])[:, None]
-
-    def bw(g, ea):
-        buf = np.zeros(shape, dtype=np.float64)
-        np.add.at(buf, (np.broadcast_to(rows, idx.shape), idx), g)
-        _accumulate(ea, buf)
-
-    return _node(a.data[rows, idx], (a,), bw)
-
-
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     """Add a length-D vector to every row of a [..., D] tensor."""
     if a.ndim < 2 or v.ndim != 1 or v.shape[0] != a.shape[-1]:

@@ -70,7 +70,6 @@ def test_balance_loss_anchors():
     balanced = RouterDecision(
         scores=constant(np.full((4, 4), 0.25)),
         selected=np.array([[0], [1], [2], [3]]),
-        gate=constant(np.full((4, 1), 0.25)),
     )
     balanced_loss, _ = balance_loss(balanced, cfg)
     one_hot = np.zeros((4, 4))
@@ -78,7 +77,6 @@ def test_balance_loss_anchors():
     collapsed = RouterDecision(
         scores=constant(one_hot),
         selected=np.zeros((4, 1), dtype=np.int64),
-        gate=constant(np.ones((4, 1))),
     )
     collapsed_loss, _ = balance_loss(collapsed, cfg)
 
@@ -93,7 +91,6 @@ def test_balance_loss_anchors():
     permuted = RouterDecision(
         scores=constant(decision.scores.data[:, perm]),
         selected=np.argsort(perm)[decision.selected],
-        gate=decision.gate,
     )
     shuffled, _ = balance_loss(permuted, cfg)
     err_balanced = abs(balanced_loss.item() - 1.0)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config files, exit codes, determinism."""
 
+import importlib
 import os
 import warnings
 from dataclasses import fields
@@ -224,3 +225,18 @@ def test_cli_out_under_a_regular_file_exits_1(tiny_config_file, tmp_path, capsys
     blocker.write_text("not a directory\n", encoding="utf-8")
     assert main([command, "--config", tiny_config_file, "--out", str(blocker / "run")]) == 1
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
+def test_cli_ablate_with_an_empty_test_split_exits_2_before_training(tmp_path, capsys,
+                                                                    monkeypatch):
+    train_module = importlib.import_module("pairtrack.harness.train")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ablate trained a variant")
+
+    monkeypatch.setattr(train_module, "train", never)
+    config = tmp_path / "one-eval.cfg"
+    config.write_text(TINY_CONFIG.replace("n_eval = 4", "n_eval = 1"), encoding="utf-8")
+    assert main(["ablate", "--config", str(config), "--out", str(tmp_path / "ablate")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_eval >= 2" in err and err.count("\n") == 1

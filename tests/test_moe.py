@@ -1,5 +1,6 @@
 """Router, balance loss, expert branches, and the assembled adapter."""
 
+import importlib
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from pairtrack.numerics import (
     concat,
     constant,
     finite_diff_grad,
-    gather_cols,
     gather_rows,
     grad_max_rel_error,
     matmul,
@@ -78,7 +78,8 @@ def test_route_zero_router_uniform_and_tiebreak():
     decision = route(tokens, w, cfg)
     np.testing.assert_allclose(decision.scores.data, np.full((6, 4), 0.25), atol=1e-15)
     np.testing.assert_array_equal(decision.selected, np.zeros((6, 1), dtype=np.int64))
-    np.testing.assert_allclose(decision.gate.data, np.full((6, 1), 0.25), atol=1e-15)
+    gate = np.take_along_axis(decision.scores.data, decision.selected, 1)
+    np.testing.assert_allclose(gate, np.full((6, 1), 0.25), atol=1e-15)
 
 
 def test_route_scalar_softmax_oracle():
@@ -88,7 +89,8 @@ def test_route_scalar_softmax_oracle():
     decision = route(tokens, w, cfg)
     e = math.e
     assert decision.selected.tolist() == [[0]]
-    assert abs(decision.gate.data[0, 0] - e / (e + 3)) < 1e-14
+    gate = np.take_along_axis(decision.scores.data, decision.selected, 1)
+    assert abs(gate[0, 0] - e / (e + 3)) < 1e-14
 
 
 def test_route_is_deterministic():
@@ -112,7 +114,6 @@ def test_balance_loss_perfectly_balanced():
     decision = RouterDecision(
         scores=constant(np.full((4, 4), 0.25)),
         selected=np.array([[0], [1], [2], [3]]),
-        gate=constant(np.full((4, 1), 0.25)),
     )
     loss, stats = balance_loss(decision, cfg)
     assert abs(loss.item() - 1.0) <= 1e-9
@@ -127,7 +128,6 @@ def test_balance_loss_full_collapse_equals_n():
     decision = RouterDecision(
         scores=constant(one_hot),
         selected=np.zeros((4, 1), dtype=np.int64),
-        gate=constant(np.ones((4, 1))),
     )
     loss, stats = balance_loss(decision, cfg)
     assert abs(loss.item() - 4.0) <= 1e-9
@@ -158,7 +158,6 @@ def test_balance_loss_permutation_invariant():
     permuted = RouterDecision(
         scores=constant(decision.scores.data[:, perm]),
         selected=inverse[decision.selected],
-        gate=decision.gate,
     )
     shuffled, _ = balance_loss(permuted, cfg)
     assert abs(base.item() - shuffled.item()) <= 1e-12
@@ -169,7 +168,6 @@ def test_balance_loss_empty_decision_rejected():
     decision = RouterDecision(
         scores=constant(np.zeros((0, 4))),
         selected=np.zeros((0, 1), dtype=np.int64),
-        gate=constant(np.zeros((0, 1))),
     )
     with pytest.raises(ContractError):
         balance_loss(decision, cfg)
@@ -250,7 +248,8 @@ def test_sparse_moe_identical_experts_symmetry():
     tokens = constant(rng.uniform(-1, 1, (10, 8)))
     result = sparse_moe(tokens, experts, w_router, cfg)
     single = _one_expert(tokens, _experts_from_arrays(ParamStore(), [(w_down, w_gate, w_up)]))
-    expected = single.data * result.decision.gate.data[:, :1]
+    expected = single.data * np.take_along_axis(
+        result.decision.scores.data, result.decision.selected, 1)
     np.testing.assert_allclose(result.output.data, expected, atol=1e-12)
 
 
@@ -277,19 +276,54 @@ def test_sparse_moe_dense_evaluation_oracle():
         assert result.n_expert_evals == 8 * top_k
 
 
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_each_pair_gate_is_its_router_score_and_sends_its_gradient_there(top_k, monkeypatch):
+    """Pair (t, n)'s gate is scores[t, n] byte for byte, and the gradient the gates send to
+    the scores is zero except at each pair's (t, n), which holds that pair's gradient."""
+    moe = importlib.import_module("pairtrack.moe")
+    cfg = MoEConfig(model_dim=8, n_experts=4, top_k=top_k, reduction=4)
+    store = ParamStore()
+    rng = RngStream(31)
+    experts = _random_experts(store, rng, 4)
+    w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
+    tokens = constant(rng.uniform(-1, 1, (10, 8)))
+    decision = route(tokens, w_router, cfg)
+    scores = Tensor(decision.scores.data, requires_grad=True)  # a leaf keeps its gradient
+    gates, run_experts = [], moe.routed_experts
+
+    def capture_gate(rows, params, expert, gate):
+        gates.append(gate)
+        return run_experts(rows, params, expert, gate)
+
+    monkeypatch.setattr(moe, "route", lambda *args: RouterDecision(scores, decision.selected))
+    monkeypatch.setattr(moe, "routed_experts", capture_gate)
+    sparse_moe(tokens, experts, w_router, cfg)
+    pairs = sorted(((t, n) for t, picks in enumerate(decision.selected) for n in picks),
+                   key=lambda pair: pair[1])  # expert order, token order within an expert
+    t_idx, n_idx = np.array(pairs).T
+    (gate,) = gates
+    assert gate.data.tobytes() == scores.data[t_idx, n_idx].tobytes()
+    u = rng.uniform(-1, 1, gate.shape)
+    backward(tsum(mul(gate, constant(u))))
+    expected = np.zeros(scores.shape)
+    expected[t_idx, n_idx] = u
+    assert scores.grad.tobytes() == expected.tobytes()
+
+
 def _per_token_loop(tokens, experts, w_router, k):
     """sparse_moe's output as a sum over each token's picks, one token and one expert at a time."""
     scores = softmax(matmul(tokens, w_router), axis=1)
     picks = np.argsort(-scores.data, axis=1, kind="stable")[:, :k]
+    flat_scores = reshape(scores, (scores.size,))
     rows = []
     for t, token_picks in enumerate(picks):
         x, total = gather_rows(tokens, np.array([t])), None
         for n in token_picks:
             w_down, w_gate, w_up = (reshape(gather_rows(w, np.array([n])), w.shape[1:])
                                     for w in (experts.w_down, experts.w_gate, experts.w_up))
-            gate = gather_cols(gather_rows(scores, np.array([t])), np.array([[n]]))
+            gate = gather_rows(flat_scores, np.array([t * scores.shape[1] + n]))
             out = matmul(mul(silu(matmul(x, w_gate)), matmul(x, w_down)), w_up)
-            term = scale(out, reshape(gate, (1,)))
+            term = scale(out, gate)
             total = term if total is None else add(total, term)
         rows.append(total)
     return concat(rows, axis=0)
@@ -504,7 +538,7 @@ def test_adapter_tape_size_is_independent_of_expert_counts():
         adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
-    assert counts == {26}, counts
+    assert counts == {25}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():

@@ -184,6 +184,33 @@ def test_checkpoint_unknown_name_rejected(tmp_path):
         load_checkpoint(other, str(tmp_path / "ck"))
 
 
+def test_a_loaded_store_takes_an_sgd_step(tmp_path):
+    from pairtrack.harness.model import Tracker
+    from pairtrack.harness.verify import tiny_config
+
+    save_checkpoint(Tracker(tiny_config()).store, str(tmp_path / "ck"))
+    store = Tracker(tiny_config(seed=1)).store
+    load_checkpoint(store, str(tmp_path / "ck"))
+    p = next(p for p in store if p.requires_grad)
+    before = p.data.copy()
+    p.grad = np.ones(p.shape)
+    store.sgd_step(0.1)
+    np.testing.assert_array_equal(p.data, before - 0.1)
+
+
+def test_loaded_entries_do_not_share_memory(tmp_path):
+    store = ParamStore()
+    store.add("a", np.zeros((2, 3)))
+    store.add("b", np.zeros((2, 3)))
+    directory = tmp_path / "ck"
+    save_checkpoint(store, str(directory))
+    # a hand-written manifest that points both entries at the same bytes
+    (directory / "checkpoint.manifest").write_text("a\t2,3\t0\nb\t2,3\t0\n", encoding="utf-8")
+    load_checkpoint(store, str(directory))
+    assert not np.shares_memory(store["a"].data, store["b"].data)
+    assert store["a"].data.flags.writeable and store["b"].data.flags.writeable
+
+
 def _per_expert_lines(line):
     """A stacked expert line as the layout with one parameter per expert matrix wrote it."""
     name, shape, offset = line.rstrip("\n").split("\t")

@@ -1,5 +1,6 @@
 """Kernel-level checks: forward values, backward rules, documented error cases."""
 
+import inspect
 import math
 import sys
 import weakref
@@ -21,7 +22,6 @@ from pairtrack.numerics import (
     concat,
     constant,
     finite_diff_grad,
-    gather_cols,
     gather_rows,
     grad_max_rel_error,
     linear,
@@ -398,7 +398,8 @@ UNARY_CASES = [
         x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
         np.array([0, 0, 1, 2])),
      (4, 4), (-2, 2)),
-    (lambda x: gather_cols(x, np.array([[0, 2], [1, 1], [3, 0]])), (3, 4), (-2, 2)),
+    # the sparse MoE's gate: entries t*4 + n of a flattened [3, 4] score matrix, in pair order
+    (lambda x: gather_rows(reshape(x, (12,)), np.array([4, 9, 2, 11])), (3, 4), (-2, 2)),
     # gather_rows over any leading axis, by an index of any shape
     (lambda x: gather_rows(x, np.array([[2, 0], [2, 1]])), (4, 3), (-2, 2)),
     (lambda x: gather_rows(x, np.array([1, 1, 0, 2])), (3,), (-2, 2)),
@@ -646,6 +647,27 @@ def test_backward_reads_only_arrays_captured_at_forward_time(case, monkeypatch):
     poisoned = _gradient_of(build, x0, u, True, monkeypatch)
     assert np.all(np.isfinite(clean))
     assert poisoned.tobytes() == clean.tobytes()
+
+
+def test_every_kernel_has_a_unit_gradient_case(monkeypatch):
+    """Each public kernel of tensor.py records a node in some case of the unit gradient
+    suite, so none ships or stays without a finite-difference check."""
+    import pairtrack.numerics.tensor as tensor_module
+
+    covered, record = set(), tensor_module._node
+
+    def recording_node(data, parents, bw):
+        covered.add(bw.__qualname__.split(".")[0])  # the kernel that defined the closure
+        return record(data, parents, bw)
+
+    monkeypatch.setattr(tensor_module, "_node", recording_node)
+    for i, (_, build, shape, low, high) in enumerate(unit_gradient_cases()):
+        build(Tensor(RngStream(460 + i).uniform(low, high, shape), requires_grad=True))
+    kernels = {name for name, obj in vars(tensor_module).items()
+               if inspect.isfunction(obj) and obj.__module__ == tensor_module.__name__
+               and not name.startswith("_")}
+    # composites of other kernels, and the tape's own entry points, record no closure
+    assert covered == kernels - {"constant", "mean", "linear", "backward", "no_grad"}
 
 
 def test_the_tape_frees_inputs_that_no_gradient_reads():
