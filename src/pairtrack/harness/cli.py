@@ -21,7 +21,7 @@ from .config import RunConfig, load_config
 from .data import generate_dataset
 from .metrics import HEADER, format_record, write_metrics
 from .model import Tracker
-from .train import ablate, evaluate, train
+from .train import ablate, ablation_test_split, evaluate, train
 from .verify import end_to_end_gradient_check, frozen_backbone_check, unit_gradient_suite
 
 
@@ -132,8 +132,9 @@ def _cmd_gradcheck(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
+    test_split = ablation_test_split(cfg)  # an empty split leaves no directory behind
     _make_out_dir(out_dir)
-    rows = ablate(cfg)
+    rows = ablate(cfg, test_split)
     lines = ["# variant\ttrainable_params\tadapter_params\tmean_iou\tsuccess50\tsuccess70\n"]
     for row in rows:
         lines.append(

@@ -84,6 +84,8 @@ class RunConfig:
                 f"frame sizes ({self.template_size}, {self.search_size}) must be "
                 f"divisible by patch_size {self.patch_size}"
             )
+        if self.search_size < 8 or self.template_size < 4:
+            raise ConfigError("frame sizes too small to place a target")
         if self.model_dim % self.heads:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"

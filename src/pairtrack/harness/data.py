@@ -94,8 +94,6 @@ def _draw_distractors(rng: RngStream, target: Box) -> list[Box]:
 
 def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticSample]:
     """Deterministic dataset; degradation tags cycle in fixed proportions."""
-    if cfg.search_size < 8 or cfg.template_size < 4:
-        raise ConfigError("frame sizes too small to place a target")
     if count < 1:
         raise ConfigError("dataset size must be positive")
     rng = RngStream(cfg.seed).child(stream)

@@ -61,10 +61,10 @@ from ..numerics import (
     matmul,
     mean,
     reshape,
+    scale,
     sigmoid,
     silu,
     slice_cols,
-    smul,
     softmax,
     sub,
 )
@@ -387,14 +387,15 @@ class Tracker:
         # pool token features weighted by sharpened center scores, so the box
         # decoder sees where the map peaks rather than a uniform average
         # [B, Ts, 1] and [B, 1, Ts] hold the same bytes, so a reshape transposes without a copy
-        attn = softmax(smul(reshape(center_logits, (n, 1, side * side)), POOL_TEMPERATURE), axis=-1)
+        logits_row = reshape(center_logits, (n, 1, side * side))
+        attn = softmax(scale(logits_row, constant(POOL_TEMPERATURE)), axis=-1)
         pooled = matmul(attn, trunk)
         coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
         raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)
         # center = soft-argmax plus a bounded learned correction; size from MLP
         squashed = sigmoid(raw)
         half = constant(np.full(coords.shape, 0.5))
-        correction = smul(sub(slice_cols(squashed, 0, 2), half), CENTER_CORRECTION)
+        correction = scale(sub(slice_cols(squashed, 0, 2), half), constant(CENTER_CORRECTION))
         centers = add(coords, correction)
         sizes = slice_cols(squashed, 2, 4)
         return reshape(concat([centers, sizes], axis=-1), (n, 4)), center

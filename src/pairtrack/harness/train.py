@@ -209,12 +209,19 @@ class AblationRow:
     record: MetricsRecord
 
 
-def ablate(cfg: RunConfig) -> list[AblationRow]:
-    """Train the standard variant ladder on shared data and compare."""
+def ablation_test_split(cfg: RunConfig) -> list[SyntheticSample]:
+    """The eval samples whose target one modality hides, which ``ablate`` scores."""
     test_split = complementary_split(generate_dataset(cfg, cfg.n_eval, "eval"))
     if not test_split:  # tags cycle from "none", so sample 1 is the first degraded one
         raise ConfigError(f"ablate: the complementary test split of n_eval={cfg.n_eval} "
                           "samples is empty; it needs n_eval >= 2")
+    return test_split
+
+
+def ablate(cfg: RunConfig, test_split: list[SyntheticSample] | None = None) -> list[AblationRow]:
+    """Train the standard variant ladder on shared data and compare on ``test_split``,
+    ``ablation_test_split(cfg)`` when not given."""
+    test_split = ablation_test_split(cfg) if test_split is None else test_split
     rows = []
     for name, toggles in ABLATION_VARIANTS:
         variant_cfg = cfg.with_toggles(*toggles)

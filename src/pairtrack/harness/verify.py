@@ -19,12 +19,10 @@ from ..numerics import (
     Parameter,
     RngStream,
     Tensor,
-    absolute,
     add,
     add_rowvec,
     attention,
     backward,
-    clamp,
     concat,
     constant,
     finite_diff_grad,
@@ -32,9 +30,7 @@ from ..numerics import (
     grad_max_rel_error,
     log,
     matmul,
-    maximum,
     mean,
-    minimum,
     mul,
     no_grad,
     pow_const,
@@ -42,10 +38,10 @@ from ..numerics import (
     reshape,
     routed_matmul,
     scale,
+    select,
     sigmoid,
     silu,
     slice_cols,
-    smul,
     softmax,
     sub,
     transpose,
@@ -112,24 +108,25 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("add", lambda x: add(x, constant(other)), (5, 4), -2, 2),
         ("sub", lambda x: sub(x, constant(other)), (5, 4), -2, 2),
         ("mul", lambda x: mul(x, constant(other)), (5, 4), -2, 2),
-        ("maximum", lambda x: maximum(x, constant(other)), (5, 4), -2, 2),
-        ("minimum", lambda x: minimum(x, constant(other)), (5, 4), -2, 2),
-        ("smul", lambda x: smul(x, -1.7), (5, 4), -2, 2),
+        ("maximum", lambda x: select(~(x.data < other), x, constant(other)), (5, 4), -2, 2),
+        ("minimum", lambda x: select(~(x.data > other), x, constant(other)), (5, 4), -2, 2),
+        ("scale_constant", lambda x: scale(x, constant(-1.7)), (5, 4), -2, 2),
         ("scale", lambda x: scale(x, constant(np.asarray(0.8))), (5, 4), -2, 2),
         ("reciprocal", lambda x: reciprocal(x), (4, 4), 0.5, 2.0),
         ("pow2", lambda x: pow_const(x, 2.0), (4, 4), -2, 2),
         ("pow4", lambda x: pow_const(x, 4.0), (4, 4), -2, 2),
         ("sqrt", lambda x: pow_const(x, 0.5), (4, 4), 0.5, 4.0),
         ("log", lambda x: log(x), (4, 4), 0.2, 3.0),
-        ("absolute", lambda x: absolute(x), (4, 4), 0.2, 2.0),
-        ("clamp", lambda x: clamp(x, -0.5, 0.5), (4, 4), -2, 2),
+        ("absolute", lambda x: mul(x, constant(np.sign(x.data))), (4, 4), 0.2, 2.0),
+        ("clamp", lambda x: select((x.data > -0.5) & (x.data < 0.5), x,
+                                   constant(np.clip(x.data, -0.5, 0.5))), (4, 4), -2, 2),
         ("sigmoid", lambda x: sigmoid(x), (5, 4), -4, 4),
         ("silu", lambda x: silu(x), (5, 4), -4, 4),
         ("softmax_rows", lambda x: softmax(x, axis=1), (5, 6), -3, 3),
         ("softmax_cols", lambda x: softmax(x, axis=0), (5, 6), -3, 3),
         ("sum_all", lambda x: tsum(x), (5, 4), -2, 2),
         ("sum_axis0", lambda x: tsum(x, axis=0), (5, 4), -2, 2),
-        ("mean", lambda x: smul(tsum(x), 1.0 / 20), (5, 4), -2, 2),
+        ("mean", lambda x: scale(tsum(x), constant(1.0 / 20)), (5, 4), -2, 2),
         ("reshape", lambda x: reshape(x, (20,)), (5, 4), -2, 2),
         ("transpose", lambda x: transpose(x), (5, 4), -2, 2),
         ("concat", lambda x: concat([x, constant(other)], axis=1), (5, 4), -2, 2),

@@ -20,20 +20,17 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 from .numerics import (
     Tensor,
-    absolute,
     add,
-    clamp,
     constant,
     log,
-    maximum,
     mean,
-    minimum,
     mul,
     pow_const,
     reciprocal,
     reshape,
+    scale,
+    select,
     slice_cols,
-    smul,
     sub,
     tsum,
 )
@@ -147,17 +144,20 @@ def giou_loss(pred, gt) -> Tensor:
         raise ShapeError(f"giou: pred {a.shape} vs gt {gt_t.shape}")
     # corners as [..., 2] (x, y) pairs; the ground truth needs no tape
     center_a, size_a = slice_cols(a, 0, 2), slice_cols(a, 2, 4)
-    half_a = smul(size_a, 0.5)
+    half_a = scale(size_a, constant(0.5))
     lo_a, hi_a = sub(center_a, half_a), add(center_a, half_a)
     area_a = _area(size_a)
     b = gt_t.data
     half_b = b[..., 2:] * 0.5
     lo_b, hi_b = constant(b[..., :2] - half_b), constant(b[..., :2] + half_b)
     area_b = constant(b[..., 2:3] * b[..., 3:])
-    zero = constant(np.zeros(lo_b.shape))
-    inter = _area(maximum(zero, sub(minimum(hi_a, hi_b), maximum(lo_a, lo_b))))
+    # each max or min picks the prediction on a tie and where it is NaN, so NaN reaches the loss
+    overlap = sub(select(~(hi_a.data > hi_b.data), hi_a, hi_b),
+                  select(~(lo_a.data < lo_b.data), lo_a, lo_b))
+    inter = _area(select(~(overlap.data <= 0), overlap, constant(np.zeros(lo_b.shape))))
     union = sub(add(area_a, area_b), inter)
-    c_area = _area(sub(maximum(hi_a, hi_b), minimum(lo_a, lo_b)))
+    c_area = _area(sub(select(~(hi_a.data < hi_b.data), hi_a, hi_b),
+                       select(~(lo_a.data > lo_b.data), lo_a, lo_b)))
     giou = sub(_ratio(inter, union), _ratio(sub(c_area, union), c_area))
     one = constant(np.ones(giou.shape))
     return reshape(sub(one, giou), a.shape[:-1])
@@ -165,7 +165,8 @@ def giou_loss(pred, gt) -> Tensor:
 
 def l1_box_loss(pred, gt) -> Tensor:
     """Mean absolute difference over the four box coordinates, per box."""
-    return mean(absolute(sub(_as_box_tensor(pred), _as_box_tensor(gt))), axis=-1)
+    diff = sub(_as_box_tensor(pred), _as_box_tensor(gt))
+    return mean(mul(diff, constant(np.sign(diff.data))), axis=-1)  # |x|, subgradient 0 at 0
 
 
 def weighted_focal(pred: Tensor, gt: np.ndarray) -> Tensor:
@@ -186,7 +187,9 @@ def weighted_focal(pred: Tensor, gt: np.ndarray) -> Tensor:
     n_pos = pos_mask.sum(axis=-1)
     if np.any(n_pos == 0):
         raise ContractError("focal: gt map has no positive location")
-    p = clamp(reshape(pred, cells), PROB_EPS, 1.0 - PROB_EPS)
+    p = reshape(pred, cells)
+    interior = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)  # no gradient on a bound either
+    p = select(interior, p, constant(np.clip(p.data, PROB_EPS, 1.0 - PROB_EPS)))
     q = sub(constant(np.ones(cells)), p)
     pos_term = mul(mul(log(p), pow_const(q, 2.0)), constant(pos_mask))
     neg_weight = ((1.0 - gt) ** 4) * (1.0 - pos_mask)
@@ -204,9 +207,8 @@ def total_loss(cls: Tensor, iou: Tensor, l1: Tensor, eb: Tensor,
     """Weighted sum: cls + lambda_iou * iou + lambda_l1 * l1 + alpha * eb, elementwise."""
     for name, value in (("cls", cls), ("iou", iou), ("l1", l1), ("eb", eb)):
         _check_finite(name, value)
-    total = add(
-        add(add(cls, smul(iou, weights.lambda_iou)), smul(l1, weights.lambda_l1)),
-        smul(eb, weights.alpha),
-    )
+    total = cls
+    for value, weight in ((iou, weights.lambda_iou), (l1, weights.lambda_l1), (eb, weights.alpha)):
+        total = add(total, scale(value, constant(weight)))
     _check_finite("total", total)
     return LossBundle(cls=cls, iou=iou, l1=l1, eb=eb, total=total)

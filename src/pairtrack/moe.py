@@ -49,7 +49,6 @@ from .numerics import (
     routed_matmul,
     scale,
     silu,
-    smul,
     softmax,
     tsum,
 )
@@ -173,7 +172,7 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     k = decision.selected.shape[-1]
     counts = np.sum(decision.selected[..., None] == np.arange(n), axis=(-3, -2))
     f = counts * (n / (k * t_count))
-    p = smul(tsum(decision.scores, axis=-2), 1.0 / t_count)
+    p = scale(tsum(decision.scores, axis=-2), constant(1.0 / t_count))
     loss = tsum(mul(constant(f), p), axis=-1)
     return loss, BalanceStats(f=f, p=p.data.copy())
 

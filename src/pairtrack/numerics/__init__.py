@@ -6,21 +6,17 @@ from .params import Parameter, ParamStore, fan_in_uniform
 from .rng import RngStream
 from .tensor import (
     Tensor,
-    absolute,
     add,
     add_rowvec,
     attention,
     backward,
-    clamp,
     concat,
     constant,
     gather_rows,
     linear,
     log,
     matmul,
-    maximum,
     mean,
-    minimum,
     mul,
     no_grad,
     pow_const,
@@ -28,10 +24,10 @@ from .tensor import (
     reshape,
     routed_matmul,
     scale,
+    select,
     sigmoid,
     silu,
     slice_cols,
-    smul,
     softmax,
     sub,
     transpose,
@@ -41,8 +37,8 @@ from .tensor import (
 __all__ = [
     "Tensor", "Parameter", "ParamStore", "RngStream", "fan_in_uniform",
     "backward", "no_grad", "constant",
-    "add", "sub", "mul", "smul", "scale", "maximum", "minimum",
-    "reciprocal", "pow_const", "log", "absolute", "clamp",
+    "add", "sub", "mul", "scale", "select",
+    "reciprocal", "pow_const", "log",
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
     "gather_rows", "add_rowvec",

@@ -22,7 +22,10 @@ by a factor per leading index, ``add_rowvec`` over any leading shape) and
 ``matmul`` of a stack of matrices by one shared matrix; ``routed_matmul``
 multiplies rows sorted by matrix by their matrix of an [N, K, M] stack, and
 ``attention`` is one node over a [..., T, 3D] stack that packs q, k and v.
-Keeping the kernel surface small keeps shape bugs loud.
+Keeping the kernel surface small keeps shape bugs loud. So one kernel does
+each job: ``select`` picks entries of one of two operands by a bool mask,
+which makes a maximum, a minimum or a clip whose mask says where ties go,
+and a constant factor is ``scale`` by a 0-d constant.
 
 A gradient is kept without a copy when it first arrives, so it may alias
 another slot's gradient. A slot owns its gradient, and adds into it in
@@ -239,38 +242,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, (a, b), bw)
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; on ties the gradient flows to ``a``."""
-    _require_same_shape(a, b, "maximum")
-    pick_a = a.data >= b.data
+def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
+    """a where the bool ``mask`` is true and b elsewhere; each gets the gradient where picked.
+
+    The caller's mask decides where a tie or a NaN sends its value and gradient.
+    """
+    _require_same_shape(a, b, "select")
+    if not isinstance(mask, np.ndarray) or mask.dtype != np.bool_ or mask.shape != a.shape:
+        raise ShapeError(f"select: the mask must be a bool array of shape {a.shape}")
 
     def bw(g, ea, eb):
-        _accumulate(ea, g * pick_a)
-        _accumulate(eb, g * (~pick_a))
+        if ea is not None:
+            _accumulate(ea, g * mask)
+        if eb is not None:
+            _accumulate(eb, g * ~mask)
 
-    return _node(np.maximum(a.data, b.data), (a, b), bw)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; on ties the gradient flows to ``a``."""
-    _require_same_shape(a, b, "minimum")
-    pick_a = a.data <= b.data
-
-    def bw(g, ea, eb):
-        _accumulate(ea, g * pick_a)
-        _accumulate(eb, g * (~pick_a))
-
-    return _node(np.minimum(a.data, b.data), (a, b), bw)
-
-
-def smul(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant."""
-    c = float(c)
-
-    def bw(g, ea):
-        _accumulate(ea, g * c)
-
-    return _node(a.data * c, (a,), bw)
+    return _node(np.where(mask, a.data, b.data), (a, b), bw)
 
 
 def scale(a: Tensor, s: Tensor) -> Tensor:
@@ -320,26 +307,6 @@ def log(a: Tensor) -> Tensor:
         _accumulate(ea, g / x)
 
     return _node(np.log(x), (a,), bw)
-
-
-def absolute(a: Tensor) -> Tensor:
-    """Elementwise |x| with subgradient 0 at x = 0."""
-    sign = np.sign(a.data)
-
-    def bw(g, ea):
-        _accumulate(ea, g * sign)
-
-    return _node(np.abs(a.data), (a,), bw)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient is zero where the clip is active."""
-    inside = (a.data > lo) & (a.data < hi)
-
-    def bw(g, ea):
-        _accumulate(ea, g * inside)
-
-    return _node(np.clip(a.data, lo, hi), (a,), bw)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -404,7 +371,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     n = a.size if axis is None else a.shape[axis % a.ndim]
-    return smul(tsum(a, axis), 1.0 / n)
+    return scale(tsum(a, axis), constant(1.0 / n))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -240,3 +240,21 @@ def test_cli_ablate_with_an_empty_test_split_exits_2_before_training(tmp_path, c
     assert main(["ablate", "--config", str(config), "--out", str(tmp_path / "ablate")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n_eval >= 2" in err and err.count("\n") == 1
+    assert not (tmp_path / "ablate").exists()
+
+
+def test_frame_sizes_too_small_to_place_a_target_are_a_config_error():
+    with pytest.raises(ConfigError, match="frame sizes too small"):
+        RunConfig(search_size=4, template_size=4)
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_cli_frame_sizes_too_small_exit_2_and_leave_no_directory(tmp_path, capsys, command):
+    config = tmp_path / "small.cfg"
+    config.write_text(TINY_CONFIG.replace("template_size = 8", "template_size = 4")
+                      .replace("search_size = 16", "search_size = 4"), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: frame sizes too small to place a target\n"
+    assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 
 from pairtrack.errors import ContractError, NumericError
 from pairtrack.losses import (
+    PROB_EPS,
     Box,
     LossWeights,
     box_iou,
@@ -154,6 +155,46 @@ def test_giou_gradient_matches_finite_differences():
 
     fd = finite_diff_grad(f, pred0, h=1e-6)
     assert grad_max_rel_error(pred.grad, fd) <= 1e-4
+
+
+def test_giou_tie_on_a_corner_sends_the_gradient_to_the_prediction():
+    # pred (0.25, 0.25)-(0.5, 0.5) lies inside gt (0.25, 0.25)-(0.75, 0.75) and shares its
+    # low corner exactly. With the tie's gradient on the prediction the overlap is
+    # pred's own box, so U = area(gt) and loss = 2 - w h / U - U / C with
+    # C = (0.75 - cx + w/2)(0.75 - cy + h/2): d/dcx = -U * 0.5 / C^2 = -2 and
+    # d/dw = -h / U + U * 0.25 / C^2 = 0. Sent to the ground truth, d/dcx would be -0.25.
+    pred = Tensor([0.375, 0.375, 0.25, 0.25], requires_grad=True)
+    loss = giou_loss(pred, Box(0.5, 0.5, 0.5, 0.5))
+    assert loss.item() == 0.75
+    backward(loss)
+    np.testing.assert_allclose(pred.grad, [-2.0, -2.0, 0.0, 0.0], rtol=0, atol=1e-12)
+
+
+def test_focal_prediction_on_a_clip_bound_gets_no_gradient():
+    gt = _one_hot_map((3, 3), (1, 1))
+    pred0 = np.full((3, 3), 0.3)
+    pred0[0, 0], pred0[1, 1] = PROB_EPS, 1.0 - PROB_EPS
+    pred = Tensor(pred0, requires_grad=True)
+    backward(weighted_focal(pred, gt))
+    assert pred.grad[0, 0] == 0.0 and pred.grad[1, 1] == 0.0
+    interior = np.ones((3, 3), dtype=bool)
+    interior[0, 0] = interior[1, 1] = False
+    assert np.all(pred.grad[interior] != 0.0)
+
+
+def test_a_nan_prediction_reaches_exactly_its_row_of_each_loss():
+    rng = RngStream(9)
+    boxes = rng.uniform(0.3, 0.7, (3, 4))
+    gt_boxes = rng.uniform(0.3, 0.7, (3, 4))
+    boxes[1, 0] = np.nan
+    maps = rng.uniform(0.05, 0.95, (3, 4, 4))
+    gt_maps = rng.uniform(0.0, 0.9, (3, 4, 4))
+    gt_maps[:, 2, 2] = 1.0
+    maps[1, 3, 0] = np.nan
+    for loss, pred, gt in ((giou_loss, boxes, gt_boxes), (l1_box_loss, boxes, gt_boxes),
+                           (weighted_focal, maps, gt_maps)):
+        np.testing.assert_array_equal(np.isnan(loss(constant(pred), gt).data),
+                                      [False, True, False], err_msg=loss.__name__)
 
 
 def test_losses_on_a_stack_equal_single_calls():

@@ -20,7 +20,8 @@ from pairtrack.harness.verify import sampled_coords
 from pairtrack.losses import Box
 from pairtrack.harness.model import Block
 from pairtrack.numerics import (
-    ParamStore, RngStream, Tensor, backward, fan_in_uniform, mean, no_grad, smul,
+    ParamStore, RngStream, Tensor, backward, constant, fan_in_uniform, mean, no_grad,
+    scale,
 )
 
 
@@ -200,7 +201,8 @@ def test_batched_forward_matches_single_calls():
     batch_grads = {p.name: p.grad.copy() for p in model.store if p.grad is not None}
     model.store.zero_grad()
     for sample in samples:
-        backward(smul(mean(forward_track(sample, model).bundle.total), 1.0 / len(samples)))
+        total = mean(forward_track(sample, model).bundle.total)
+        backward(scale(total, constant(1.0 / len(samples))))
     single_grads = {p.name: p.grad for p in model.store if p.grad is not None}
     assert batch_grads.keys() == single_grads.keys() and batch_grads
     for name, grad in batch_grads.items():

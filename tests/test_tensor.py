@@ -13,12 +13,10 @@ from pairtrack.harness.verify import unit_gradient_cases
 from pairtrack.numerics import (
     RngStream,
     Tensor,
-    absolute,
     add,
     add_rowvec,
     attention,
     backward,
-    clamp,
     concat,
     constant,
     finite_diff_grad,
@@ -27,8 +25,6 @@ from pairtrack.numerics import (
     linear,
     log,
     matmul,
-    maximum,
-    minimum,
     mul,
     no_grad,
     pow_const,
@@ -36,10 +32,10 @@ from pairtrack.numerics import (
     reshape,
     routed_matmul,
     scale,
+    select,
     sigmoid,
     silu,
     slice_cols,
-    smul,
     softmax,
     sub,
     transpose,
@@ -130,7 +126,7 @@ def _attention_oracle(qkv, heads):
     dim = qkv.shape[-1] // 3
     q, k, v = (slice_cols(qkv, i * dim, (i + 1) * dim) for i in range(3))
     d = dim // heads
-    q = smul(q, 1.0 / np.sqrt(d))
+    q = scale(q, constant(1.0 / np.sqrt(d)))
     outs = []
     for h in range(heads):
         cols = (h * d, (h + 1) * d)
@@ -297,7 +293,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_quadratic_gives_w():
     w = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
-    loss = smul(tsum(mul(w, w)), 0.5)
+    loss = scale(tsum(mul(w, w)), constant(0.5))
     backward(loss)
     np.testing.assert_allclose(w.grad, w.data, atol=1e-15)
 
@@ -377,8 +373,8 @@ def _check_op(build, x_shape, seed, low=-2.0, high=2.0, tol=1e-4):
 
 
 UNARY_CASES = [
-    (lambda x: smul(x, 1.7), (3, 4), (-2, 2)),
-    (lambda x: absolute(x), (4, 4), (0.2, 2)),  # away from the kink
+    (lambda x: scale(x, constant(1.7)), (3, 4), (-2, 2)),
+    (lambda x: mul(x, constant(np.sign(x.data))), (4, 4), (0.2, 2)),  # |x| away from the kink
     (lambda x: pow_const(x, 2.0), (3, 3), (-2, 2)),
     (lambda x: pow_const(x, 4.0), (3, 3), (-2, 2)),
     (lambda x: log(x), (3, 3), (0.2, 3)),
@@ -392,7 +388,8 @@ UNARY_CASES = [
     (lambda x: reshape(x, (10,)), (2, 5), (-2, 2)),
     (lambda x: transpose(x), (3, 4), (-2, 2)),
     (lambda x: slice_cols(x, 1, 3), (4, 5), (-2, 2)),
-    (lambda x: clamp(x, -0.5, 0.5), (4, 4), (-2, 2)),
+    (lambda x: select((x.data > -0.5) & (x.data < 0.5), x, constant(np.clip(x.data, -0.5, 0.5))),
+     (4, 4), (-2, 2)),
     (lambda x: gather_rows(x, np.array([2, 0, 2, 1])), (4, 3), (-2, 2)),
     (lambda x: routed_matmul(
         x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
@@ -417,8 +414,8 @@ BINARY_BUILDERS = [
     lambda x, c: add(x, c),
     lambda x, c: sub(x, c),
     lambda x, c: mul(x, c),
-    lambda x, c: maximum(x, c),
-    lambda x, c: minimum(x, c),
+    lambda x, c: select(~(x.data < c.data), x, c),  # maximum
+    lambda x, c: select(~(x.data > c.data), x, c),  # minimum
 ]
 
 
@@ -461,6 +458,62 @@ def test_scale_and_scale_rows_factor_gradients():
             return scale(constant(a), s)
 
         _check_op(build_rows, (5,), seed=700 + seed)
+
+
+def test_select_picks_values_and_sends_each_gradient_to_the_picked_operand():
+    rng = RngStream(470)
+    a0 = rng.uniform(-1, 1, (3, 4))
+    b0 = rng.uniform(-1, 1, (3, 4))
+    b0[0, :2] = a0[0, :2]  # planted ties
+    b0[2, 3] = a0[2, 3]
+    mask = ~(a0 < b0)  # a maximum that sends each tie to a
+    g = rng.uniform(-1, 1, (3, 4))
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    out = select(mask, a, b)
+    assert out.data.tobytes() == np.where(mask, a0, b0).tobytes()
+    backward(tsum(mul(out, constant(g))))
+    assert a.grad.tobytes() == (g * mask).tobytes()
+    assert b.grad.tobytes() == (g * ~mask).tobytes()
+    assert np.all(a.grad[0, :2] == g[0, :2]) and np.all(b.grad[0, :2] == 0.0)
+
+
+@pytest.mark.parametrize("mask", [np.ones((3,), dtype=bool), np.ones((4, 3), dtype=bool),
+                                  np.ones((3, 4)), [[True] * 4] * 3])
+def test_select_rejects_a_mask_that_is_not_bool_of_the_operands_shape(mask):
+    with pytest.raises(ShapeError):
+        select(mask, constant(np.zeros((3, 4))), constant(np.ones((3, 4))))
+
+
+def test_select_under_no_grad_records_no_tape():
+    a = Tensor(np.zeros((2, 2)), requires_grad=True)
+    with no_grad():
+        out = select(np.eye(2, dtype=bool), a, constant(np.ones((2, 2))))
+    assert not out.requires_grad and out._entry is None
+    np.testing.assert_array_equal(out.data, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_every_public_kernel_has_a_caller_in_the_package():
+    """A kernel of tensor.py that nothing in the package calls, apart from its own module
+    and the gradient suite, is dead code and goes."""
+    import ast
+    from pathlib import Path
+
+    import pairtrack
+    import pairtrack.numerics.tensor as tensor_module
+
+    package = Path(pairtrack.__file__).parent
+    called = set()
+    for path in package.rglob("*.py"):
+        if path in (package / "numerics" / "tensor.py", package / "harness" / "verify.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    kernels = {name for name, obj in vars(tensor_module).items()
+               if inspect.isfunction(obj) and obj.__module__ == tensor_module.__name__
+               and not name.startswith("_")}
+    assert kernels and not kernels - called, sorted(kernels - called)
 
 
 def test_scale_by_a_factor_per_leading_index():
@@ -513,7 +566,7 @@ def _aliasing_graphs():
 
     def shared_leaf():
         x = Tensor(x0, requires_grad=True)
-        first = smul(x, 2.0)
+        first = scale(x, constant(2.0))
         second = reshape(x, (6,))
         backward(tsum(mul(first, constant(u1))))
         backward(tsum(second))
@@ -678,7 +731,7 @@ def test_the_tape_frees_inputs_that_no_gradient_reads():
 
     def dropped_input(op):
         """op's output, and a weak reference to its intermediate input's array."""
-        h = smul(x, 2.0)
+        h = scale(x, constant(2.0))
         return op(h), weakref.ref(h.data)
 
     by_add, add_in = dropped_input(lambda h: add(h, constant(np.ones((4, 3)))))
