@@ -132,9 +132,9 @@ def _cmd_gradcheck(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
-    test_split = ablation_test_split(cfg)  # an empty split leaves no directory behind
+    ablation_test_split(cfg)  # an empty split raises before the directory is made
     _make_out_dir(out_dir)
-    rows = ablate(cfg, test_split)
+    rows = ablate(cfg)
     lines = ["# variant\ttrainable_params\tadapter_params\tmean_iou\tsuccess50\tsuccess70\n"]
     for row in rows:
         lines.append(

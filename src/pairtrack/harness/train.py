@@ -218,10 +218,9 @@ def ablation_test_split(cfg: RunConfig) -> list[SyntheticSample]:
     return test_split
 
 
-def ablate(cfg: RunConfig, test_split: list[SyntheticSample] | None = None) -> list[AblationRow]:
-    """Train the standard variant ladder on shared data and compare on ``test_split``,
-    ``ablation_test_split(cfg)`` when not given."""
-    test_split = ablation_test_split(cfg) if test_split is None else test_split
+def ablate(cfg: RunConfig) -> list[AblationRow]:
+    """Train the standard variant ladder on shared data and compare."""
+    test_split = ablation_test_split(cfg)
     rows = []
     for name, toggles in ABLATION_VARIANTS:
         variant_cfg = cfg.with_toggles(*toggles)

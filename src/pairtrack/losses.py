@@ -151,13 +151,14 @@ def giou_loss(pred, gt) -> Tensor:
     half_b = b[..., 2:] * 0.5
     lo_b, hi_b = constant(b[..., :2] - half_b), constant(b[..., :2] + half_b)
     area_b = constant(b[..., 2:3] * b[..., 3:])
-    # each max or min picks the prediction on a tie and where it is NaN, so NaN reaches the loss
-    overlap = sub(select(~(hi_a.data > hi_b.data), hi_a, hi_b),
-                  select(~(lo_a.data < lo_b.data), lo_a, lo_b))
+    # a max or min picks the prediction on a tie and the side that is NaN, so NaN reaches the loss
+    hi_ok, lo_ok = ~np.isnan(hi_b.data), ~np.isnan(lo_b.data)
+    overlap = sub(select(~(hi_a.data > hi_b.data) & hi_ok, hi_a, hi_b),
+                  select(~(lo_a.data < lo_b.data) & lo_ok, lo_a, lo_b))
     inter = _area(select(~(overlap.data <= 0), overlap, constant(np.zeros(lo_b.shape))))
     union = sub(add(area_a, area_b), inter)
-    c_area = _area(sub(select(~(hi_a.data < hi_b.data), hi_a, hi_b),
-                       select(~(lo_a.data > lo_b.data), lo_a, lo_b)))
+    c_area = _area(sub(select(~(hi_a.data < hi_b.data) & hi_ok, hi_a, hi_b),
+                       select(~(lo_a.data > lo_b.data) & lo_ok, lo_a, lo_b)))
     giou = sub(_ratio(inter, union), _ratio(sub(c_area, union), c_area))
     one = constant(np.ones(giou.shape))
     return reshape(sub(one, giou), a.shape[:-1])

@@ -187,6 +187,10 @@ def test_a_nan_prediction_reaches_exactly_its_row_of_each_loss():
     boxes = rng.uniform(0.3, 0.7, (3, 4))
     gt_boxes = rng.uniform(0.3, 0.7, (3, 4))
     boxes[1, 0] = np.nan
+    nan_truth = gt_boxes.copy()
+    nan_truth[2, 1] = np.nan  # a NaN ground truth reaches its row of GIoU too, not just L1
+    np.testing.assert_array_equal(np.isnan(giou_loss(constant(gt_boxes), nan_truth).data),
+                                  [False, False, True])
     maps = rng.uniform(0.05, 0.95, (3, 4, 4))
     gt_maps = rng.uniform(0.0, 0.9, (3, 4, 4))
     gt_maps[:, 2, 2] = 1.0

@@ -506,10 +506,16 @@ def test_every_public_kernel_has_a_caller_in_the_package():
     for path in package.rglob("*.py"):
         if path in (package / "numerics" / "tensor.py", package / "harness" / "verify.py"):
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a call counts only by a name the module imports from numerics (or numerics.tensor),
+        # so a numpy method or builtin of the same name, such as x.reshape(, is no caller
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[-1] in ("numerics", "tensor")
+                    for alias in node.names}
+        called.update(imported[node.func.id] for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in imported)
     kernels = {name for name, obj in vars(tensor_module).items()
                if inspect.isfunction(obj) and obj.__module__ == tensor_module.__name__
                and not name.startswith("_")}
