@@ -29,7 +29,6 @@ from .numerics import (
     add,
     concat,
     constant,
-    linear,
     matmul,
     mul,
     pow_const,
@@ -113,9 +112,9 @@ def multi_level_fuse(levels: list[Tensor], weights: list[Tensor]) -> Tensor:
             raise ContractError(
                 f"multi_level_fuse: shapes differ: {shape} vs {lvl.shape}"
             )
-    fused = linear(levels[0], weights[0])
+    fused = matmul(levels[0], weights[0])
     for lvl, w in zip(levels[1:], weights[1:]):
-        fused = add(fused, linear(lvl, w))
+        fused = add(fused, matmul(lvl, w))
     return fused
 
 
@@ -135,23 +134,16 @@ def gram_basis(k: Tensor) -> GramBasis:
     return GramBasis(g=g, norm=norm_value, normalized=normalized)
 
 
-def gram_map(k_src: Tensor, basis: GramBasis) -> Tensor:
-    """Map tokens through the target modality's normalized Gram basis."""
-    return matmul(k_src, basis.normalized)
-
-
-def align_fuse(k_self: Tensor, k_mapped: Tensor, w: Tensor) -> Tensor:
-    """k_self + w * k_mapped with a learnable scalar w."""
-    return add(k_self, scale(k_mapped, w))
-
-
 def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w) -> Tensor:
-    """Bidirectional Gram alignment followed by concat + fully connected."""
+    """Gram alignment each way, f_x = k_x + w_x * k_x G_r and f_r alike, then concat + FC.
+
+    G_r is the R keys' normalized Gram basis and G_x the X keys'.
+    """
     basis_r = gram_basis(keys.k_r)
     basis_x = gram_basis(keys.k_x)
-    f_x = align_fuse(keys.k_x, gram_map(keys.k_x, basis_r), weights.w_x)
-    f_r = align_fuse(keys.k_r, gram_map(keys.k_r, basis_x), weights.w_r)
-    return linear(concat([f_x, f_r], axis=-1), fc_w)
+    f_x = add(keys.k_x, scale(matmul(keys.k_x, basis_r.normalized), weights.w_x))
+    f_r = add(keys.k_r, scale(matmul(keys.k_r, basis_x.normalized), weights.w_r))
+    return matmul(concat([f_x, f_r], axis=-1), fc_w)
 
 
 def build_hypergraph(x, epsilon: float | None) -> Hypergraph:

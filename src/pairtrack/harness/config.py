@@ -7,8 +7,8 @@ Config files are UTF-8 text with one ``key = value`` pair per line and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import get_origin, get_type_hints
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 from ..errors import ConfigError
 from ..losses import LossWeights
@@ -41,7 +41,6 @@ class RunConfig:
     # fusion
     epsilon_mode: str = "auto"
     epsilon_value: float = 1.0
-    level_taps: tuple[int, ...] = ()
 
     # losses
     lambda_iou: float = 2.0
@@ -94,14 +93,6 @@ class RunConfig:
             raise ConfigError(f"epsilon_mode must be auto or fixed, got {self.epsilon_mode}")
         if self.epsilon_mode == "fixed" and not self.epsilon_value > 0:
             raise ConfigError("epsilon_value must be positive in fixed mode")
-        if not self.level_taps:
-            taps = {max(1, round(self.depth * q)) for q in (0.25, 0.5, 0.75, 1.0)}
-        else:
-            taps = set(self.level_taps)
-        object.__setattr__(self, "level_taps", tuple(sorted(taps)))
-        for tap in self.level_taps:
-            if not 1 <= tap <= self.depth:
-                raise ConfigError(f"level tap {tap} outside 1..{self.depth}")
         # constructing these validates K < N, D % G == 0, weight signs
         self.moe_config()
         self.loss_weights()
@@ -117,6 +108,11 @@ class RunConfig:
     @property
     def heatmap_side(self) -> int:
         return self.search_size // self.patch_size
+
+    @property
+    def level_taps(self) -> tuple[int, ...]:
+        """The blocks, counted from 1, whose outputs multi-level fusion reads."""
+        return tuple(sorted({max(1, round(self.depth * q)) for q in (0.25, 0.5, 0.75, 1.0)}))
 
     def moe_config(self) -> MoEConfig:
         return MoEConfig(
@@ -150,32 +146,32 @@ def _parse_value(name: str, text: str, target_type):
             return int(text)
         if target_type is float:
             return float(text)
-        if target_type is str:
-            return text
-        # tuple[int, ...]: comma-separated list
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return text
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"config key {name}: cannot parse value {text!r}") from exc
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """The file's key = value pairs; a key set on two lines is a ``ConfigError``."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise ConfigError(
+                f"config key {key} set twice, on lines {first_line[key]} and {lineno}")
+        pairs[key], first_line[key] = value, lineno
     return pairs
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and overrides."""
-    hints = get_type_hints(RunConfig)
-    # tuple[int, ...] parses as tuple; plain types are their own origin
-    type_of = {f.name: get_origin(hints[f.name]) or hints[f.name] for f in fields(RunConfig)}
+    type_of = get_type_hints(RunConfig)  # each field's type
     values: dict = {}
     if path is not None:
         try:

@@ -57,7 +57,6 @@ from ..numerics import (
     constant,
     fan_in_uniform,
     gather_rows,
-    linear,
     matmul,
     mean,
     reshape,
@@ -97,7 +96,7 @@ def patch_embed(stacks: Sequence[np.ndarray], patch: int, w, b) -> Tensor:
     tokens of its frame in the first stack, then in the second, and so on.
     """
     patches = np.concatenate([extract_patches(frames, patch) for frames in stacks], axis=-2)
-    return linear(constant(patches), w, b)
+    return add_rowvec(matmul(constant(patches), w), b)
 
 
 class Block:
@@ -133,17 +132,17 @@ class ForwardOutput:
 
     ``box_tensor`` is [B, 4], ``center_map`` [B, side, side] and ``balance``
     [B], each sample's mean of its 2*depth balance terms; ``boxes`` holds the
-    same boxes as floats. ``selected`` lists the [S, T, K] expert picks of
-    each adapter pass over the S = 2B sequences, and ``expert_evals`` one
-    sample's expert evaluations per adapter pass and modality.
+    same boxes as floats. ``expert_counts`` is the int64 [depth, B, 2, N]
+    count of expert picks per adapter pass, sample, modality (R, then X)
+    and expert, as the balance loss counted them; with no adapters its
+    first axis is empty.
     """
 
     box_tensor: Tensor
     center_map: Tensor
     balance: Tensor
     boxes: list[Box]
-    selected: list[np.ndarray]
-    expert_evals: list[int]
+    expert_counts: np.ndarray
 
     @property
     def box(self) -> Box:
@@ -152,11 +151,10 @@ class ForwardOutput:
             raise ContractError(f"box: the pass holds {len(self.boxes)} samples; read boxes")
         return self.boxes[0]
 
-    def usage_histogram(self, n_experts: int) -> np.ndarray:
-        hist = np.zeros(n_experts, dtype=np.int64)
-        for selected in self.selected:
-            hist += np.bincount(selected.ravel(), minlength=n_experts)
-        return hist
+    @property
+    def expert_evals(self) -> list[int]:
+        """The first sample's expert evaluations per adapter pass and modality."""
+        return self.expert_counts[:, 0].sum(axis=-1).ravel().tolist()
 
 
 class Tracker:
@@ -262,12 +260,12 @@ class Tracker:
         batch = [samples] if isinstance(samples, SyntheticSample) else list(samples)
         if not batch:
             raise ContractError("forward: no samples")
-        features, balance, selected, expert_evals = self._backbone(batch, prefix_cache)
+        features, balance, expert_counts = self._backbone(batch, prefix_cache)
         box_tensor, center_map = self._head(features, len(batch))
         return ForwardOutput(
             box_tensor=box_tensor, center_map=center_map, balance=balance,
             boxes=[Box(*(float(v) for v in row)) for row in box_tensor.data],
-            selected=selected, expert_evals=expert_evals,
+            expert_counts=expert_counts,
         )
 
     def _frozen_prefix(self, batch: list[SyntheticSample]) -> tuple[Tensor, list[Tensor]]:
@@ -319,15 +317,14 @@ class Tracker:
         return bool(self.mff_weights) and (i + 1) in self.cfg.level_taps
 
     def _backbone(self, batch: list[SyntheticSample], prefix_cache: dict | None = None
-                  ) -> tuple[Tensor, Tensor, list[np.ndarray], list[int]]:
+                  ) -> tuple[Tensor, Tensor, np.ndarray]:
         """Search-token features of the B samples, [B * Ts * 2, D].
 
         The tokens run through the backbone as one [B, 2, T, D] stack, and
         one gather takes the search tokens at the end. Rows of the result run
         sample, token, modality, so viewed as [B, Ts, 2D] they hold each
         token's R features, then its X features. Also returns the [B] balance
-        terms, the [2B, T, K] expert picks of each adapter pass and one
-        sample's expert evaluations per adapter pass and modality.
+        terms and the [depth, B, 2, N] expert pick counts of the adapter passes.
 
         With ``prefix_cache`` the frozen prefix runs once per distinct batch,
         in that batch's composition, so a later call gets the same bytes.
@@ -336,15 +333,14 @@ class Tracker:
         tokens, levels = (self._frozen_prefix(batch) if prefix_cache is None
                           else self._cached_prefix(batch, prefix_cache))
         n_tok, d = tokens.shape[2:]
-        balances, selected, expert_evals = [], [], []
+        balances, counts = [], []
         for i, adapter in enumerate(self.adapters):
             if i:  # block 0 ran in the prefix
                 tokens = self.blocks[i](tokens)
             result = adapter(tokens)
             tokens = result.output
             balances.append(result.balance)
-            selected.append(result.sparse.decision.selected.reshape(2 * n, n_tok, -1))
-            expert_evals.extend([result.sparse.n_expert_evals // (2 * n)] * 2)
+            counts.append(result.stats.counts)
             if self._tapped(i):
                 levels.append(tokens)
         # each adapter pass gives [B, 2] terms; a sample's balance is the mean of its row
@@ -354,8 +350,9 @@ class Tracker:
         # the stack's row numbers at its search tokens, in sample, token, modality order
         stack_rows = np.arange(2 * n * n_tok).reshape(n, 2, n_tok)
         search_rows = stack_rows[:, :, cfg.n_template_tokens:].swapaxes(1, 2).ravel()
+        expert_counts = np.array(counts, dtype=np.int64).reshape(len(counts), n, 2, cfg.n_experts)
         return (gather_rows(reshape(tokens, (2 * n * n_tok, d)), search_rows),
-                balance, selected, expert_evals)
+                balance, expert_counts)
 
     def _head(self, features: Tensor, n: int) -> tuple[Tensor, Tensor]:
         """Cross-modal fusion and the center/box head, once for all n samples.
@@ -369,20 +366,20 @@ class Tracker:
             feat_r, feat_x = slice_cols(head_in, 0, d), slice_cols(head_in, d, 2 * d)
             if self.align is not None:
                 keys = ModalityKeys(
-                    k_r=add(feat_r, linear(feat_r, self.key_w)),
-                    k_x=add(feat_x, linear(feat_x, self.key_w)),
+                    k_r=add(feat_r, matmul(feat_r, self.key_w)),
+                    k_x=add(feat_x, matmul(feat_x, self.key_w)),
                 )
                 fused = cross_align(keys, self.align, self.fuse_w)
             else:
-                fused = linear(concat([feat_x, feat_r], axis=-1), self.fuse_w)
+                fused = matmul(concat([feat_x, feat_r], axis=-1), self.fuse_w)
             if self.conv is not None:
                 fixed = self.cfg.epsilon_mode == "fixed"
                 graph = build_hypergraph(fused, self.cfg.epsilon_value if fixed else None)
                 fused = hyperconv(fused, graph, self.conv)
-            head_in = add(head_in, linear(fused, self.out_w))
+            head_in = add(head_in, matmul(fused, self.out_w))
 
-        trunk = silu(linear(head_in, self.head_w1, self.head_b1))
-        center_logits = linear(trunk, self.center_w, self.center_b)  # [B, Ts, 1]
+        trunk = silu(add_rowvec(matmul(head_in, self.head_w1), self.head_b1))
+        center_logits = add_rowvec(matmul(trunk, self.center_w), self.center_b)  # [B, Ts, 1]
         center = sigmoid(reshape(center_logits, (n, side, side)))
         # pool token features weighted by sharpened center scores, so the box
         # decoder sees where the map peaks rather than a uniform average
@@ -391,7 +388,7 @@ class Tracker:
         attn = softmax(scale(logits_row, constant(POOL_TEMPERATURE)), axis=-1)
         pooled = matmul(attn, trunk)
         coords = matmul(attn, constant(self._grid))  # soft-argmax (x, y), [B, 1, 2]
-        raw = linear(concat([pooled, coords], axis=-1), self.box_w, self.box_b)
+        raw = add_rowvec(matmul(concat([pooled, coords], axis=-1), self.box_w), self.box_b)
         # center = soft-argmax plus a bounded learned correction; size from MLP
         squashed = sigmoid(raw)
         half = constant(np.full(coords.shape, 0.5))

@@ -100,7 +100,7 @@ def _batch_loss(model: Tracker, samples: list[SyntheticSample], step: int,
         loss = mean(result.bundle.total)
     if not np.isfinite(loss.item()):
         raise NumericError(f"batch mean loss is not finite (training step {step})")
-    return loss, result.bundle, result.output.usage_histogram(model.cfg.n_experts)
+    return loss, result.bundle, result.output.expert_counts.sum(axis=(0, 1, 2))
 
 
 def _passes(model: Tracker, dataset: list[SyntheticSample],
@@ -131,7 +131,7 @@ def evaluate(model: Tracker, dataset: list[SyntheticSample], step: int = 0,
     ious = []
     for chunk, result in _passes(model, dataset, prefix_cache):
         bundles.append(result.bundle)
-        usage += result.output.usage_histogram(model.cfg.n_experts)
+        usage += result.output.expert_counts.sum(axis=(0, 1, 2))
         ious.extend(box_iou(box, sample.gt_box)
                     for box, sample in zip(result.output.boxes, chunk))
     means = _mean_losses(_loss_sums(bundles), len(dataset), step)

@@ -111,7 +111,8 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("maximum", lambda x: select(~(x.data < other), x, constant(other)), (5, 4), -2, 2),
         ("minimum", lambda x: select(~(x.data > other), x, constant(other)), (5, 4), -2, 2),
         ("scale_constant", lambda x: scale(x, constant(-1.7)), (5, 4), -2, 2),
-        ("scale", lambda x: scale(x, constant(np.asarray(0.8))), (5, 4), -2, 2),
+        ("gather_rows_index_2d", lambda x: gather_rows(x, np.array([[2, 0], [2, 1]])),
+         (4, 3), -2, 2),
         ("reciprocal", lambda x: reciprocal(x), (4, 4), 0.5, 2.0),
         ("pow2", lambda x: pow_const(x, 2.0), (4, 4), -2, 2),
         ("pow4", lambda x: pow_const(x, 4.0), (4, 4), -2, 2),
@@ -157,6 +158,13 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
         ("routed_matmul_empty_middle", lambda x: routed_matmul(  # weight 1 is never picked
             x, concat([reshape(x, (1, 4, 4)), constant(squares)], 0), np.array([0, 0, 2, 2])),
          (4, 4), -2, 2),
+        ("gather_rows_vector", lambda x: gather_rows(x, np.array([1, 1, 0, 2])), (3,), -2, 2),
+        # the sparse MoE's gate: entries t*4 + n of a flattened [3, 4] score matrix, in pair order
+        ("gather_rows_gate", lambda x: gather_rows(reshape(x, (12,)), np.array([4, 9, 2, 11])),
+         (3, 4), -2, 2),
+        ("routed_matmul_input_as_weights", lambda x: routed_matmul(  # x, x^T and I as weights
+            x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
+            np.array([0, 0, 1, 2])), (4, 4), -2, 2),
     ]
 
 
@@ -174,7 +182,7 @@ def tiny_config(**overrides) -> RunConfig:
         seed=7, channels=1, patch_size=4, template_size=8, search_size=16,
         model_dim=16, depth=2, heads=4, head_hidden=16,
         n_experts=2, top_k=1, reduction_g=4, shared_m=2,
-        epsilon_mode="fixed", epsilon_value=0.8, level_taps=(1, 2),
+        epsilon_mode="fixed", epsilon_value=0.8,
         steps=1, log_interval=1, n_train=2, n_eval=4,
     )
     base.update(overrides)

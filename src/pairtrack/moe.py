@@ -97,8 +97,9 @@ class RouterDecision:
 
 @dataclass
 class BalanceStats:
-    """Assignment fractions f and mean scores p behind the balance loss."""
+    """Per sequence, off the tape: [..., N] expert pick counts, the f they give, mean scores p."""
 
+    counts: np.ndarray
     f: np.ndarray
     p: np.ndarray
 
@@ -131,11 +132,11 @@ class SparseMoEResult:
 
 @dataclass
 class AdapterResult:
-    """Residual output shaped like the input, one balance term per sequence."""
+    """Residual output shaped like the input, one balance term per sequence and its stats."""
 
     output: Tensor
     balance: Tensor
-    sparse: SparseMoEResult
+    stats: BalanceStats
 
 
 def route(tokens: Tensor, w_router: Tensor, cfg: MoEConfig) -> RouterDecision:
@@ -174,7 +175,7 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     f = counts * (n / (k * t_count))
     p = scale(tsum(decision.scores, axis=-2), constant(1.0 / t_count))
     loss = tsum(mul(constant(f), p), axis=-1)
-    return loss, BalanceStats(f=f, p=p.data.copy())
+    return loss, BalanceStats(counts=counts, f=f, p=p.data.copy())
 
 
 def routed_experts(tokens: Tensor, experts: SpecificExpertParams, expert: np.ndarray,
@@ -261,8 +262,8 @@ class MoEAdapter:
             scores=reshape(decision.scores, (*lead, t_count, self.cfg.n_experts)),
             selected=decision.selected.reshape(*lead, t_count, self.cfg.top_k),
         )
-        balance, _ = balance_loss(per_sequence, self.cfg)
-        return AdapterResult(output=reshape(output, tokens.shape), balance=balance, sparse=sparse)
+        balance, stats = balance_loss(per_sequence, self.cfg)
+        return AdapterResult(output=reshape(output, tokens.shape), balance=balance, stats=stats)
 
 
 def adapter_param_count(cfg: MoEConfig) -> int:

@@ -13,7 +13,6 @@ from .tensor import (
     concat,
     constant,
     gather_rows,
-    linear,
     log,
     matmul,
     mean,
@@ -42,7 +41,7 @@ __all__ = [
     "sigmoid", "silu", "softmax", "tsum", "mean",
     "reshape", "transpose", "concat", "slice_cols",
     "gather_rows", "add_rowvec",
-    "matmul", "routed_matmul", "linear", "attention",
+    "matmul", "routed_matmul", "attention",
     "finite_diff_grad", "grad_max_rel_error",
     "save_checkpoint", "load_checkpoint",
 ]

@@ -625,17 +625,3 @@ def routed_matmul(a: Tensor, w: Tensor, expert: np.ndarray) -> Tensor:
 
     return _node(out_data, (a, w), bw)
 
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the trailing dimension of a [..., d_in] input."""
-    if w.ndim != 2:
-        raise ShapeError(f"linear: weight must be a matrix, got {w.shape}")
-    d_in = w.shape[0]
-    if x.ndim < 2 or x.shape[-1] != d_in:
-        raise ShapeError(f"linear: input {x.shape} is not [..., d_in={d_in}]")
-    out = matmul(x, w)
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
-        out = add_rowvec(out, b)
-    return out

@@ -10,6 +10,7 @@ import pytest
 
 from pairtrack.errors import ConfigError
 from pairtrack.harness import RunConfig, load_config
+from pairtrack.harness.config import parse_config_text
 from pairtrack.harness.cli import main
 
 TINY_CONFIG = """
@@ -24,7 +25,6 @@ shared_m = 2
 template_size = 8
 search_size = 16
 head_hidden = 16
-level_taps = 1,2
 steps = 3
 batch_size = 2
 log_interval = 1
@@ -55,7 +55,7 @@ def test_load_config_reads_back_every_field(tmp_path):
         seed=5, channels=3, patch_size=2, template_size=8, search_size=12,
         model_dim=24, depth=3, heads=2, mlp_ratio=3, head_hidden=8,
         n_experts=3, top_k=2, reduction_g=6, shared_m=2,
-        epsilon_mode="fixed", epsilon_value=0.5, level_taps=(1, 3),
+        epsilon_mode="fixed", epsilon_value=0.5,
         lambda_iou=1.5, lambda_l1=4.0, alpha=0.01,
         lr=0.05, steps=7, batch_size=3, log_interval=2,
         toggle_sdmoe=False, toggle_mff=False, toggle_gram=False, toggle_mhg=False,
@@ -65,8 +65,7 @@ def test_load_config_reads_back_every_field(tmp_path):
     for field in fields(RunConfig):
         value = getattr(expected, field.name)
         assert value != field.default, field.name
-        text = (",".join(map(str, value)) if isinstance(value, tuple)
-                else str(value).lower() if isinstance(value, bool) else str(value))
+        text = str(value).lower() if isinstance(value, bool) else str(value)
         lines.append(f"{field.name} = {text}\n")
     path = tmp_path / "every.cfg"
     path.write_text("".join(lines), encoding="utf-8")
@@ -78,6 +77,36 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("not_a_key = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_level_taps_follow_depth_and_are_no_config_key(tmp_path, capsys):
+    assert [RunConfig(depth=d).level_taps for d in (1, 2, 3, 4)] == [
+        (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
+    with pytest.raises(ConfigError, match="unknown config key: level_taps"):
+        load_config(None, {"level_taps": (1, 2)})
+    config = tmp_path / "taps.cfg"
+    config.write_text(TINY_CONFIG + "level_taps = 1,2\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key: level_taps\n"
+    assert not out.exists()
+
+
+def test_parse_config_text_rejects_a_key_set_twice():
+    with pytest.raises(ConfigError, match="config key steps set twice, on lines 2 and 4"):
+        parse_config_text("# run\nsteps = 3\nseed = 1\nsteps = 5\n")
+
+
+def test_cli_config_that_sets_a_key_twice_exits_2_and_leaves_no_directory(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text(TINY_CONFIG + "steps = 5\n", encoding="utf-8")
+    first = TINY_CONFIG.splitlines().index("steps = 3") + 1
+    last = len(TINY_CONFIG.splitlines()) + 1
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config key steps set twice, on lines {first} and {last}\n")
+    assert not out.exists()
 
 
 def test_load_config_rejects_malformed_line(tmp_path):

@@ -9,15 +9,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from pairtrack.errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from pairtrack.fusion import (
     AlignWeights,
-    GramBasis,
     HyperConvParams,
     ModalityKeys,
-    align_fuse,
     auto_epsilon,
     build_hypergraph,
     cross_align,
     gram_basis,
-    gram_map,
     hyperconv,
     multi_level_fuse,
     propagation_matrix,
@@ -144,43 +141,47 @@ def test_gram_basis_on_a_stack_equals_per_sample_calls():
 
 
 def test_gram_map_isotropic_basis_is_scalar_multiple():
+    """The Gram map: k times the other modality's normalized Gram basis, as in cross_align."""
     basis = gram_basis(constant(np.sqrt(2.0) * np.eye(2)))
     src = constant(RngStream(5).uniform(-1, 1, (3, 2)))
-    out = gram_map(src, basis)
+    out = matmul(src, basis.normalized)
     # g = 2I, |g|_F = 2*sqrt(2), normalized = I/sqrt(2)
     np.testing.assert_allclose(out.data, src.data / np.sqrt(2), atol=1e-14)
 
 
 def test_gram_map_identity_basis():
-    basis = GramBasis(g=constant(np.eye(2)), norm=1.0, normalized=constant(np.eye(2)))
-    src = constant(RngStream(6).uniform(-1, 1, (4, 2)))
-    np.testing.assert_array_equal(gram_map(src, basis).data, src.data)
+    # one key column: g = [[2]], |g|_F = 2, so the normalized basis is exactly [[1]]
+    basis = gram_basis(constant(np.ones((2, 1))))
+    src = constant(RngStream(6).uniform(-1, 1, (4, 1)))
+    np.testing.assert_array_equal(matmul(src, basis.normalized).data, src.data)
 
 
 def test_gram_map_matches_direct_recomputation():
     rng = RngStream(7)
     k = rng.uniform(-1, 1, (5, 3))
     src = rng.uniform(-1, 1, (5, 3))
-    basis = gram_basis(constant(k))
-    out = gram_map(constant(src), basis)
+    out = matmul(constant(src), gram_basis(constant(k)).normalized)
     g = k.T @ k
     expected = src @ (g / np.linalg.norm(g))
     assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
 def test_align_fuse_cases():
-    rng = RngStream(8)
-    k = constant(rng.uniform(-1, 1, (4, 3)))
-    mapped = constant(rng.uniform(-1, 1, (4, 3)))
-    zero_w = constant(np.zeros(()))
-    np.testing.assert_array_equal(align_fuse(k, mapped, zero_w).data, k.data)
-    one_w = constant(np.ones(()))
-    neg = constant(-k.data)
-    np.testing.assert_allclose(align_fuse(k, neg, one_w).data, np.zeros((4, 3)), atol=1e-15)
-    half = constant(np.asarray(0.5))
-    np.testing.assert_allclose(
-        align_fuse(k, mapped, half).data, k.data + 0.5 * mapped.data, atol=1e-15
-    )
+    """cross_align blends each modality's keys with their Gram map by that direction's scalar."""
+    store, keys, weights, fc_w = _align_setup(8, zero_weights=True)
+    # zero blend weights leave the keys: the FC of the concatenated keys, byte for byte
+    plain = matmul(concat([keys.k_x, keys.k_r], axis=-1), fc_w)
+    assert cross_align(keys, weights, fc_w).data.tobytes() == plain.data.tobytes()
+    d = keys.k_r.shape[1]
+    kr, kx = keys.k_r.data, keys.k_x.data
+    store.set_values("w_x", np.asarray(0.5))
+    store.set_values("w_r", np.asarray(-1.5))
+    for selector, own, other, w in ((np.vstack([np.eye(d), np.zeros((d, d))]), kx, kr, 0.5),
+                                    (np.vstack([np.zeros((d, d)), np.eye(d)]), kr, kx, -1.5)):
+        g = other.T @ other
+        out = cross_align(keys, weights, constant(selector))
+        np.testing.assert_allclose(out.data, own + w * (own @ (g / np.linalg.norm(g))),
+                                   rtol=0, atol=1e-14)
 
 
 def _align_setup(seed, t=5, d=3, zero_weights=False):
@@ -217,11 +218,9 @@ def test_cross_align_modality_symmetry():
     k = constant(rng.uniform(-1, 1, (4, 3)))
     keys = ModalityKeys(k_r=k, k_x=k)
     w = store.add("w", rng.uniform(-1, 1, ()))
-    weights = AlignWeights(w_r=w, w_x=w)
-    basis = gram_basis(k)
-    f_x = align_fuse(k, gram_map(k, basis), w)
-    f_r = align_fuse(k, gram_map(k, basis), w)
-    np.testing.assert_array_equal(f_x.data, f_r.data)
+    # an identity FC returns [f_x, f_r]; equal keys and blend weights make the halves equal
+    out = cross_align(keys, AlignWeights(w_r=w, w_x=w), constant(np.eye(6)))
+    np.testing.assert_array_equal(out.data[:, :3], out.data[:, 3:])
 
 
 def test_cross_align_composition_oracle():

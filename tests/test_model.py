@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from pairtrack import moe
 from pairtrack.errors import ContractError
 from pairtrack.harness import (
     RunConfig,
@@ -152,13 +153,51 @@ def test_variant_parameter_counts_strictly_increase():
 
 
 def test_usage_histogram_matches_routed_tokens():
-    cfg = tiny_config(seed=8)
+    cfg = RunConfig(seed=3)
+    samples = generate_dataset(cfg, cfg.batch_size, "usage")
+    counts = Tracker(cfg).forward(samples).expert_counts
+    # picks per adapter pass, sample, modality and expert; a sequence routes its T tokens K times
+    assert counts.dtype == np.int64 and counts.shape == (cfg.depth, 4, 2, cfg.n_experts)
+    routed = (cfg.n_template_tokens + cfg.n_search_tokens) * cfg.top_k
+    np.testing.assert_array_equal(counts.sum(axis=-1), np.full((cfg.depth, 4, 2), routed))
+    hist = counts.sum(axis=(0, 1, 2))
+    assert hist.shape == (cfg.n_experts,) and hist.sum() == routed * cfg.depth * 4 * 2
+
+
+def test_expert_counts_equal_a_bincount_of_each_route_call(monkeypatch):
+    """An oracle that does not go through balance_loss: the picks each router call returns."""
+    cfg = tiny_config(seed=9, n_experts=4, top_k=2)
+    model = _perturbed_tracker(cfg)
+    samples = generate_dataset(cfg, 3, "route calls")
+    picks, route = [], moe.route
+
+    def recording_route(*args):
+        decision = route(*args)
+        picks.append(decision.selected.copy())
+        return decision
+
+    monkeypatch.setattr(moe, "route", recording_route)
+    counts = model.forward(samples).expert_counts
+    assert len(picks) == cfg.depth == len(counts)
+    for layer, selected in zip(counts, picks):
+        # the adapter routes the [B, 2, T, D] stack's rows in sample, modality, token order
+        per_sequence = selected.reshape(len(samples), 2, -1)
+        for b in range(len(samples)):
+            for m in range(2):
+                np.testing.assert_array_equal(
+                    layer[b, m], np.bincount(per_sequence[b, m], minlength=cfg.n_experts))
+
+
+def test_a_pass_without_adapters_counts_no_picks():
+    cfg = tiny_config(seed=10, toggle_sdmoe=False)
     model = Tracker(cfg)
-    sample = generate_dataset(cfg, 1, "usage")[0]
-    result = forward_track(sample, model)
-    hist = result.output.usage_histogram(cfg.n_experts)
-    routed = (cfg.n_template_tokens + cfg.n_search_tokens) * 2 * cfg.depth * cfg.top_k
-    assert hist.sum() == routed
+    samples = generate_dataset(cfg, 3, "no adapters")
+    output = model.forward(samples)
+    assert output.expert_counts.shape == (0, 3, 2, cfg.n_experts)
+    assert output.expert_evals == []
+    usage = _batch_loss(model, samples, step=0)[2]
+    assert usage.dtype == np.int64
+    np.testing.assert_array_equal(usage, np.zeros(cfg.n_experts))
 
 
 def _perturbed_tracker(cfg, scale=0.05):
@@ -183,7 +222,6 @@ def test_batched_forward_matches_single_calls():
     together = batched.output
     assert batched.bundle.total.shape == (len(samples),)
     assert together.box_tensor.shape == (len(samples), 4)
-    usage = np.zeros(cfg.n_experts, dtype=np.int64)
     for i, sample in enumerate(samples):
         alone = forward_track(sample, model)
         assert _rel_err(together.box_tensor.data[i], alone.output.box_tensor.data[0]) <= 1e-12
@@ -191,10 +229,8 @@ def test_batched_forward_matches_single_calls():
         assert _rel_err(batched.bundle.total.data[i], alone.bundle.total.data[0]) <= 1e-12
         assert together.boxes[i] == Box(*together.box_tensor.data[i])
         assert together.expert_evals == alone.output.expert_evals
-        for picks, alone_picks in zip(together.selected, alone.output.selected, strict=True):
-            np.testing.assert_array_equal(picks[2 * i:2 * i + 2], alone_picks)
-        usage += alone.output.usage_histogram(cfg.n_experts)
-    np.testing.assert_array_equal(together.usage_histogram(cfg.n_experts), usage)
+        np.testing.assert_array_equal(together.expert_counts[:, i],
+                                      alone.output.expert_counts[:, 0])
 
     model.store.zero_grad()
     backward(_batch_loss(model, samples, step=0)[0])

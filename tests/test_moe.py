@@ -546,10 +546,13 @@ def test_adapter_on_stacked_sequences_matches_each_sequence_alone():
     stacked = RngStream(27).uniform(-1, 1, (3, 9, 12))
     together = adapter(constant(stacked))
     assert together.output.shape == (3, 9, 12) and together.balance.shape == (3,)
-    assert together.sparse.n_expert_evals == 3 * 9 * cfg.top_k
+    # each sequence's pick counts cover its 9 tokens K times
+    assert together.stats.counts.shape == (3, cfg.n_experts)
+    np.testing.assert_array_equal(together.stats.counts.sum(axis=-1), [9 * cfg.top_k] * 3)
     for s in range(3):
         alone = adapter(constant(stacked[s]))
         np.testing.assert_allclose(together.output.data[s], alone.output.data, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(together.stats.counts[s], alone.stats.counts)
         # f and p are taken over the sequence's own tokens, so the term is unchanged
         assert together.balance.data[s] == alone.balance.item()
 

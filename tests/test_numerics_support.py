@@ -9,9 +9,9 @@ from pairtrack.errors import ContractError
 from pairtrack.numerics import (
     ParamStore,
     RngStream,
+    add_rowvec,
     backward,
     constant,
-    linear,
     load_checkpoint,
     matmul,
     save_checkpoint,
@@ -83,7 +83,7 @@ def test_parameter_goes_straight_into_kernels():
     b = store.add("b", np.array([0.5, -0.5]), trainable=False)
     x = constant(np.array([[1.0, -1.0]]))
     np.testing.assert_array_equal(matmul(x, w).data, [[-2.0, -2.0]])
-    np.testing.assert_array_equal(linear(x, w, b).data, [[-1.5, -2.5]])
+    np.testing.assert_array_equal(add_rowvec(matmul(x, w), b).data, [[-1.5, -2.5]])
 
 
 def test_backward_fills_trainable_grads_and_sgd_moves_only_them():
@@ -91,7 +91,7 @@ def test_backward_fills_trainable_grads_and_sgd_moves_only_them():
     w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = store.add("b", np.array([0.5, -0.5]), trainable=False)
     x = constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
-    backward(tsum(linear(x, w, b)))
+    backward(tsum(add_rowvec(matmul(x, w), b)))
     # d sum(x w + b) / dw = x^T 1: row i holds the column sum of x[:, i]
     np.testing.assert_array_equal(w.grad, [[3.0, 3.0], [-1.0, -1.0]])
     assert b.grad is None

@@ -22,7 +22,6 @@ from pairtrack.numerics import (
     finite_diff_grad,
     gather_rows,
     grad_max_rel_error,
-    linear,
     log,
     matmul,
     mul,
@@ -215,23 +214,15 @@ def test_silu_values():
 
 
 def test_linear_identity_and_bias():
+    """An affine layer is add_rowvec(matmul(x, w), b)."""
     x = constant([[1.0, 1.0]])
     w = constant(np.eye(2))
-    np.testing.assert_array_equal(linear(x, w).data, x.data)
+    np.testing.assert_array_equal(matmul(x, w).data, x.data)
     w2 = constant([[1.0, 0.0], [0.0, 2.0]])
     b = constant([1.0, 1.0])
-    np.testing.assert_array_equal(linear(x, w2, b).data, [[2.0, 3.0]])
+    np.testing.assert_array_equal(add_rowvec(matmul(x, w2), b).data, [[2.0, 3.0]])
     zero = constant(np.zeros((3, 2)))
-    np.testing.assert_array_equal(linear(zero, w2, b).data, np.tile(b.data, (3, 1)))
-
-
-def test_linear_leading_broadcast():
-    rng = RngStream(5)
-    x = rng.uniform(-1, 1, (2, 3, 4))
-    w = rng.uniform(-1, 1, (4, 6))
-    out = linear(constant(x), constant(w))
-    assert out.shape == (2, 3, 6)
-    np.testing.assert_allclose(out.data.reshape(6, 6), x.reshape(6, 4) @ w, atol=0)
+    np.testing.assert_array_equal(add_rowvec(matmul(zero, w2), b).data, np.tile(b.data, (3, 1)))
 
 
 def test_routed_matmul_groups_rows_by_weight():
@@ -270,11 +261,6 @@ def test_routed_matmul_shape_and_index_errors():
         routed_matmul(a, constant(np.zeros((0, 4, 2))), np.zeros(3))
     with pytest.raises(ShapeError):  # rows must come sorted by weight index
         routed_matmul(a, w, np.array([1, 0, 1]))
-
-
-def test_linear_shape_error():
-    with pytest.raises(ShapeError):
-        linear(constant(np.zeros((2, 3))), constant(np.zeros((4, 5))))
 
 
 def test_reshape_shape_errors():
@@ -425,39 +411,6 @@ def test_binary_op_gradients(which):
     for seed in range(20):
         other = RngStream(7000 + seed).uniform(-2, 2, (3, 4))
         _check_op(lambda x: op(x, constant(other)), (3, 4), seed=5000 + 37 * which + seed)
-
-
-def test_structured_op_gradients():
-    for seed in range(20):
-        w = RngStream(8000 + seed).uniform(-1, 1, (4, 3))
-        _check_op(lambda x: matmul(x, constant(w)), (5, 4), seed=9000 + seed)
-        _check_op(lambda x: matmul(constant(w), x), (3, 5), seed=9100 + seed)
-        s = RngStream(8100 + seed).uniform(0.5, 2, (6,))
-        _check_op(lambda x: scale(x, constant(s)), (6, 3), seed=9200 + seed)
-        v = RngStream(8200 + seed).uniform(-1, 1, (3,))
-        _check_op(lambda x: add_rowvec(x, constant(v)), (6, 3), seed=9300 + seed)
-        _check_op(lambda x: scale(x, constant(1.3)), (4, 2), seed=9400 + seed)
-        _check_op(
-            lambda x: concat([x, constant(np.ones((4, 2)))], axis=1), (4, 3),
-            seed=9500 + seed,
-        )
-
-
-def test_scale_and_scale_rows_factor_gradients():
-    # gradient w.r.t. the scaling factors themselves
-    for seed in range(10):
-        rng = RngStream(400 + seed)
-        a = rng.uniform(-2, 2, (5, 3))
-
-        def build_scalar(s):
-            return scale(constant(a), reshape(s, ()))
-
-        _check_op(lambda s: build_scalar(s), (1,), seed=600 + seed)
-
-        def build_rows(s):
-            return scale(constant(a), s)
-
-        _check_op(build_rows, (5,), seed=700 + seed)
 
 
 def test_select_picks_values_and_sends_each_gradient_to_the_picked_operand():
@@ -726,7 +679,7 @@ def test_every_kernel_has_a_unit_gradient_case(monkeypatch):
                if inspect.isfunction(obj) and obj.__module__ == tensor_module.__name__
                and not name.startswith("_")}
     # composites of other kernels, and the tape's own entry points, record no closure
-    assert covered == kernels - {"constant", "mean", "linear", "backward", "no_grad"}
+    assert covered == kernels - {"constant", "mean", "backward", "no_grad"}
 
 
 def test_the_tape_frees_inputs_that_no_gradient_reads():

@@ -40,7 +40,8 @@ class _StubModel:
             center_map=constant(np.stack([np.clip(gaussian_center_map(side, box), 0.0, 1.0)
                                           for box in boxes])),
             balance=constant(np.zeros(len(boxes))),
-            boxes=boxes, selected=[], expert_evals=[],
+            boxes=boxes,
+            expert_counts=np.zeros((0, len(boxes), 2, self.cfg.n_experts), dtype=np.int64),
         )
 
 
@@ -105,7 +106,7 @@ def test_evaluate_runs_training_shaped_passes():
     assert record.success_at_50 == np.mean([i >= 0.5 for i in ious])
     np.testing.assert_array_equal(
         record.expert_usage,
-        sum(result.output.usage_histogram(cfg.n_experts) for result in singles))
+        sum(result.output.expert_counts.sum(axis=(0, 1, 2)) for result in singles))
 
 
 def test_evaluate_empty_dataset_rejected():
