@@ -31,6 +31,10 @@ N_DISTRACTORS = 2
 # distractors keep a wide gap from the target box
 PLACEMENT_MARGIN = 0.12
 MAX_PLACEMENT_TRIES = 40
+# samples drawn and rendered together; bounds the render pass's [chunk, size, size] temporaries
+CHUNK_SIZE = 16
+# the template shows the target alone at canonical scale: cx, cy, w, h
+TEMPLATE_BOX = np.array([0.5, 0.5, 0.5, 0.5])
 
 
 @dataclass(eq=False)  # identity equality and hash: a sample keys the prefix cache
@@ -47,23 +51,33 @@ def _axis(size: int) -> np.ndarray:
     return (np.arange(size) + 0.5) / size
 
 
-def _box_mask(size: int, box: Box) -> np.ndarray:
-    """[size, size] mask (rows y, columns x) of the cells whose centre lies in the box."""
+def _plane_lead(values) -> np.ndarray:
+    """A float or an [...] array as [..., 1, 1], to broadcast against [size, size] planes."""
+    return np.asarray(values)[..., None, None]
+
+
+def _box_mask(size: int, box: np.ndarray) -> np.ndarray:
+    """[..., size, size] mask (rows y, columns x) of the cells whose centre lies in the box.
+
+    ``box`` holds cx, cy, w, h along its first axis, each a float or an [...] array.
+    """
     axis = _axis(size)
-    x1, y1, x2, y2 = box.corners()
-    return ((axis >= x1) & (axis <= x2)) & ((axis[:, None] >= y1) & (axis[:, None] <= y2))
+    cx, cy, w, h = (_plane_lead(field) for field in box)
+    return (((axis >= cx - w / 2.0) & (axis <= cx + w / 2.0))
+            & ((axis[:, None] >= cy - h / 2.0) & (axis[:, None] <= cy + h / 2.0)))
 
 
-def _gaussian_blob(size: int, box: Box, amplitude: float) -> np.ndarray:
+def _gaussian_blob(size: int, box: np.ndarray, amplitude) -> np.ndarray:
     axis = _axis(size)
-    sx = max(box.w / 4.0, 1.0 / size)
-    sy = max(box.h / 4.0, 1.0 / size)
-    bump = np.exp(-(((axis - box.cx) / sx) ** 2 + ((axis[:, None] - box.cy) / sy) ** 2) / 2.0)
-    return amplitude * bump
+    cx, cy, w, h = (_plane_lead(field) for field in box)
+    sx = np.maximum(w / 4.0, 1.0 / size)
+    sy = np.maximum(h / 4.0, 1.0 / size)
+    bump = np.exp(-(((axis - cx) / sx) ** 2 + ((axis[:, None] - cy) / sy) ** 2) / 2.0)
+    return _plane_lead(amplitude) * bump
 
 
-def _rect_blob(size: int, box: Box, amplitude: float) -> np.ndarray:
-    return amplitude * _box_mask(size, box).astype(np.float64)
+def _rect_blob(size: int, box: np.ndarray, amplitude) -> np.ndarray:
+    return _plane_lead(amplitude) * _box_mask(size, box).astype(np.float64)
 
 
 def _boxes_disjoint(a: Box, b: Box, margin: float) -> bool:
@@ -73,11 +87,18 @@ def _boxes_disjoint(a: Box, b: Box, margin: float) -> bool:
             or ay2 + margin <= by1 or by2 + margin <= ay1)
 
 
+def _between(low: float, high: float, u: float) -> float:
+    """The map ``Generator.uniform`` applies to a draw u in [0, 1)."""
+    return low + (high - low) * u
+
+
 def _draw_box(rng: RngStream, w_lo: float, w_hi: float) -> Box:
-    w = rng.uniform(w_lo, w_hi)
-    h = rng.uniform(w_lo, w_hi)
-    cx = rng.uniform(w / 2 + 0.02, 1.0 - w / 2 - 0.02)
-    cy = rng.uniform(h / 2 + 0.02, 1.0 - h / 2 - 0.02)
+    # one call takes the same four values from the stream as four scalar draws
+    uw, uh, ucx, ucy = rng.uniform(0.0, 1.0, 4).tolist()
+    w = _between(w_lo, w_hi, uw)
+    h = _between(w_lo, w_hi, uh)
+    cx = _between(w / 2 + 0.02, 1.0 - w / 2 - 0.02, ucx)
+    cy = _between(h / 2 + 0.02, 1.0 - h / 2 - 0.02, ucy)
     return Box(cx=cx, cy=cy, w=w, h=h)
 
 
@@ -92,49 +113,68 @@ def _draw_distractors(rng: RngStream, target: Box) -> list[Box]:
     return boxes
 
 
-def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticSample]:
-    """Deterministic dataset; degradation tags cycle in fixed proportions."""
-    if count < 1:
-        raise ConfigError("dataset size must be positive")
-    rng = RngStream(cfg.seed).child(stream)
-    size = cfg.search_size
-    samples = []
-    for index in range(count):
+def _chunk(cfg: RunConfig, rng: RngStream, indices: range) -> list[SyntheticSample]:
+    """The samples at ``indices``: a draw pass, sample by sample, then one render pass."""
+    n, size, side = len(indices), cfg.search_size, cfg.template_size
+    search_cells = cfg.channels * size * size
+    # [field, slot, sample] boxes and [modality, slot, sample] amplitudes; slot 0 is the
+    # target, then the distractors. A distractor that could not be placed keeps amplitude 0
+    # and adds zeros, which change no sum once the noise (never -0.0) is added.
+    boxes = np.zeros((4, 1 + N_DISTRACTORS, n))
+    amplitudes = np.zeros((2, 1 + N_DISTRACTORS, n))
+    template_amplitudes = np.empty((2, n))
+    # per sample: the noise of search R, search X, template R and template X, in draw order
+    frames = np.empty((n, 2 * search_cells + 2 * cfg.channels * side * side))
+    gt_boxes, tags = [], []
+    for i, index in enumerate(indices):
         tag = DEGRADATION_TAGS[index % len(DEGRADATION_TAGS)]
         box = _draw_box(rng, 0.25, 0.45)
         sign = 1.0 if rng.uniform(0, 1) < 0.5 else -1.0
         amp_r = sign * rng.uniform(0.8, 1.2)
         amp_x = sign * rng.uniform(0.8, 1.2)
-        target_r, target_x = amp_r, amp_x
+        template_amplitudes[:, i] = amp_r, amp_x
         if tag == "rgb_degraded":
-            target_r *= DEGRADED_AMPLITUDE
+            amp_r *= DEGRADED_AMPLITUDE
         elif tag == "x_degraded":
-            target_x *= DEGRADED_AMPLITUDE
-
-        search_r = _gaussian_blob(size, box, target_r)
-        search_x = _rect_blob(size, box, target_x)
+            amp_x *= DEGRADED_AMPLITUDE
+        boxes[:, 0, i] = box.as_array()
+        amplitudes[:, 0, i] = amp_r, amp_x
         # distractors carry the opposite polarity and ignore degradation
-        for dbox in _draw_distractors(rng, box):
-            d_amp = rng.uniform(0.8, 1.2)
-            search_r = search_r + _gaussian_blob(size, dbox, -sign * d_amp)
-            search_x = search_x + _rect_blob(size, dbox, -sign * d_amp)
-
-        template_box = Box(cx=0.5, cy=0.5, w=0.5, h=0.5)
-        template_r = _gaussian_blob(cfg.template_size, template_box, amp_r)
-        template_x = _rect_blob(cfg.template_size, template_box, amp_x)
-
+        for slot, dbox in enumerate(_draw_distractors(rng, box), start=1):
+            boxes[:, slot, i] = dbox.as_array()
+            amplitudes[:, slot, i] = -sign * rng.uniform(0.8, 1.2)
         noise = HEAVY_NOISE if tag == "both_noisy" else BASE_NOISE
-        frames = []
-        for plane, side in ((search_r, size), (search_x, size),
-                            (template_r, cfg.template_size),
-                            (template_x, cfg.template_size)):
-            stacked = np.repeat(plane[None, :, :], cfg.channels, axis=0)
-            frames.append(stacked + rng.normal(noise, stacked.shape))
-        samples.append(SyntheticSample(
-            search_r=frames[0], search_x=frames[1],
-            template_r=frames[2], template_x=frames[3],
-            gt_box=box, tag=tag,
-        ))
+        frames[i] = rng.normal(noise, frames.shape[1:])
+        gt_boxes.append(box)
+        tags.append(tag)
+
+    search = frames[:, :2 * search_cells].reshape(n, 2, cfg.channels, size, size)
+    template = frames[:, 2 * search_cells:].reshape(n, 2, cfg.channels, side, side)
+    for modality, blob in enumerate((_gaussian_blob, _rect_blob)):
+        plane = blob(size, boxes[:, 0], amplitudes[modality, 0])
+        for slot in range(1, 1 + N_DISTRACTORS):
+            plane += blob(size, boxes[:, slot], amplitudes[modality, slot])
+        search[:, modality] += plane[:, None]
+        template[:, modality] += blob(side, TEMPLATE_BOX,
+                                      template_amplitudes[modality])[:, None]
+    return [SyntheticSample(search_r=search[i, 0], search_x=search[i, 1],
+                            template_r=template[i, 0], template_x=template[i, 1],
+                            gt_box=gt_boxes[i], tag=tags[i])
+            for i in range(n)]
+
+
+def generate_dataset(cfg: RunConfig, count: int, stream: str) -> list[SyntheticSample]:
+    """Deterministic dataset; degradation tags cycle in fixed proportions.
+
+    Samples are drawn and rendered ``CHUNK_SIZE`` at a time; each sample's planes are
+    views of its chunk's stack.
+    """
+    if count < 1:
+        raise ConfigError("dataset size must be positive")
+    rng = RngStream(cfg.seed).child(stream)
+    samples = []
+    for start in range(0, count, CHUNK_SIZE):
+        samples += _chunk(cfg, rng, range(start, min(start + CHUNK_SIZE, count)))
     return samples
 
 
@@ -149,7 +189,7 @@ def box_region_energy(frame: np.ndarray, box: Box) -> float:
     The background is the median of pixels outside the box; the median is
     robust to the distractor blobs occupying part of the background.
     """
-    inside = _box_mask(frame.shape[-1], box)
+    inside = _box_mask(frame.shape[-1], box.as_array())
     total = 0.0
     for channel in frame:
         background = np.median(channel[~inside]) if np.any(~inside) else 0.0

@@ -268,7 +268,8 @@ def scale(a: Tensor, s: Tensor) -> Tensor:
     if s.shape != a.shape[:s.ndim]:
         raise ShapeError(f"scale: factor shape {s.shape} does not lead {a.shape}")
     s_shape = s.shape
-    factor = s.data.reshape(s_shape + (1,) * (a.ndim - s.ndim))
+    # a 0-d factor broadcasts as it is
+    factor = s.data if not s_shape else s.data.reshape(s_shape + (1,) * (a.ndim - s.ndim))
     kept_factor = factor if a.requires_grad else None
     a_data = a.data if s.requires_grad else None
 

@@ -12,6 +12,12 @@ runs' ``checkpoint.blob`` and ``checkpoint.manifest`` are byte-identical:
 ``metrics.tsv`` prints 12 significant digits, so trained weights can move in
 their last bits while it stays the same. That verdict leaves the exit code.
 
+The ``dataset`` line compares a SHA-256 over every plane, box field and tag
+that ``generate_dataset`` returns for ``DATASETS`` (seeds 0 and 3 at the
+default config: the ``data`` and ``eval`` streams at its training and eval
+sizes, and perfbench's 128-sample ``check`` set). A DIFFERENT digest or a
+failed run exits 1 too.
+
 When either pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
 K=2: ``train()`` takes ``PROBE_STEPS`` SGD steps at the default config (seed
 0), and the probe is the forward and backward of the first training batch at
@@ -24,12 +30,13 @@ magnitude in it. Arrays are compared under the names both probes hold, and
 the line lists the names only one side holds, as when a change regroups
 parameters; an array whose shape differs between the sides makes the probe
 not comparable. The exit code does not depend on these figures. Standard
-library, plus numpy for the probe.
+library, plus numpy for the probe and the dataset digest.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -69,6 +76,27 @@ arrays.update({f"grad.{p.name}": p.grad for p in model.store if p.grad is not No
 np.savez(sys.argv[1], **arrays)
 """
 PROBE_TOP_K = (1, 2)
+# (seed, stream, count) of the datasets the ``dataset`` line hashes
+DATASETS = tuple((seed, stream, count) for seed in (0, 3)
+                 for stream, count in (("data", 8), ("eval", 64), ("check", 128)))
+# argv: DATASETS as JSON; prints the SHA-256 over their planes, box fields and tags
+DATASET = """
+import hashlib
+import json
+import sys
+import numpy as np
+from pairtrack.harness.config import RunConfig
+from pairtrack.harness.data import generate_dataset
+
+digest = hashlib.sha256()
+for seed, stream, count in json.loads(sys.argv[1]):
+    for s in generate_dataset(RunConfig(seed=seed), count, stream):
+        for plane in (s.template_r, s.template_x, s.search_r, s.search_x):
+            digest.update(plane.tobytes())
+        digest.update(np.array([s.gt_box.cx, s.gt_box.cy, s.gt_box.w, s.gt_box.h]).tobytes())
+        digest.update(s.tag.encode())
+print(digest.hexdigest())
+"""
 
 
 def _run(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
@@ -90,6 +118,16 @@ def train_outputs(checkout: Path, args: list[str], out: Path) -> dict[str, bytes
     checkpoint = {name: (out / name).read_bytes() if (out / name).is_file() else None
                   for name in CHECKPOINT}
     return {"metrics.tsv": (out / "metrics.tsv").read_bytes(), **checkpoint}
+
+
+def dataset_digest(checkout: Path) -> str | None:
+    """The checkout's SHA-256 over ``DATASETS``, or None if the run failed."""
+    done = _run(checkout, [DATASET, json.dumps(DATASETS)])
+    if done.returncode != 0:
+        print(f"{checkout}: dataset exited {done.returncode}: {done.stderr.strip()}",
+              file=sys.stderr)
+        return None
+    return done.stdout.strip()
 
 
 def checkpoint_verdict(parent: dict | None, change: dict | None) -> str:
@@ -178,6 +216,14 @@ def main(argv=None) -> int:
                              for out in (parent, change))
             print(f"{name:22s} {'same' if same else 'DIFFERENT'} ({sizes}), "
                   f"checkpoint {checkpoint}", flush=True)
+        digests = [dataset_digest(checkout) for checkout in (args.parent, args.change)]
+        if None in digests:
+            verdict = "failed"
+        else:
+            verdict = "same" if digests[0] == digests[1] else "DIFFERENT"
+        differ += verdict != "same"
+        print(f"{'dataset':22s} {verdict} (sha256 "
+              f"{'/'.join((d or 'failed')[:12] for d in digests)})", flush=True)
         if probed:
             probe(args.parent, args.change, Path(tmp))
     return 1 if differ else 0
