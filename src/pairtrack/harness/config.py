@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ContractError
 from ..losses import LossWeights
 from ..moe import MoEConfig
 
@@ -125,7 +125,7 @@ class RunConfig:
             return LossWeights(
                 lambda_iou=self.lambda_iou, lambda_l1=self.lambda_l1, alpha=self.alpha
             )
-        except Exception as exc:  # surface as a config problem
+        except ContractError as exc:  # a negative weight is a config problem
             raise ConfigError(str(exc)) from exc
 
     def with_toggles(self, sdmoe: bool, mff: bool, gram: bool, mhg: bool) -> "RunConfig":

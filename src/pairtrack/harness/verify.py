@@ -1,9 +1,11 @@
 """Gradient verification suites.
 
-``unit_gradient_suite`` checks every differentiable kernel against central
-finite differences on randomized inputs. ``end_to_end_gradient_check``
-builds a tiny full model and verifies every trainable parameter's analytic
-gradient on the real tracking loss with ``finite_diff_grad``. Large matrices,
+``input_grad_error`` and ``param_grad_errors`` are the only code that compares a
+tape gradient with ``finite_diff_grad``: the first for a kernel's input, the second
+for parameters under a scalar loss. ``unit_gradient_suite`` checks every
+differentiable kernel through the first on randomized inputs.
+``end_to_end_gradient_check`` builds a tiny full model and checks every trainable
+parameter's gradient on the real tracking loss through the second. Large matrices,
 each expert of a stack among them, are checked on a deterministic sample of
 coordinates; small ones exhaustively.
 """
@@ -70,24 +72,40 @@ class CheckResult:
         return self.error <= self.tol
 
 
-def _max_error_over_cases(
-    build: Callable[[Tensor], Tensor], shape, low, high, seed0: int,
-) -> float:
-    worst = 0.0
-    for case in range(UNIT_CASES):
-        rng = RngStream(seed0 + case)
-        x0 = rng.uniform(low, high, shape)
-        x = Tensor(x0, requires_grad=True)
-        out = build(x)
-        u = RngStream(seed0 + 10_000 + case).uniform(-1, 1, out.shape)
+def input_grad_error(build: Callable[[Tensor], Tensor], x0: np.ndarray, u: np.ndarray | float,
+                     h: float) -> float:
+    """Max relative error of the tape gradient of sum(build(x) * u) at x0 against central FD."""
+    x = Tensor(x0, requires_grad=True)
+    backward(tsum(mul(build(x), constant(u))))
 
-        def f(values):
+    def f(values):
+        with no_grad():
+            return float(np.sum(build(Tensor(values)).data * u))
+
+    return grad_max_rel_error(x.grad, finite_diff_grad(f, x0, h=h))
+
+
+def param_grad_errors(params: list[Parameter], loss: Callable[[], float],
+                      coords: Callable[[Parameter], list[int]], h: float) -> list[float]:
+    """Per parameter, the max relative error of its tape grad (``None`` counts as zeros)
+    against central FD of ``loss()`` over the flat coordinates ``coords(p)``."""
+    errors = []
+    for p in params:
+        picks = coords(p)
+        start = p.data.flat[picks]
+
+        def loss_at(values):
+            p.data.flat[picks] = values
             with no_grad():
-                return float(np.sum(build(Tensor(values)).data * u))
+                return loss()
 
-        backward(tsum(mul(out, constant(u))))
-        worst = max(worst, grad_max_rel_error(x.grad, finite_diff_grad(f, x0, h=FD_STEP)))
-    return worst
+        try:
+            fd = finite_diff_grad(loss_at, start, h=h)
+        finally:
+            p.data.flat[picks] = start
+        analytic = np.zeros(p.shape) if p.grad is None else p.grad
+        errors.append(grad_max_rel_error(analytic.reshape(-1)[picks], fd))
+    return errors
 
 
 def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, float, float]]:
@@ -171,8 +189,13 @@ def unit_gradient_cases() -> list[tuple[str, Callable[[Tensor], Tensor], tuple, 
 def unit_gradient_suite() -> list[CheckResult]:
     results = []
     for i, (name, build, shape, low, high) in enumerate(unit_gradient_cases()):
-        err = _max_error_over_cases(build, shape, low, high, 1000 * i)
-        results.append(CheckResult(name=name, error=err, tol=UNIT_TOL))
+        worst = 0.0
+        for seed in range(1000 * i, 1000 * i + UNIT_CASES):
+            x0 = RngStream(seed).uniform(low, high, shape)
+            with no_grad():
+                u = RngStream(seed + 10_000).uniform(-1, 1, build(Tensor(x0)).shape)
+            worst = max(worst, input_grad_error(build, x0, u, FD_STEP))
+        results.append(CheckResult(name=name, error=worst, tol=UNIT_TOL))
     return results
 
 
@@ -211,26 +234,13 @@ def end_to_end_gradient_check() -> list[CheckResult]:
     sample = generate_dataset(cfg, 1, "gradcheck")[0]
     model.store.zero_grad()
     backward(mean(forward_track(sample, model).bundle.total))
-    results = []
-    for p in model.store:
-        if not p.requires_grad:
-            continue
-        analytic = p.grad
-        if analytic is None:
-            analytic = np.zeros(p.shape)
-        coords = sampled_coords(p)
-        start = p.data.flat[coords]
+    params = [p for p in model.store if p.requires_grad]
 
-        def loss_at(values):
-            p.data.flat[coords] = values
-            with no_grad():
-                return forward_track(sample, model).bundle.total.item()
+    def loss():
+        return forward_track(sample, model).bundle.total.item()
 
-        fd = finite_diff_grad(loss_at, start, h=FD_STEP)
-        p.data.flat[coords] = start
-        err = grad_max_rel_error(analytic.reshape(-1)[coords], fd)
-        results.append(CheckResult(name=p.name, error=err, tol=END_TO_END_TOL))
-    return results
+    errors = param_grad_errors(params, loss, sampled_coords, FD_STEP)
+    return [CheckResult(name=p.name, error=e, tol=END_TO_END_TOL) for p, e in zip(params, errors)]
 
 
 def frozen_backbone_check() -> CheckResult:

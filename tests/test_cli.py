@@ -109,6 +109,14 @@ def test_cli_config_that_sets_a_key_twice_exits_2_and_leaves_no_directory(tmp_pa
     assert not out.exists()
 
 
+def test_cli_negative_loss_weight_exits_2_and_leaves_no_directory(tiny_config_file, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_config_file, "--out", str(out), "--alpha", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: loss weights must be nonnegative\n"
+    assert not out.exists()
+
+
 def test_load_config_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some text\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from pairtrack.fusion import (
     multi_level_fuse,
     propagation_matrix,
 )
+from pairtrack.harness.verify import param_grad_errors
 from pairtrack.numerics import (
     ParamStore,
     RngStream,
@@ -26,11 +27,8 @@ from pairtrack.numerics import (
     backward,
     concat,
     constant,
-    finite_diff_grad,
-    grad_max_rel_error,
     matmul,
     mul,
-    no_grad,
     tsum,
 )
 
@@ -140,7 +138,7 @@ def test_gram_basis_on_a_stack_equals_per_sample_calls():
             gram_basis(constant(zeroed))
 
 
-def test_gram_map_isotropic_basis_is_scalar_multiple():
+def test_isotropic_gram_basis_maps_by_a_scalar_multiple():
     """The Gram map: k times the other modality's normalized Gram basis, as in cross_align."""
     basis = gram_basis(constant(np.sqrt(2.0) * np.eye(2)))
     src = constant(RngStream(5).uniform(-1, 1, (3, 2)))
@@ -149,14 +147,14 @@ def test_gram_map_isotropic_basis_is_scalar_multiple():
     np.testing.assert_allclose(out.data, src.data / np.sqrt(2), atol=1e-14)
 
 
-def test_gram_map_identity_basis():
+def test_gram_basis_of_one_key_column_is_identity():
     # one key column: g = [[2]], |g|_F = 2, so the normalized basis is exactly [[1]]
     basis = gram_basis(constant(np.ones((2, 1))))
     src = constant(RngStream(6).uniform(-1, 1, (4, 1)))
     np.testing.assert_array_equal(matmul(src, basis.normalized).data, src.data)
 
 
-def test_gram_map_matches_direct_recomputation():
+def test_gram_basis_map_matches_direct_recomputation():
     rng = RngStream(7)
     k = rng.uniform(-1, 1, (5, 3))
     src = rng.uniform(-1, 1, (5, 3))
@@ -166,7 +164,7 @@ def test_gram_map_matches_direct_recomputation():
     assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
-def test_align_fuse_cases():
+def test_cross_align_blend_cases():
     """cross_align blends each modality's keys with their Gram map by that direction's scalar."""
     store, keys, weights, fc_w = _align_setup(8, zero_weights=True)
     # zero blend weights leave the keys: the FC of the concatenated keys, byte for byte
@@ -457,16 +455,8 @@ def test_fusion_gradients_match_finite_differences():
 
     store.zero_grad()
     backward(loss_tensor())
-    for p in store:
-        original = p.data.copy()
-
-        def f(values):
-            store.set_values(p.name, values)
-            with no_grad():
-                out = float(loss_tensor().item())
-            store.set_values(p.name, original)
-            return out
-
-        fd = finite_diff_grad(f, original, h=1e-5)
-        err = grad_max_rel_error(p.grad, fd)
+    params = list(store)
+    errors = param_grad_errors(params, lambda: loss_tensor().item(),
+                               lambda p: list(range(p.size)), 1e-5)
+    for p, err in zip(params, errors):
         assert err <= 1e-4, f"{p.name}: rel err {err:.2e}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairtrack.errors import ContractError, NumericError
+from pairtrack.harness.verify import input_grad_error
 from pairtrack.losses import (
     PROB_EPS,
     Box,
@@ -21,10 +22,7 @@ from pairtrack.numerics import (
     Tensor,
     backward,
     constant,
-    finite_diff_grad,
-    grad_max_rel_error,
     mul,
-    no_grad,
     tsum,
 )
 
@@ -85,15 +83,7 @@ def test_focal_gradient_matches_finite_differences():
     gt = rng.uniform(0.0, 0.9, (4, 4))
     gt[2, 1] = 1.0
     pred0 = rng.uniform(0.05, 0.95, (4, 4))
-    pred = Tensor(pred0, requires_grad=True)
-    backward(weighted_focal(pred, gt))
-
-    def f(values):
-        with no_grad():
-            return weighted_focal(Tensor(values), gt).item()
-
-    fd = finite_diff_grad(f, pred0, h=1e-6)
-    assert grad_max_rel_error(pred.grad, fd) <= 1e-4
+    assert input_grad_error(lambda pred: weighted_focal(pred, gt), pred0, 1.0, 1e-6) <= 1e-4
 
 
 def test_giou_identical_boxes_zero_loss():
@@ -146,15 +136,7 @@ def test_giou_gradient_matches_finite_differences():
     rng = RngStream(4)
     gt = Box(0.5, 0.5, 0.3, 0.4)
     pred0 = rng.uniform(0.2, 0.8, (4,))
-    pred = Tensor(pred0, requires_grad=True)
-    backward(giou_loss(pred, gt))
-
-    def f(values):
-        with no_grad():
-            return giou_loss(Tensor(values), gt).item()
-
-    fd = finite_diff_grad(f, pred0, h=1e-6)
-    assert grad_max_rel_error(pred.grad, fd) <= 1e-4
+    assert input_grad_error(lambda pred: giou_loss(pred, gt), pred0, 1.0, 1e-6) <= 1e-4
 
 
 def test_giou_tie_on_a_corner_sends_the_gradient_to_the_prediction():
@@ -223,15 +205,9 @@ def test_giou_gradient_on_a_stack_with_a_zero_area_row():
     preds = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
     gt = np.vstack([rng.uniform(0.2, 0.8, (2, 4)), [[0.4, 0.6, 0.0, 0.0]]])
     u = rng.uniform(0.5, 1.5, (3,))
+    assert input_grad_error(lambda pred: giou_loss(pred, gt), preds, u, 1e-6) <= 1e-4
     pred = Tensor(preds, requires_grad=True)
     backward(tsum(mul(giou_loss(pred, gt), constant(u))))
-
-    def f(values):
-        with no_grad():
-            return float(np.sum(giou_loss(Tensor(values), gt).data * u))
-
-    fd = finite_diff_grad(f, preds, h=1e-6)
-    assert grad_max_rel_error(pred.grad, fd) <= 1e-4
     np.testing.assert_array_equal(pred.grad[2], np.zeros(4))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrack.errors import ConfigError, ContractError, ShapeError
+from pairtrack.harness.verify import param_grad_errors
 from pairtrack.moe import (
     MoEAdapter,
     MoEConfig,
@@ -31,12 +32,9 @@ from pairtrack.numerics import (
     backward,
     concat,
     constant,
-    finite_diff_grad,
     gather_rows,
-    grad_max_rel_error,
     matmul,
     mul,
-    no_grad,
     reshape,
     scale,
     silu,
@@ -504,20 +502,10 @@ def test_adapter_gradients_match_finite_differences():
     always_active = ("adapter.router.w", "adapter.shared.w_down", "adapter.shared.w_up")
     for name in always_active:
         assert store[name].grad is not None
-    for p in store:
-        if p.grad is None:
-            continue
-        original = p.data.copy()
-
-        def f(values):
-            store.set_values(p.name, values)
-            with no_grad():
-                out = float(loss_tensor().item())
-            store.set_values(p.name, original)
-            return out
-
-        fd = finite_diff_grad(f, original, h=1e-5)
-        err = grad_max_rel_error(p.grad, fd)
+    params = [p for p in store if p.grad is not None]
+    errors = param_grad_errors(params, lambda: loss_tensor().item(),
+                               lambda p: list(range(p.size)), 1e-5)
+    for p, err in zip(params, errors):
         assert err <= 1e-4, f"{p.name}: rel err {err:.2e}"
 
 

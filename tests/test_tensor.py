@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pairtrack.errors import ContractError, ShapeError
-from pairtrack.harness.verify import unit_gradient_cases
+from pairtrack.harness.verify import unit_gradient_cases, unit_gradient_suite
 from pairtrack.numerics import (
     RngStream,
     Tensor,
@@ -21,13 +21,9 @@ from pairtrack.numerics import (
     constant,
     finite_diff_grad,
     gather_rows,
-    grad_max_rel_error,
-    log,
     matmul,
     mul,
     no_grad,
-    pow_const,
-    reciprocal,
     reshape,
     routed_matmul,
     scale,
@@ -36,7 +32,6 @@ from pairtrack.numerics import (
     silu,
     slice_cols,
     softmax,
-    sub,
     transpose,
     tsum,
 )
@@ -213,7 +208,7 @@ def test_silu_values():
     assert abs(big - 50.0) < 1e-12
 
 
-def test_linear_identity_and_bias():
+def test_affine_matmul_then_add_rowvec():
     """An affine layer is add_rowvec(matmul(x, w), b)."""
     x = constant([[1.0, 1.0]])
     w = constant(np.eye(2))
@@ -332,85 +327,11 @@ def test_finite_diff_matches_softmax_jacobian_row():
     assert np.max(np.abs(fd - analytic)) <= 1e-6
 
 
-# --- systematic op-level gradient suite ------------------------------------
-
-def _check_op(build, x_shape, seed, low=-2.0, high=2.0, tol=1e-4):
-    """Compare tape gradients against finite differences for one op.
-
-    ``build`` maps a Tensor to a Tensor of any shape; the check contracts
-    the output with a fixed random cotangent to obtain a scalar.
-    """
-    rng = RngStream(seed)
-    x0 = rng.uniform(low, high, x_shape)
-    x = Tensor(x0, requires_grad=True)
-    out = build(x)
-    u = RngStream(seed + 1).uniform(-1, 1, out.shape)
-    loss = tsum(mul(out, constant(u)))
-    backward(loss)
-    analytic = x.grad
-
-    def f(v):
-        with no_grad():
-            return float(np.sum(build(Tensor(v)).data * u))
-
-    fd = finite_diff_grad(f, x0, h=1e-5)
-    err = grad_max_rel_error(analytic, fd)
-    assert err <= tol, f"gradient mismatch {err:.3e} for {build} at shape {x_shape}"
-
-
-UNARY_CASES = [
-    (lambda x: scale(x, constant(1.7)), (3, 4), (-2, 2)),
-    (lambda x: mul(x, constant(np.sign(x.data))), (4, 4), (0.2, 2)),  # |x| away from the kink
-    (lambda x: pow_const(x, 2.0), (3, 3), (-2, 2)),
-    (lambda x: pow_const(x, 4.0), (3, 3), (-2, 2)),
-    (lambda x: log(x), (3, 3), (0.2, 3)),
-    (lambda x: reciprocal(x), (3, 3), (0.5, 2)),
-    (lambda x: sigmoid(x), (5, 2), (-4, 4)),
-    (lambda x: silu(x), (5, 2), (-4, 4)),
-    (lambda x: softmax(x, axis=1), (4, 6), (-3, 3)),
-    (lambda x: softmax(x, axis=0), (4, 6), (-3, 3)),
-    (lambda x: tsum(x, axis=0), (3, 5), (-2, 2)),
-    (lambda x: tsum(x), (3, 5), (-2, 2)),
-    (lambda x: reshape(x, (10,)), (2, 5), (-2, 2)),
-    (lambda x: transpose(x), (3, 4), (-2, 2)),
-    (lambda x: slice_cols(x, 1, 3), (4, 5), (-2, 2)),
-    (lambda x: select((x.data > -0.5) & (x.data < 0.5), x, constant(np.clip(x.data, -0.5, 0.5))),
-     (4, 4), (-2, 2)),
-    (lambda x: gather_rows(x, np.array([2, 0, 2, 1])), (4, 3), (-2, 2)),
-    (lambda x: routed_matmul(
-        x, concat([reshape(s, (1, 4, 4)) for s in (x, transpose(x), constant(np.eye(4)))], 0),
-        np.array([0, 0, 1, 2])),
-     (4, 4), (-2, 2)),
-    # the sparse MoE's gate: entries t*4 + n of a flattened [3, 4] score matrix, in pair order
-    (lambda x: gather_rows(reshape(x, (12,)), np.array([4, 9, 2, 11])), (3, 4), (-2, 2)),
-    # gather_rows over any leading axis, by an index of any shape
-    (lambda x: gather_rows(x, np.array([[2, 0], [2, 1]])), (4, 3), (-2, 2)),
-    (lambda x: gather_rows(x, np.array([1, 1, 0, 2])), (3,), (-2, 2)),
-]
-
-
-@pytest.mark.parametrize("case", range(len(UNARY_CASES)))
-def test_unary_op_gradients(case):
-    build, shape, (lo, hi) = UNARY_CASES[case]
-    for seed in range(20):
-        _check_op(build, shape, seed=100 * case + seed, low=lo, high=hi)
-
-
-BINARY_BUILDERS = [
-    lambda x, c: add(x, c),
-    lambda x, c: sub(x, c),
-    lambda x, c: mul(x, c),
-    lambda x, c: select(~(x.data < c.data), x, c),  # maximum
-    lambda x, c: select(~(x.data > c.data), x, c),  # minimum
-]
-
-
-@pytest.mark.parametrize("which", range(len(BINARY_BUILDERS)))
-def test_binary_op_gradients(which):
-    op = BINARY_BUILDERS[which]
-    for seed in range(20):
-        other = RngStream(7000 + seed).uniform(-2, 2, (3, 4))
-        _check_op(lambda x: op(x, constant(other)), (3, 4), seed=5000 + 37 * which + seed)
+def test_unit_gradient_suite_passes():
+    """Every kernel form of ``unit_gradient_cases()`` matches central differences."""
+    failing = [f"{r.name}: max_rel_err={r.error:.3e} tol={r.tol:g}"
+               for r in unit_gradient_suite() if not r.passed]
+    assert not failing, failing
 
 
 def test_select_picks_values_and_sends_each_gradient_to_the_picked_operand():
@@ -473,6 +394,36 @@ def test_every_public_kernel_has_a_caller_in_the_package():
                if inspect.isfunction(obj) and obj.__module__ == tensor_module.__name__
                and not name.startswith("_")}
     assert kernels and not kernels - called, sorted(kernels - called)
+
+
+def test_only_the_two_routines_call_finite_diff_grad():
+    """A tape gradient meets finite differences only in verify.py's input_grad_error and
+    param_grad_errors; this module's test_finite_diff_* tests check the oracle itself."""
+    import ast
+    from pathlib import Path
+
+    import pairtrack
+
+    package, here = Path(pairtrack.__file__).parent, Path(__file__)
+    callers = []
+    for path in [*package.rglob("*.py"), *here.parent.rglob("*.py")]:
+        if path == package / "harness" / "verify.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {"finite_diff_grad"} | {alias.asname for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom)
+                                        for alias in node.names
+                                        if alias.name == "finite_diff_grad" and alias.asname}
+        for top in tree.body:
+            if (path == here and isinstance(top, ast.FunctionDef)
+                    and top.name.startswith("test_finite_diff_")):
+                continue
+            callers.extend(f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                           if isinstance(node, ast.Call) and (
+                               isinstance(node.func, ast.Name) and node.func.id in names
+                               or isinstance(node.func, ast.Attribute)
+                               and node.func.attr == "finite_diff_grad"))
+    assert not callers, callers
 
 
 def test_scale_by_a_factor_per_leading_index():
