@@ -10,9 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import get_type_hints
 
-from ..errors import ConfigError, ContractError
-from ..losses import LossWeights
-from ..moe import MoEConfig
+from ..errors import ConfigError
 
 DEGRADATION_TAGS = ("none", "rgb_degraded", "x_degraded", "both_noisy")
 
@@ -93,9 +91,16 @@ class RunConfig:
             raise ConfigError(f"epsilon_mode must be auto or fixed, got {self.epsilon_mode}")
         if self.epsilon_mode == "fixed" and not self.epsilon_value > 0:
             raise ConfigError("epsilon_value must be positive in fixed mode")
-        # constructing these validates K < N, D % G == 0, weight signs
-        self.moe_config()
-        self.loss_weights()
+        if not 1 <= self.top_k < self.n_experts:
+            raise ConfigError(
+                f"top_k must satisfy 1 <= K < N, got K={self.top_k}, N={self.n_experts}"
+            )
+        if self.model_dim % self.reduction_g:
+            raise ConfigError(
+                f"model_dim {self.model_dim} not divisible by reduction_g {self.reduction_g}"
+            )
+        if self.lambda_iou < 0 or self.lambda_l1 < 0 or self.alpha < 0:
+            raise ConfigError("loss weights must be nonnegative")
 
     @property
     def n_template_tokens(self) -> int:
@@ -113,20 +118,6 @@ class RunConfig:
     def level_taps(self) -> tuple[int, ...]:
         """The blocks, counted from 1, whose outputs multi-level fusion reads."""
         return tuple(sorted({max(1, round(self.depth * q)) for q in (0.25, 0.5, 0.75, 1.0)}))
-
-    def moe_config(self) -> MoEConfig:
-        return MoEConfig(
-            model_dim=self.model_dim, n_experts=self.n_experts, top_k=self.top_k,
-            reduction=self.reduction_g, n_shared=self.shared_m,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        try:
-            return LossWeights(
-                lambda_iou=self.lambda_iou, lambda_l1=self.lambda_l1, alpha=self.alpha
-            )
-        except ContractError as exc:  # a negative weight is a config problem
-            raise ConfigError(str(exc)) from exc
 
     def with_toggles(self, sdmoe: bool, mff: bool, gram: bool, mhg: bool) -> "RunConfig":
         return replace(

@@ -192,7 +192,8 @@ class Tracker:
         if cfg.toggle_sdmoe:
             ad_rng = root.child("adapters")
             self.adapters = [
-                MoEAdapter(self.store, f"adapter{i}", cfg.moe_config(), ad_rng)
+                MoEAdapter(self.store, f"adapter{i}", ad_rng, dim=d, hidden=d // cfg.reduction_g,
+                           n_experts=cfg.n_experts, top_k=cfg.top_k, n_shared=cfg.shared_m)
                 for i in range(cfg.depth)
             ]
 

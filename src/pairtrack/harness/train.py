@@ -56,7 +56,9 @@ def forward_track(samples: SyntheticSample | Sequence[SyntheticSample],
         giou_loss(output.box_tensor, gt_boxes),
         l1_box_loss(output.box_tensor, gt_boxes),
         output.balance,
-        model.cfg.loss_weights(),
+        lambda_iou=model.cfg.lambda_iou,
+        lambda_l1=model.cfg.lambda_l1,
+        alpha=model.cfg.alpha,
     )
     return TrackResult(output, bundle)
 

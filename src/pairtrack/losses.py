@@ -66,17 +66,6 @@ class Box:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
 
-@dataclass
-class LossWeights:
-    lambda_iou: float = 2.0
-    lambda_l1: float = 5.0
-    alpha: float = 0.001
-
-    def __post_init__(self):
-        if self.lambda_iou < 0 or self.lambda_l1 < 0 or self.alpha < 0:
-            raise ContractError("loss weights must be nonnegative")
-
-
 LOSS_NAMES = ("cls", "iou", "l1", "eb", "total")
 
 
@@ -203,13 +192,13 @@ def _check_finite(name: str, value: Tensor) -> None:
         raise NumericError(f"loss component '{name}' is not finite")
 
 
-def total_loss(cls: Tensor, iou: Tensor, l1: Tensor, eb: Tensor,
-               weights: LossWeights) -> LossBundle:
+def total_loss(cls: Tensor, iou: Tensor, l1: Tensor, eb: Tensor, *,
+               lambda_iou: float, lambda_l1: float, alpha: float) -> LossBundle:
     """Weighted sum: cls + lambda_iou * iou + lambda_l1 * l1 + alpha * eb, elementwise."""
     for name, value in (("cls", cls), ("iou", iou), ("l1", l1), ("eb", eb)):
         _check_finite(name, value)
     total = cls
-    for value, weight in ((iou, weights.lambda_iou), (l1, weights.lambda_l1), (eb, weights.alpha)):
+    for value, weight in ((iou, lambda_iou), (l1, lambda_l1), (eb, alpha)):
         total = add(total, scale(value, constant(weight)))
     _check_finite("total", total)
     return LossBundle(cls=cls, iou=iou, l1=l1, eb=eb, total=total)

@@ -55,35 +55,6 @@ from .numerics import (
 
 
 @dataclass
-class MoEConfig:
-    """Expert counts and projection factors for one adapter."""
-
-    model_dim: int
-    n_experts: int = 4
-    top_k: int = 1
-    reduction: int = 12
-    n_shared: int = 4
-
-    def __post_init__(self):
-        if not 1 <= self.top_k < self.n_experts:
-            raise ConfigError(
-                f"top_k must satisfy 1 <= K < N, got K={self.top_k}, N={self.n_experts}"
-            )
-        if self.model_dim % self.reduction != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by reduction {self.reduction}"
-            )
-        if self.model_dim // self.reduction < 1:
-            raise ConfigError("hidden dim model_dim // reduction must be >= 1")
-        if self.n_shared < 1:
-            raise ConfigError("n_shared must be >= 1")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.model_dim // self.reduction
-
-
-@dataclass
 class RouterDecision:
     """Per-token routing outcome.
 
@@ -139,22 +110,24 @@ class AdapterResult:
     stats: BalanceStats
 
 
-def route(tokens: Tensor, w_router: Tensor, cfg: MoEConfig) -> RouterDecision:
-    """Score tokens against experts and pick the top-K per token."""
+def route(tokens: Tensor, w_router: Tensor, top_k: int) -> RouterDecision:
+    """Score [T, D] tokens against a [D, N] router's experts and pick the top-K per token."""
     if tokens.ndim != 2 or tokens.shape[0] < 1:
         raise ShapeError(f"route expects [T, D] tokens with T >= 1, got {tokens.shape}")
-    if w_router.shape != (tokens.shape[1], cfg.n_experts):
+    if w_router.ndim != 2 or w_router.shape[0] != tokens.shape[1]:
         raise ShapeError(
-            f"router weight {w_router.shape} incompatible with tokens {tokens.shape} "
-            f"and N={cfg.n_experts}"
+            f"router weight {w_router.shape} incompatible with tokens {tokens.shape}"
         )
+    n = w_router.shape[1]
+    if not 1 <= top_k < n:
+        raise ConfigError(f"top_k must satisfy 1 <= K < N, got K={top_k}, N={n}")
     scores = softmax(matmul(tokens, w_router), axis=1)
     # stable argsort of -scores keeps the lowest expert index first on ties
     order = np.argsort(-scores.data, axis=1, kind="stable")
-    return RouterDecision(scores=scores, selected=np.ascontiguousarray(order[:, : cfg.top_k]))
+    return RouterDecision(scores=scores, selected=np.ascontiguousarray(order[:, :top_k]))
 
 
-def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, BalanceStats]:
+def balance_loss(decision: RouterDecision) -> tuple[Tensor, BalanceStats]:
     """Expert-level balance loss: sum_n f_n * p_n, one per sequence.
 
     The decision covers a [..., T] stack of sequences (scores [..., T, N],
@@ -166,10 +139,6 @@ def balance_loss(decision: RouterDecision, cfg: MoEConfig) -> tuple[Tensor, Bala
     t_count, n = decision.scores.shape[-2:]
     if t_count == 0:
         raise ContractError("balance_loss: decision holds no tokens")
-    if n != cfg.n_experts:
-        raise ContractError(
-            f"decision has {n} experts but config expects {cfg.n_experts}"
-        )
     k = decision.selected.shape[-1]
     counts = np.sum(decision.selected[..., None] == np.arange(n), axis=(-3, -2))
     f = counts * (n / (k * t_count))
@@ -190,20 +159,20 @@ def sparse_moe(
     tokens: Tensor,
     experts: SpecificExpertParams,
     w_router,
-    cfg: MoEConfig,
+    top_k: int,
 ) -> SparseMoEResult:
     """Top-K dispatch of [rows, D] tokens over the specific experts.
 
     Experts that no token selected are never evaluated; the returned
     ``n_expert_evals`` counts (token, expert) pairs actually run.
     """
-    if experts.w_down.shape[0] != cfg.n_experts:
+    n = w_router.shape[1]
+    if experts.w_down.shape[0] != n:
         raise ConfigError(
-            f"expected {cfg.n_experts} experts, got a stack of {experts.w_down.shape[0]}"
+            f"router scores {n} experts, got a stack of {experts.w_down.shape[0]}"
         )
-    decision = route(tokens, w_router, cfg)
+    decision = route(tokens, w_router, top_k)
     rows, k = decision.selected.shape
-    n = cfg.n_experts
     # pair p = t*K + i is token t's i-th pick; a stable sort keeps token order per expert
     picks = decision.selected.ravel()
     order = np.argsort(picks, kind="stable")
@@ -229,25 +198,27 @@ class MoEAdapter:
     """One adapter layer: residual sum of the sparse and shared branches.
 
     Parameters are registered in ``store`` under ``prefix`` so checkpointing
-    and parameter counting see them like any other model weights.
+    and parameter counting see them like any other model weights. Each token
+    runs through ``top_k`` of ``n_experts`` experts of width ``hidden``.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, cfg: MoEConfig, rng: RngStream):
-        self.cfg = cfg
-        d, h = cfg.model_dim, cfg.hidden_dim
-        self.w_router = store.uniform_init(f"{prefix}.router.w", (d, cfg.n_experts), d, rng)
+    def __init__(self, store: ParamStore, prefix: str, rng: RngStream, *, dim: int, hidden: int,
+                 n_experts: int, top_k: int, n_shared: int):
+        self.top_k = top_k
+        d, h = dim, hidden
+        self.w_router = store.uniform_init(f"{prefix}.router.w", (d, n_experts), d, rng)
         # drawn expert by expert (down, gate, up), then stacked per projection
         specs = (("w_down", (d, h), d), ("w_gate", (d, h), d), ("w_up", (h, d), h))
         drawn = [[fan_in_uniform(shape, fan_in, rng) for _, shape, fan_in in specs]
-                 for _ in range(cfg.n_experts)]
+                 for _ in range(n_experts)]
         self.experts = SpecificExpertParams(*(
             store.add(f"{prefix}.expert.{name}", np.stack(mats))
             for (name, _, _), mats in zip(specs, zip(*drawn))))
         self.shared = DenseSharedParams(
             w_down=store.uniform_init(f"{prefix}.shared.w_down", (d, h), d, rng),
             sub=store.add(f"{prefix}.shared.sub", np.concatenate(
-                [fan_in_uniform((h, h), h, rng) for _ in range(cfg.n_shared)], axis=1)),
-            w_router=store.uniform_init(f"{prefix}.shared.router.w", (h, cfg.n_shared), h, rng),
+                [fan_in_uniform((h, h), h, rng) for _ in range(n_shared)], axis=1)),
+            w_router=store.uniform_init(f"{prefix}.shared.router.w", (h, n_shared), h, rng),
             w_up=store.uniform_init(f"{prefix}.shared.w_up", (h, d), h, rng),
         )
 
@@ -255,25 +226,23 @@ class MoEAdapter:
         """Both branches over a [..., T, D] stack of sequences, as one set of rows."""
         *lead, t_count, d = tokens.shape
         rows = reshape(tokens, (tokens.size // d, d))
-        sparse = sparse_moe(rows, self.experts, self.w_router, self.cfg)
+        sparse = sparse_moe(rows, self.experts, self.w_router, self.top_k)
         output = add(add(rows, sparse.output), dense_shared_moe(rows, self.shared))
         decision = sparse.decision
         per_sequence = RouterDecision(
-            scores=reshape(decision.scores, (*lead, t_count, self.cfg.n_experts)),
-            selected=decision.selected.reshape(*lead, t_count, self.cfg.top_k),
+            scores=reshape(decision.scores, (*lead, t_count, decision.scores.shape[1])),
+            selected=decision.selected.reshape(*lead, t_count, self.top_k),
         )
-        balance, stats = balance_loss(per_sequence, self.cfg)
+        balance, stats = balance_loss(per_sequence)
         return AdapterResult(output=reshape(output, tokens.shape), balance=balance, stats=stats)
 
 
-def adapter_param_count(cfg: MoEConfig) -> int:
+def adapter_param_count(dim: int, hidden: int, n_experts: int, n_shared: int) -> int:
     """Closed-form parameter count of one adapter layer."""
-    d, h = cfg.model_dim, cfg.hidden_dim
-    specific = cfg.n_experts * 3 * d * h
-    router = d * cfg.n_experts
-    return specific + router + dense_shared_param_count(cfg)
+    specific = n_experts * 3 * dim * hidden
+    router = dim * n_experts
+    return specific + router + dense_shared_param_count(dim, hidden, n_shared)
 
 
-def dense_shared_param_count(cfg: MoEConfig) -> int:
-    d, h = cfg.model_dim, cfg.hidden_dim
-    return 2 * d * h + cfg.n_shared * h * h + h * cfg.n_shared
+def dense_shared_param_count(dim: int, hidden: int, n_shared: int) -> int:
+    return 2 * dim * hidden + n_shared * hidden * hidden + hidden * n_shared

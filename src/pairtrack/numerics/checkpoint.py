@@ -56,8 +56,10 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
     """Load values into an existing store, all or nothing.
 
     Every manifest line must hold a name, an integer shape and an integer
-    offset; every store parameter must appear exactly once, with its shape,
-    inside the blob. Any failure raises ContractError before a value is set.
+    offset; every store parameter must appear exactly once, with its shape.
+    The entries must tile the blob in manifest order: each starts where the
+    one before it ends, and the last ends at the blob's end. Any failure
+    raises ContractError before a value is set.
     """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     blob_path = os.path.join(directory, BLOB_NAME)
@@ -69,6 +71,7 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
     except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"cannot read checkpoint: {exc}") from exc
     values = {}
+    end = 0  # where the entries read so far end
     for number, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -87,12 +90,19 @@ def load_checkpoint(store: ParamStore, directory: str) -> None:
                 f"checkpoint entry {name} has shape {shape}, the model {store[name].shape}"
             )
         n = int(np.prod(shape)) if shape else 1
-        if offset < 0 or offset + 8 * n > len(raw):
+        if offset != end:
+            raise ContractError(
+                f"checkpoint entry {name} starts at byte {offset}, not at {end} "
+                "where the entry before it ends")
+        end += 8 * n
+        if end > len(raw):
             raise ContractError(f"checkpoint entry {name} runs past the blob's end")
-        # a copy: a view of the blob's bytes would be read-only and could alias another entry
+        # a copy: a view of the blob's bytes would be read-only
         values[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
     missing = [p.name for p in store if p.name not in values]
     if missing:
         raise ContractError(f"checkpoint lacks parameters: {', '.join(missing)}")
+    if end != len(raw):
+        raise ContractError(f"checkpoint blob holds {len(raw) - end} bytes past its last entry")
     for name, array in values.items():
         store.set_values(name, array)

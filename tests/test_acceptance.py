@@ -31,7 +31,6 @@ from pairtrack.harness.verify import (
 )
 from pairtrack.moe import (
     MoEAdapter,
-    MoEConfig,
     RouterDecision,
     balance_loss,
     dense_shared_param_count,
@@ -66,33 +65,32 @@ def test_gradient_suite():
 
 
 def test_balance_loss_anchors():
-    cfg = MoEConfig(model_dim=4, reduction=4, n_experts=4, top_k=1)
     balanced = RouterDecision(
         scores=constant(np.full((4, 4), 0.25)),
         selected=np.array([[0], [1], [2], [3]]),
     )
-    balanced_loss, _ = balance_loss(balanced, cfg)
+    balanced_loss, _ = balance_loss(balanced)
     one_hot = np.zeros((4, 4))
     one_hot[:, 0] = 1.0
     collapsed = RouterDecision(
         scores=constant(one_hot),
         selected=np.zeros((4, 1), dtype=np.int64),
     )
-    collapsed_loss, _ = balance_loss(collapsed, cfg)
+    collapsed_loss, _ = balance_loss(collapsed)
 
     tokens = constant(RngStream(5).uniform(-1, 1, (64, 4)))
     store = ParamStore()
     w = store.add("w", RngStream(6).uniform(-1, 1, (4, 4)))
     from pairtrack.moe import route
 
-    decision = route(tokens, w, cfg)
-    base, _ = balance_loss(decision, cfg)
+    decision = route(tokens, w, 1)
+    base, _ = balance_loss(decision)
     perm = np.array([2, 0, 3, 1])
     permuted = RouterDecision(
         scores=constant(decision.scores.data[:, perm]),
         selected=np.argsort(perm)[decision.selected],
     )
-    shuffled, _ = balance_loss(permuted, cfg)
+    shuffled, _ = balance_loss(permuted)
     err_balanced = abs(balanced_loss.item() - 1.0)
     err_collapsed = abs(collapsed_loss.item() - 4.0)
     err_perm = abs(base.item() - shuffled.item())
@@ -144,11 +142,11 @@ def test_sparsity_contract():
     t_count = 33
     counts = {}
     for n in (2, 4, 8):
-        cfg = MoEConfig(model_dim=8, n_experts=n, top_k=1, reduction=4, n_shared=2)
         store = ParamStore()
-        adapter = MoEAdapter(store, "a", cfg, RngStream(n))
+        adapter = MoEAdapter(store, "a", RngStream(n), dim=8, hidden=2, n_experts=n, top_k=1,
+                             n_shared=2)
         tokens = constant(RngStream(100 + n).uniform(-1, 1, (t_count, 8)))
-        result = sparse_moe(tokens, adapter.experts, adapter.w_router, cfg)
+        result = sparse_moe(tokens, adapter.experts, adapter.w_router, 1)
         counts[n] = result.n_expert_evals
     ok = all(c == t_count for c in counts.values())
     _report("sparsity contract", ok, f"evals per forward {counts} for T={t_count}")
@@ -157,11 +155,11 @@ def test_sparsity_contract():
 def test_efficiency_structure():
     ratios = {}
     for d in (48, 144, 768):
-        cfg = MoEConfig(model_dim=d, n_experts=4, top_k=1, reduction=12, n_shared=4)
         store = ParamStore()
-        MoEAdapter(store, "a", cfg, RngStream(d))
+        MoEAdapter(store, "a", RngStream(d), dim=d, hidden=d // 12, n_experts=4, top_k=1,
+                   n_shared=4)
         walker = store.count(lambda p: p.name.startswith("a.shared"))
-        assert walker == dense_shared_param_count(cfg)
+        assert walker == dense_shared_param_count(d, d // 12, 4)
         ratios[d] = walker / (2 * d * d)
     ok = all(r < 0.2 for r in ratios.values())
     detail = ", ".join(f"D={d}: {r:.4f}" for d, r in ratios.items())

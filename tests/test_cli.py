@@ -109,12 +109,24 @@ def test_cli_config_that_sets_a_key_twice_exits_2_and_leaves_no_directory(tmp_pa
     assert not out.exists()
 
 
-def test_cli_negative_loss_weight_exits_2_and_leaves_no_directory(tiny_config_file, tmp_path,
-                                                                 capsys):
+@pytest.mark.parametrize("flags, line", [
+    (["--top-k", "4"], "top_k must satisfy 1 <= K < N, got K=4, N=4"),
+    (["--reduction-g", "7"], "model_dim 72 not divisible by reduction_g 7"),
+    (["--alpha", "-1"], "loss weights must be nonnegative"),
+], ids=["top-k", "reduction-g", "alpha"])
+def test_cli_cross_key_config_error_exits_2_and_leaves_no_directory(tmp_path, capsys, flags,
+                                                                    line):
     out = tmp_path / "run"
-    assert main(["train", "--config", tiny_config_file, "--out", str(out), "--alpha", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: loss weights must be nonnegative\n"
+    assert main(["train", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
     assert not out.exists()
+
+
+def test_gradcheck_takes_no_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--lr", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lr 5" in capsys.readouterr().err
 
 
 def test_load_config_rejects_malformed_line(tmp_path):

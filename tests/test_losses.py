@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pairtrack.errors import ContractError, NumericError
+from pairtrack.harness import RunConfig
 from pairtrack.harness.verify import input_grad_error
 from pairtrack.losses import (
     PROB_EPS,
     Box,
-    LossWeights,
     box_iou,
     giou_loss,
     l1_box_loss,
@@ -25,6 +25,10 @@ from pairtrack.numerics import (
     mul,
     tsum,
 )
+
+# RunConfig's loss weights, as total_loss takes them
+DEFAULT_WEIGHTS = {name: getattr(RunConfig(), name)
+                   for name in ("lambda_iou", "lambda_l1", "alpha")}
 
 
 def _one_hot_map(shape, pos):
@@ -232,21 +236,21 @@ def test_box_iou_helper():
 
 def test_total_loss_default_weights():
     one = constant(np.asarray(1.0))
-    bundle = total_loss(one, one, one, one, LossWeights())
+    bundle = total_loss(one, one, one, one, **DEFAULT_WEIGHTS)
     assert abs(bundle.total.item() - 8.001) <= 1e-12
 
 
 def test_total_loss_zero_components():
     zero = constant(np.asarray(0.0))
-    assert total_loss(zero, zero, zero, zero, LossWeights()).total.item() == 0.0
+    assert total_loss(zero, zero, zero, zero, **DEFAULT_WEIGHTS).total.item() == 0.0
 
 
 def test_total_loss_linear_combination_oracle():
     rng = RngStream(6)
     for _ in range(20):
         c = rng.uniform(0, 3, (4,))
-        w = LossWeights(lambda_iou=2.0, lambda_l1=5.0, alpha=0.001)
-        bundle = total_loss(*(constant(np.asarray(v)) for v in c), w)
+        w = {"lambda_iou": 2.0, "lambda_l1": 5.0, "alpha": 0.001}
+        bundle = total_loss(*(constant(np.asarray(v)) for v in c), **w)
         expected = c[0] + 2.0 * c[1] + 5.0 * c[2] + 0.001 * c[3]
         assert abs(bundle.total.item() - expected) <= 1e-15
         parts = bundle.values()
@@ -255,17 +259,17 @@ def test_total_loss_linear_combination_oracle():
 
 
 def test_total_loss_linearity_slope_per_component():
-    w = LossWeights()
+    w = DEFAULT_WEIGHTS
     base = [0.7, 0.3, 0.9, 1.1]
-    coeffs = [1.0, w.lambda_iou, w.lambda_l1, w.alpha]
+    coeffs = [1.0, w["lambda_iou"], w["lambda_l1"], w["alpha"]]
     delta = 0.125
     for k in range(4):
         hi = list(base)
         lo = list(base)
         hi[k] += delta
         lo[k] -= delta
-        th = total_loss(*(constant(np.asarray(v)) for v in hi), w).total.item()
-        tl = total_loss(*(constant(np.asarray(v)) for v in lo), w).total.item()
+        th = total_loss(*(constant(np.asarray(v)) for v in hi), **w).total.item()
+        tl = total_loss(*(constant(np.asarray(v)) for v in lo), **w).total.item()
         slope = (th - tl) / (2 * delta)
         assert abs(slope - coeffs[k]) <= 1e-12
 
@@ -274,5 +278,5 @@ def test_total_loss_rejects_nonfinite_and_names_component():
     good = constant(np.asarray(1.0))
     bad = constant(np.asarray(np.nan))
     with pytest.raises(NumericError) as exc:
-        total_loss(good, bad, good, good, LossWeights())
+        total_loss(good, bad, good, good, **DEFAULT_WEIGHTS)
     assert "iou" in str(exc.value)

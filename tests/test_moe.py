@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrack.errors import ConfigError, ContractError, ShapeError
+from pairtrack.harness import RunConfig
 from pairtrack.harness.verify import param_grad_errors
 from pairtrack.moe import (
     MoEAdapter,
-    MoEConfig,
     RouterDecision,
     DenseSharedParams,
     SpecificExpertParams,
@@ -53,27 +53,25 @@ def _store_with(name, values):
 
 
 def _make_adapter(d=12, n=4, k=1, g=4, m=2, seed=0):
-    cfg = MoEConfig(model_dim=d, n_experts=n, top_k=k, reduction=g, n_shared=m)
     store = ParamStore()
-    adapter = MoEAdapter(store, "adapter", cfg, RngStream(seed))
-    return adapter, store, cfg
+    adapter = MoEAdapter(store, "adapter", RngStream(seed), dim=d, hidden=d // g, n_experts=n,
+                         top_k=k, n_shared=m)
+    return adapter, store
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        MoEConfig(model_dim=12, n_experts=4, top_k=4)
-    with pytest.raises(ConfigError):
-        MoEConfig(model_dim=13, reduction=12)
-    cfg = MoEConfig(model_dim=144)
-    assert (cfg.n_experts, cfg.top_k, cfg.reduction, cfg.n_shared) == (4, 1, 12, 4)
-    assert cfg.hidden_dim == 12
+    with pytest.raises(ConfigError, match="got K=4, N=4"):
+        RunConfig(n_experts=4, top_k=4)
+    with pytest.raises(ConfigError, match="model_dim 76 not divisible by reduction_g 12"):
+        RunConfig(model_dim=76, reduction_g=12)
+    cfg = RunConfig()
+    assert (cfg.n_experts, cfg.top_k, cfg.reduction_g, cfg.shared_m) == (4, 1, 12, 4)
 
 
 def test_route_zero_router_uniform_and_tiebreak():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     tokens = constant(RngStream(1).uniform(-1, 1, (6, 4)))
     w = _store_with("w", np.zeros((4, 4)))
-    decision = route(tokens, w, cfg)
+    decision = route(tokens, w, 1)
     np.testing.assert_allclose(decision.scores.data, np.full((6, 4), 0.25), atol=1e-15)
     np.testing.assert_array_equal(decision.selected, np.zeros((6, 1), dtype=np.int64))
     gate = np.take_along_axis(decision.scores.data, decision.selected, 1)
@@ -81,10 +79,9 @@ def test_route_zero_router_uniform_and_tiebreak():
 
 
 def test_route_scalar_softmax_oracle():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     tokens = constant([[1.0, 0.0, 0.0, 0.0]])
     w = _store_with("w", np.eye(4))
-    decision = route(tokens, w, cfg)
+    decision = route(tokens, w, 1)
     e = math.e
     assert decision.selected.tolist() == [[0]]
     gate = np.take_along_axis(decision.scores.data, decision.selected, 1)
@@ -92,52 +89,53 @@ def test_route_scalar_softmax_oracle():
 
 
 def test_route_is_deterministic():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     tokens = constant(RngStream(3).uniform(-1, 1, (16, 8)))
     w = _store_with("w", RngStream(4).uniform(-1, 1, (8, 4)))
-    first = route(tokens, w, cfg)
-    second = route(tokens, w, cfg)
+    first = route(tokens, w, 1)
+    second = route(tokens, w, 1)
     np.testing.assert_array_equal(first.selected, second.selected)
     np.testing.assert_array_equal(first.scores.data, second.scores.data)
 
 
 def test_route_shape_error():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     with pytest.raises(ShapeError):
-        route(constant(np.zeros((3, 5))), _store_with("w", np.zeros((4, 4))), cfg)
+        route(constant(np.zeros((3, 5))), _store_with("w", np.zeros((4, 4))), 1)
+
+
+@pytest.mark.parametrize("top_k", [0, 4])
+def test_route_rejects_a_k_outside_one_to_n(top_k):
+    with pytest.raises(ConfigError, match=f"got K={top_k}, N=4"):
+        route(constant(np.zeros((3, 4))), _store_with("w", np.zeros((4, 4))), top_k)
 
 
 def test_balance_loss_perfectly_balanced():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     decision = RouterDecision(
         scores=constant(np.full((4, 4), 0.25)),
         selected=np.array([[0], [1], [2], [3]]),
     )
-    loss, stats = balance_loss(decision, cfg)
+    loss, stats = balance_loss(decision)
     assert abs(loss.item() - 1.0) <= 1e-9
     np.testing.assert_allclose(stats.f, np.ones(4), atol=1e-12)
     np.testing.assert_allclose(stats.p, np.full(4, 0.25), atol=1e-12)
 
 
 def test_balance_loss_full_collapse_equals_n():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     one_hot = np.zeros((4, 4))
     one_hot[:, 0] = 1.0
     decision = RouterDecision(
         scores=constant(one_hot),
         selected=np.zeros((4, 1), dtype=np.int64),
     )
-    loss, stats = balance_loss(decision, cfg)
+    loss, stats = balance_loss(decision)
     assert abs(loss.item() - 4.0) <= 1e-9
     np.testing.assert_allclose(stats.f, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_balance_loss_recount_oracle():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     tokens = constant(RngStream(5).uniform(-1, 1, (64, 8)))
     w = _store_with("w", RngStream(6).uniform(-1, 1, (8, 4)))
-    decision = route(tokens, w, cfg)
-    loss, _ = balance_loss(decision, cfg)
+    decision = route(tokens, w, 1)
+    loss, _ = balance_loss(decision)
     # independent recomputation from raw counts and column means
     scores = decision.scores.data
     counts = np.array([(decision.selected == n).sum() for n in range(4)], dtype=float)
@@ -146,37 +144,34 @@ def test_balance_loss_recount_oracle():
 
 
 def test_balance_loss_permutation_invariant():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     tokens = constant(RngStream(7).uniform(-1, 1, (32, 8)))
     w = _store_with("w", RngStream(8).uniform(-1, 1, (8, 4)))
-    decision = route(tokens, w, cfg)
-    base, _ = balance_loss(decision, cfg)
+    decision = route(tokens, w, 1)
+    base, _ = balance_loss(decision)
     perm = np.array([2, 0, 3, 1])
     inverse = np.argsort(perm)
     permuted = RouterDecision(
         scores=constant(decision.scores.data[:, perm]),
         selected=inverse[decision.selected],
     )
-    shuffled, _ = balance_loss(permuted, cfg)
+    shuffled, _ = balance_loss(permuted)
     assert abs(base.item() - shuffled.item()) <= 1e-12
 
 
 def test_balance_loss_empty_decision_rejected():
-    cfg = MoEConfig(model_dim=4, reduction=4)
     decision = RouterDecision(
         scores=constant(np.zeros((0, 4))),
         selected=np.zeros((0, 1), dtype=np.int64),
     )
     with pytest.raises(ContractError):
-        balance_loss(decision, cfg)
+        balance_loss(decision)
 
 
 def test_balance_loss_stats_sums():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     tokens = constant(RngStream(9).uniform(-1, 1, (40, 8)))
     w = _store_with("w", RngStream(10).uniform(-1, 1, (8, 4)))
-    decision = route(tokens, w, cfg)
-    _, stats = balance_loss(decision, cfg)
+    decision = route(tokens, w, 1)
+    _, stats = balance_loss(decision)
     assert abs(stats.f.sum() - 4.0) <= 1e-9
     assert abs(stats.p.sum() - 1.0) <= 1e-9
     assert np.all(stats.f >= 0) and np.all(stats.p >= 0)
@@ -235,7 +230,6 @@ def test_specific_expert_hand_oracle():
 
 
 def test_sparse_moe_identical_experts_symmetry():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     store = ParamStore()
     rng = RngStream(12)
     w_down = rng.uniform(-1, 1, (8, 2))
@@ -244,7 +238,7 @@ def test_sparse_moe_identical_experts_symmetry():
     experts = _experts_from_arrays(store, [(w_down, w_gate, w_up)] * 4)
     w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
     tokens = constant(rng.uniform(-1, 1, (10, 8)))
-    result = sparse_moe(tokens, experts, w_router, cfg)
+    result = sparse_moe(tokens, experts, w_router, 1)
     single = _one_expert(tokens, _experts_from_arrays(ParamStore(), [(w_down, w_gate, w_up)]))
     expected = single.data * np.take_along_axis(
         result.decision.scores.data, result.decision.selected, 1)
@@ -257,13 +251,12 @@ def test_sparse_moe_dense_evaluation_oracle():
         return (_silu(x @ p.w_gate.data[n]) * (x @ p.w_down.data[n])) @ p.w_up.data[n]
 
     for top_k in (1, 2):
-        cfg = MoEConfig(model_dim=8, n_experts=4, top_k=top_k, reduction=4)
         store = ParamStore()
         rng = RngStream(13)
         experts = _random_experts(store, rng, 4)
         w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
         toks = rng.uniform(-1, 1, (8, 8))
-        result = sparse_moe(constant(toks), experts, w_router, cfg)
+        result = sparse_moe(constant(toks), experts, w_router, top_k)
 
         scores = result.decision.scores.data
         expected = np.zeros_like(toks)
@@ -279,13 +272,12 @@ def test_each_pair_gate_is_its_router_score_and_sends_its_gradient_there(top_k, 
     """Pair (t, n)'s gate is scores[t, n] byte for byte, and the gradient the gates send to
     the scores is zero except at each pair's (t, n), which holds that pair's gradient."""
     moe = importlib.import_module("pairtrack.moe")
-    cfg = MoEConfig(model_dim=8, n_experts=4, top_k=top_k, reduction=4)
     store = ParamStore()
     rng = RngStream(31)
     experts = _random_experts(store, rng, 4)
     w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
     tokens = constant(rng.uniform(-1, 1, (10, 8)))
-    decision = route(tokens, w_router, cfg)
+    decision = route(tokens, w_router, top_k)
     scores = Tensor(decision.scores.data, requires_grad=True)  # a leaf keeps its gradient
     gates, run_experts = [], moe.routed_experts
 
@@ -295,7 +287,7 @@ def test_each_pair_gate_is_its_router_score_and_sends_its_gradient_there(top_k, 
 
     monkeypatch.setattr(moe, "route", lambda *args: RouterDecision(scores, decision.selected))
     monkeypatch.setattr(moe, "routed_experts", capture_gate)
-    sparse_moe(tokens, experts, w_router, cfg)
+    sparse_moe(tokens, experts, w_router, top_k)
     pairs = sorted(((t, n) for t, picks in enumerate(decision.selected) for n in picks),
                    key=lambda pair: pair[1])  # expert order, token order within an expert
     t_idx, n_idx = np.array(pairs).T
@@ -338,7 +330,6 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
     n, k = n_and_k
     starved = data.draw(st.integers(0, n - 1), label="expert no pair picks")
     rng = RngStream(data.draw(st.integers(0, 2**16), label="seed"))
-    cfg = MoEConfig(model_dim=8, n_experts=n, top_k=k, reduction=4)
     store = ParamStore()
     experts = _random_experts(store, rng, n)
     router = rng.uniform(-1, 1, (8, n))
@@ -348,7 +339,7 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
     values[:, 0] = 1.0
     u = constant(rng.uniform(-1, 1, values.shape))
     results = []
-    for build in (lambda x: sparse_moe(x, experts, w_router, cfg).output,
+    for build in (lambda x: sparse_moe(x, experts, w_router, k).output,
                   lambda x: _per_token_loop(x, experts, w_router, k)):
         store.zero_grad()
         tokens = Tensor(values, requires_grad=True)
@@ -357,7 +348,7 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
         results.append({"output": out.data, "tokens": tokens.grad,
                         **{p.name: p.grad for p in store}})
     got, want = results
-    assert starved not in sparse_moe(constant(values), experts, w_router, cfg).decision.selected
+    assert starved not in sparse_moe(constant(values), experts, w_router, k).decision.selected
     assert all(not got[name][starved].any() for name in ("e.w_down", "e.w_gate", "e.w_up"))
     assert got.keys() == want.keys()
     for name, value in want.items():
@@ -366,26 +357,23 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
 
 @pytest.mark.parametrize("n_experts", [2, 4, 8])
 def test_sparse_moe_dispatch_count_is_exactly_t(n_experts):
-    cfg = MoEConfig(model_dim=8, n_experts=n_experts, top_k=1, reduction=4)
     store = ParamStore()
     rng = RngStream(100 + n_experts)
     experts = _random_experts(store, rng, n_experts)
     w_router = store.add("router", rng.uniform(-1, 1, (8, n_experts)))
     t_count = 23
-    result = sparse_moe(constant(rng.uniform(-1, 1, (t_count, 8))), experts, w_router, cfg)
+    result = sparse_moe(constant(rng.uniform(-1, 1, (t_count, 8))), experts, w_router, 1)
     assert result.n_expert_evals == t_count
 
 
 def test_sparse_moe_wrong_expert_count():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4)
     experts = _random_experts(ParamStore(), RngStream(28), 3)
     with pytest.raises(ConfigError):
-        sparse_moe(constant(np.zeros((2, 8))), experts, _store_with("w", np.zeros((8, 4))), cfg)
+        sparse_moe(constant(np.zeros((2, 8))), experts, _store_with("w", np.zeros((8, 4))), 1)
 
 
 def test_dense_shared_identity_subexperts():
-    cfg = MoEConfig(model_dim=8, n_experts=4, reduction=4, n_shared=3)
-    adapter, store, _ = _make_adapter(d=8, g=4, m=3, seed=14)
+    adapter, store = _make_adapter(d=8, g=4, m=3, seed=14)
     store.set_values("adapter.shared.sub", np.hstack([np.eye(2)] * 3))
     tokens = constant(RngStream(15).uniform(-1, 1, (6, 8)))
     out = dense_shared_moe(tokens, adapter.shared)
@@ -394,7 +382,7 @@ def test_dense_shared_identity_subexperts():
 
 
 def test_dense_shared_zero_up_projection():
-    adapter, store, _ = _make_adapter(d=8, g=4, m=2, seed=16)
+    adapter, store = _make_adapter(d=8, g=4, m=2, seed=16)
     store.set_values("adapter.shared.w_up", np.zeros((2, 8)))
     out = dense_shared_moe(constant(RngStream(17).uniform(-1, 1, (5, 8))), adapter.shared)
     np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
@@ -415,7 +403,7 @@ def test_dense_shared_hand_oracle():
 
 
 def test_dense_shared_matches_per_sub_expert_loop_with_a_random_router():
-    adapter, store, _ = _make_adapter(d=12, g=4, m=3, seed=23)
+    adapter, store = _make_adapter(d=12, g=4, m=3, seed=23)
     rng = RngStream(24)
     # a router far from uniform, so each token weighs the sub-experts differently
     store.set_values("adapter.shared.router.w", rng.uniform(-3, 3, (3, 3)))
@@ -440,8 +428,8 @@ def test_dense_shared_matches_per_sub_expert_loop_with_a_random_router():
 
 
 def test_a_fresh_adapter_holds_the_draws_of_one_matrix_per_expert_and_sub_expert():
-    adapter, store, cfg = _make_adapter(d=12, n=3, g=4, m=2, seed=29)
-    d, h = cfg.model_dim, cfg.hidden_dim
+    adapter, store = _make_adapter(d=12, n=3, g=4, m=2, seed=29)
+    d, h = 12, 3
     rng = RngStream(29)
 
     def draw(shape, fan_in):
@@ -479,7 +467,7 @@ def _zero_adapter(store, prefix="adapter"):
 
 
 def test_adapter_zero_init_identity_is_exact():
-    adapter, store, _ = _make_adapter(d=12, g=4, m=2, seed=18)
+    adapter, store = _make_adapter(d=12, g=4, m=2, seed=18)
     _zero_adapter(store)
     tokens = constant(RngStream(19).uniform(-1, 1, (9, 12)))
     result = adapter(tokens)
@@ -487,7 +475,7 @@ def test_adapter_zero_init_identity_is_exact():
 
 
 def test_adapter_gradients_match_finite_differences():
-    adapter, store, _ = _make_adapter(d=8, n=4, g=4, m=2, seed=20)
+    adapter, store = _make_adapter(d=8, n=4, g=4, m=2, seed=20)
     toks = RngStream(21).uniform(-1, 1, (7, 8))
     u = RngStream(22).uniform(-1, 1, (7, 8))
 
@@ -523,20 +511,20 @@ def _recorded_nodes(out):
 def test_adapter_tape_size_is_independent_of_expert_counts():
     counts = set()
     for n, m in ((2, 1), (4, 4), (8, 2)):
-        adapter, _, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
+        adapter, _ = _make_adapter(d=12, n=n, g=4, m=m, seed=24)
         tokens = Tensor(RngStream(25).uniform(-1, 1, (16, 12)), requires_grad=True)
         counts.add(_recorded_nodes(adapter(tokens).output))
     assert counts == {25}, counts
 
 
 def test_adapter_on_stacked_sequences_matches_each_sequence_alone():
-    adapter, _, cfg = _make_adapter(d=12, n=4, k=2, g=4, m=2, seed=26)
+    adapter, _ = _make_adapter(d=12, n=4, k=2, g=4, m=2, seed=26)
     stacked = RngStream(27).uniform(-1, 1, (3, 9, 12))
     together = adapter(constant(stacked))
     assert together.output.shape == (3, 9, 12) and together.balance.shape == (3,)
     # each sequence's pick counts cover its 9 tokens K times
-    assert together.stats.counts.shape == (3, cfg.n_experts)
-    np.testing.assert_array_equal(together.stats.counts.sum(axis=-1), [9 * cfg.top_k] * 3)
+    assert together.stats.counts.shape == (3, 4)
+    np.testing.assert_array_equal(together.stats.counts.sum(axis=-1), [9 * 2] * 3)
     for s in range(3):
         alone = adapter(constant(stacked[s]))
         np.testing.assert_allclose(together.output.data[s], alone.output.data, rtol=0, atol=1e-14)
@@ -546,11 +534,11 @@ def test_adapter_on_stacked_sequences_matches_each_sequence_alone():
 
 
 def test_adapter_param_count_matches_walker():
-    cfg = MoEConfig(model_dim=144, n_experts=4, top_k=1, reduction=12, n_shared=4)
     store = ParamStore()
-    MoEAdapter(store, "adapter", cfg, RngStream(23))
+    MoEAdapter(store, "adapter", RngStream(23), dim=144, hidden=12, n_experts=4, top_k=1,
+               n_shared=4)
     walker_total = store.count(lambda p: p.name.startswith("adapter"))
-    assert walker_total == adapter_param_count(cfg)
+    assert walker_total == adapter_param_count(144, 12, 4, 4)
     d, h = 144, 12
     explicit = 4 * 3 * d * h + d * 4 + (2 * d * h + 4 * h * h + h * 4)
     assert walker_total == explicit
@@ -558,6 +546,5 @@ def test_adapter_param_count_matches_walker():
 
 @pytest.mark.parametrize("d", [48, 144, 768])
 def test_dense_shared_parameter_efficiency(d):
-    cfg = MoEConfig(model_dim=d, n_experts=4, top_k=1, reduction=12, n_shared=4)
     full_ffn = 2 * d * d  # two-layer D -> D -> D feed-forward expert, weights only
-    assert dense_shared_param_count(cfg) < 0.2 * full_ffn
+    assert dense_shared_param_count(d, d // 12, 4) < 0.2 * full_ffn

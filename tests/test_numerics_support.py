@@ -204,8 +204,6 @@ def test_loaded_entries_do_not_share_memory(tmp_path):
     store.add("b", np.zeros((2, 3)))
     directory = tmp_path / "ck"
     save_checkpoint(store, str(directory))
-    # a hand-written manifest that points both entries at the same bytes
-    (directory / "checkpoint.manifest").write_text("a\t2,3\t0\nb\t2,3\t0\n", encoding="utf-8")
     load_checkpoint(store, str(directory))
     assert not np.shares_memory(store["a"].data, store["b"].data)
     assert store["a"].data.flags.writeable and store["b"].data.flags.writeable
@@ -245,7 +243,8 @@ def _separate_qkv_lines(line):
 @pytest.mark.parametrize(
     "damage",
     ["missing", "truncated", "malformed", "dropped-line", "duplicate-line", "undecodable",
-     "no-checkpoint", "old-expert-layout", "old-fusion-layout", "old-attention-layout"],
+     "no-checkpoint", "old-expert-layout", "old-fusion-layout", "old-attention-layout",
+     "overlapping-offsets", "trailing-bytes"],
 )
 def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     from pairtrack.harness import load_config
@@ -272,6 +271,9 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
     elif damage == "undecodable":
         with open(manifest, "r+b") as fh:
             fh.write(b"\xff")
+    elif damage == "trailing-bytes":
+        with open(blob, "ab") as fh:
+            fh.write(bytes(64))
     else:
         with open(manifest, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -282,6 +284,7 @@ def test_damaged_checkpoint_blob_makes_eval_exit_1(tmp_path, capsys, damage):
             "old-expert-layout": [_per_expert_lines(line) for line in lines],
             "old-fusion-layout": _one_fusion_matrix_lines(lines),
             "old-attention-layout": [_separate_qkv_lines(line) for line in lines],
+            "overlapping-offsets": [line.rsplit("\t", 1)[0] + "\t0\n" for line in lines],
         }[damage]
         assert edited != lines
         with open(manifest, "w", encoding="utf-8") as fh:

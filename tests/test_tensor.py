@@ -426,6 +426,28 @@ def test_only_the_two_routines_call_finite_diff_grad():
     assert not callers, callers
 
 
+def test_only_run_config_defaults_a_dataclass_field():
+    """Each hyperparameter is named and defaulted once, in RunConfig: no other dataclass in
+    the package gives a field a default."""
+    import ast
+    from pathlib import Path
+
+    import pairtrack
+
+    defaulted = []
+    for path in Path(pairtrack.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name == "RunConfig":
+                continue
+            # @dataclass, @dataclass(...) or @dataclasses.dataclass
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                defaulted.extend(f"{path.name}:{node.name}.{field.target.id}"
+                                 for field in node.body
+                                 if isinstance(field, ast.AnnAssign) and field.value is not None)
+    assert not defaulted, defaulted
+
+
 def test_scale_by_a_factor_per_leading_index():
     rng = RngStream(410)
     a = rng.uniform(-2, 2, (3, 4, 2))
