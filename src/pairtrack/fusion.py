@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from .numerics import (
-    Parameter,
     Tensor,
     add,
     concat,
@@ -37,29 +36,6 @@ from .numerics import (
     transpose,
     tsum,
 )
-
-
-@dataclass
-class ModalityKeys:
-    """Key tokens of the two modalities; shapes must agree."""
-
-    k_r: Tensor
-    k_x: Tensor
-
-    def __post_init__(self):
-        if self.k_r.shape != self.k_x.shape or self.k_r.ndim < 2:
-            raise ShapeError(
-                f"modality keys must share a [..., T, D] shape, got "
-                f"{self.k_r.shape} and {self.k_x.shape}"
-            )
-
-
-@dataclass
-class AlignWeights:
-    """Learnable scalar blend weights for the two mapping directions."""
-
-    w_r: Parameter
-    w_x: Parameter
 
 
 @dataclass
@@ -86,12 +62,6 @@ class Hypergraph:
     d_v: np.ndarray
     d_e: np.ndarray
     epsilon: float | np.ndarray
-
-
-@dataclass
-class HyperConvParams:
-    theta1: Parameter
-    theta2: Parameter
 
 
 def multi_level_fuse(levels: list[Tensor], weights: list[Tensor]) -> Tensor:
@@ -134,15 +104,16 @@ def gram_basis(k: Tensor) -> GramBasis:
     return GramBasis(g=g, norm=norm_value, normalized=normalized)
 
 
-def cross_align(keys: ModalityKeys, weights: AlignWeights, fc_w) -> Tensor:
+def cross_align(k_r: Tensor, k_x: Tensor, *, w_r: Tensor, w_x: Tensor, fc_w: Tensor) -> Tensor:
     """Gram alignment each way, f_x = k_x + w_x * k_x G_r and f_r alike, then concat + FC.
 
-    G_r is the R keys' normalized Gram basis and G_x the X keys'.
+    G_r is the R keys' normalized Gram basis and G_x the X keys'; the two
+    [..., T, D] key stacks must share their shape, or a kernel raises ShapeError.
     """
-    basis_r = gram_basis(keys.k_r)
-    basis_x = gram_basis(keys.k_x)
-    f_x = add(keys.k_x, scale(matmul(keys.k_x, basis_r.normalized), weights.w_x))
-    f_r = add(keys.k_r, scale(matmul(keys.k_r, basis_x.normalized), weights.w_r))
+    basis_r = gram_basis(k_r)
+    basis_x = gram_basis(k_x)
+    f_x = add(k_x, scale(matmul(k_x, basis_r.normalized), w_x))
+    f_r = add(k_r, scale(matmul(k_r, basis_x.normalized), w_r))
     return matmul(concat([f_x, f_r], axis=-1), fc_w)
 
 
@@ -200,7 +171,7 @@ def propagation_matrix(hg: Hypergraph) -> np.ndarray:
     return (h / hg.d_v[..., :, None]) @ (np.swapaxes(h, -1, -2) / hg.d_e[..., :, None])
 
 
-def hyperconv(x: Tensor, hg: Hypergraph, params: HyperConvParams) -> Tensor:
+def hyperconv(x: Tensor, hg: Hypergraph, *, theta1: Tensor, theta2: Tensor) -> Tensor:
     """Residual hypergraph convolution: x + P x Theta1 Theta2.
 
     ``x`` is one sample's [V, D] features or a [..., V, D] stack, and ``hg``
@@ -209,5 +180,5 @@ def hyperconv(x: Tensor, hg: Hypergraph, params: HyperConvParams) -> Tensor:
     if hg.incidence.shape != x.shape[:-1] + x.shape[-2:-1]:
         raise ShapeError(f"hyperconv: features {x.shape} vs incidence {hg.incidence.shape}")
     p = constant(propagation_matrix(hg))
-    propagated = matmul(matmul(matmul(p, x), params.theta1), params.theta2)
+    propagated = matmul(matmul(matmul(p, x), theta1), theta2)
     return add(x, propagated)

@@ -166,7 +166,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     values: dict = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte-order mark, as some editors write one
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -35,15 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ContractError
-from ..fusion import (
-    AlignWeights,
-    HyperConvParams,
-    ModalityKeys,
-    build_hypergraph,
-    cross_align,
-    hyperconv,
-    multi_level_fuse,
-)
+from ..fusion import build_hypergraph, cross_align, hyperconv, multi_level_fuse
 from ..losses import Box
 from ..moe import MoEAdapter
 from ..numerics import (
@@ -201,22 +193,18 @@ class Tracker:
         # one [D, D] projection per tapped block, named by its tap
         self.mff_weights = [self.store.zeros_init(f"fusion.mff.w{tap}", (d, d))
                             for tap in cfg.level_taps] if cfg.toggle_mff else []
-        self.key_w = self.align = None
-        self.fuse_w = self.out_w = self.conv = None
+        self.key_w = self.align_w_r = self.align_w_x = None
+        self.fuse_w = self.out_w = self.theta1 = self.theta2 = None
         if cfg.toggle_gram:
             self.key_w = self.store.zeros_init("fusion.key.w", (d, d))
-            self.align = AlignWeights(
-                w_r=self.store.zeros_init("fusion.align.w_r", ()),
-                w_x=self.store.zeros_init("fusion.align.w_x", ()),
-            )
+            self.align_w_r = self.store.zeros_init("fusion.align.w_r", ())
+            self.align_w_x = self.store.zeros_init("fusion.align.w_x", ())
         if cfg.toggle_gram or cfg.toggle_mhg:
             self.fuse_w = self.store.uniform_init("fusion.fuse.w", (2 * d, d), 2 * d, fu_rng)
             self.out_w = self.store.zeros_init("fusion.out.w", (d, 2 * d))
         if cfg.toggle_mhg:
-            self.conv = HyperConvParams(
-                theta1=self.store.uniform_init("fusion.conv.theta1", (d, d), d, fu_rng),
-                theta2=self.store.zeros_init("fusion.conv.theta2", (d, d)),
-            )
+            self.theta1 = self.store.uniform_init("fusion.conv.theta1", (d, d), d, fu_rng)
+            self.theta2 = self.store.zeros_init("fusion.conv.theta2", (d, d))
 
         hd_rng = root.child("head")
         hh = cfg.head_hidden
@@ -365,18 +353,17 @@ class Tracker:
 
         if self.fuse_w is not None:
             feat_r, feat_x = slice_cols(head_in, 0, d), slice_cols(head_in, d, 2 * d)
-            if self.align is not None:
-                keys = ModalityKeys(
-                    k_r=add(feat_r, matmul(feat_r, self.key_w)),
-                    k_x=add(feat_x, matmul(feat_x, self.key_w)),
-                )
-                fused = cross_align(keys, self.align, self.fuse_w)
+            if self.key_w is not None:
+                k_r = add(feat_r, matmul(feat_r, self.key_w))
+                k_x = add(feat_x, matmul(feat_x, self.key_w))
+                fused = cross_align(k_r, k_x, w_r=self.align_w_r, w_x=self.align_w_x,
+                                    fc_w=self.fuse_w)
             else:
                 fused = matmul(concat([feat_x, feat_r], axis=-1), self.fuse_w)
-            if self.conv is not None:
+            if self.theta1 is not None:
                 fixed = self.cfg.epsilon_mode == "fixed"
                 graph = build_hypergraph(fused, self.cfg.epsilon_value if fixed else None)
-                fused = hyperconv(fused, graph, self.conv)
+                fused = hyperconv(fused, graph, theta1=self.theta1, theta2=self.theta2)
             head_in = add(head_in, matmul(fused, self.out_w))
 
         trunk = silu(add_rowvec(matmul(head_in, self.head_w1), self.head_b1))

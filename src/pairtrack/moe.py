@@ -36,7 +36,6 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import (
     ParamStore,
-    Parameter,
     RngStream,
     Tensor,
     add,
@@ -73,25 +72,6 @@ class BalanceStats:
     counts: np.ndarray
     f: np.ndarray
     p: np.ndarray
-
-
-@dataclass
-class SpecificExpertParams:
-    """The N experts' projections as stacks: [N, D, H] down and gate, [N, H, D] up."""
-
-    w_down: Parameter
-    w_gate: Parameter
-    w_up: Parameter
-
-
-@dataclass
-class DenseSharedParams:
-    """``sub`` is [H, M*H]: column block m is sub-expert W_m."""
-
-    w_down: Parameter
-    sub: Parameter
-    w_router: Parameter
-    w_up: Parameter
 
 
 @dataclass
@@ -147,30 +127,27 @@ def balance_loss(decision: RouterDecision) -> tuple[Tensor, BalanceStats]:
     return loss, BalanceStats(counts=counts, f=f, p=p.data.copy())
 
 
-def routed_experts(tokens: Tensor, experts: SpecificExpertParams, expert: np.ndarray,
-                   gate: Tensor) -> Tensor:
-    """Gated projection (silu(x W_gate) * (x W_down) * gate) W_up, rows sorted by expert[i]."""
-    hidden = mul(silu(routed_matmul(tokens, experts.w_gate, expert)),
-                 routed_matmul(tokens, experts.w_down, expert))
-    return routed_matmul(scale(hidden, gate), experts.w_up, expert)
+def routed_experts(tokens: Tensor, expert: np.ndarray, gate: Tensor, *,
+                   w_down: Tensor, w_gate: Tensor, w_up: Tensor) -> Tensor:
+    """Gated projection (silu(x W_gate) * (x W_down) * gate) W_up, rows sorted by expert[i].
+
+    The N experts' projections come as stacks: [N, D, H] down and gate, [N, H, D] up.
+    """
+    hidden = mul(silu(routed_matmul(tokens, w_gate, expert)),
+                 routed_matmul(tokens, w_down, expert))
+    return routed_matmul(scale(hidden, gate), w_up, expert)
 
 
-def sparse_moe(
-    tokens: Tensor,
-    experts: SpecificExpertParams,
-    w_router,
-    top_k: int,
-) -> SparseMoEResult:
+def sparse_moe(tokens: Tensor, w_router: Tensor, top_k: int, *,
+               w_down: Tensor, w_gate: Tensor, w_up: Tensor) -> SparseMoEResult:
     """Top-K dispatch of [rows, D] tokens over the specific experts.
 
     Experts that no token selected are never evaluated; the returned
     ``n_expert_evals`` counts (token, expert) pairs actually run.
     """
     n = w_router.shape[1]
-    if experts.w_down.shape[0] != n:
-        raise ConfigError(
-            f"router scores {n} experts, got a stack of {experts.w_down.shape[0]}"
-        )
+    if w_down.shape[0] != n:
+        raise ConfigError(f"router scores {n} experts, got a stack of {w_down.shape[0]}")
     decision = route(tokens, w_router, top_k)
     rows, k = decision.selected.shape
     # pair p = t*K + i is token t's i-th pick; a stable sort keeps token order per expert
@@ -179,19 +156,24 @@ def sparse_moe(
     token, expert = order // k, picks[order]
     # the gate of pair (t, e) is scores[t, e], entry t*N + e of the flat scores
     gate = gather_rows(reshape(decision.scores, (rows * n,)), token * n + expert)
-    sorted_out = routed_experts(gather_rows(tokens, token), experts, expert, gate)
+    sorted_out = routed_experts(gather_rows(tokens, token), expert, gate,
+                                w_down=w_down, w_gate=w_gate, w_up=w_up)
     output = tsum(gather_rows(sorted_out, np.argsort(order).reshape(rows, k)), axis=1)
     return SparseMoEResult(output=output, decision=decision, n_expert_evals=rows * k)
 
 
-def dense_shared_moe(tokens: Tensor, params: DenseSharedParams) -> Tensor:
-    """Serial-parallel shared branch, sum_m r_tm (h_t W_m); all sub-experts always run."""
-    h = matmul(tokens, params.w_down)
-    r = softmax(matmul(h, params.w_router), axis=1)
+def dense_shared_moe(tokens: Tensor, *, w_down: Tensor, sub: Tensor, w_router: Tensor,
+                     w_up: Tensor) -> Tensor:
+    """Serial-parallel shared branch, sum_m r_tm (h_t W_m); all sub-experts always run.
+
+    ``sub`` is [H, M*H]: column block m is sub-expert W_m.
+    """
+    h = matmul(tokens, w_down)
+    r = softmax(matmul(h, w_router), axis=1)
     rows, hidden = h.shape
     # columns [m*H, (m+1)*H) of h [W_1 ... W_M] are h W_m
-    per_sub = reshape(matmul(h, params.sub), (rows, params.sub.shape[1] // hidden, hidden))
-    return matmul(tsum(scale(per_sub, r), axis=1), params.w_up)
+    per_sub = reshape(matmul(h, sub), (rows, sub.shape[1] // hidden, hidden))
+    return matmul(tsum(scale(per_sub, r), axis=1), w_up)
 
 
 class MoEAdapter:
@@ -200,6 +182,8 @@ class MoEAdapter:
     Parameters are registered in ``store`` under ``prefix`` so checkpointing
     and parameter counting see them like any other model weights. Each token
     runs through ``top_k`` of ``n_experts`` experts of width ``hidden``.
+    ``experts`` and ``shared`` map the keywords of ``sparse_moe`` and
+    ``dense_shared_moe`` to their weights.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: RngStream, *, dim: int, hidden: int,
@@ -211,10 +195,9 @@ class MoEAdapter:
         specs = (("w_down", (d, h), d), ("w_gate", (d, h), d), ("w_up", (h, d), h))
         drawn = [[fan_in_uniform(shape, fan_in, rng) for _, shape, fan_in in specs]
                  for _ in range(n_experts)]
-        self.experts = SpecificExpertParams(*(
-            store.add(f"{prefix}.expert.{name}", np.stack(mats))
-            for (name, _, _), mats in zip(specs, zip(*drawn))))
-        self.shared = DenseSharedParams(
+        self.experts = {name: store.add(f"{prefix}.expert.{name}", np.stack(mats))
+                        for (name, _, _), mats in zip(specs, zip(*drawn))}
+        self.shared = dict(
             w_down=store.uniform_init(f"{prefix}.shared.w_down", (d, h), d, rng),
             sub=store.add(f"{prefix}.shared.sub", np.concatenate(
                 [fan_in_uniform((h, h), h, rng) for _ in range(n_shared)], axis=1)),
@@ -226,8 +209,8 @@ class MoEAdapter:
         """Both branches over a [..., T, D] stack of sequences, as one set of rows."""
         *lead, t_count, d = tokens.shape
         rows = reshape(tokens, (tokens.size // d, d))
-        sparse = sparse_moe(rows, self.experts, self.w_router, self.top_k)
-        output = add(add(rows, sparse.output), dense_shared_moe(rows, self.shared))
+        sparse = sparse_moe(rows, self.w_router, self.top_k, **self.experts)
+        output = add(add(rows, sparse.output), dense_shared_moe(rows, **self.shared))
         decision = sparse.decision
         per_sequence = RouterDecision(
             scores=reshape(decision.scores, (*lead, t_count, decision.scores.shape[1])),

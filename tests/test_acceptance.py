@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pairtrack.fusion import HyperConvParams, build_hypergraph, hyperconv, propagation_matrix
+from pairtrack.fusion import build_hypergraph, hyperconv, propagation_matrix
 from pairtrack.harness import (
     RunConfig,
     Tracker,
@@ -116,12 +116,12 @@ def test_hypergraph_algebra():
     rng = RngStream(77)
     x = constant(rng.uniform(-1, 1, (6, 4)))
     store = ParamStore()
-    params = HyperConvParams(
+    params = dict(
         theta1=store.add("t1", rng.uniform(-1, 1, (4, 4))),
         theta2=store.zeros_init("t2", (4, 4)),
     )
     residual_dev = float(np.max(np.abs(
-        hyperconv(x, build_hypergraph(x, 1.0), params).data - x.data
+        hyperconv(x, build_hypergraph(x, 1.0), **params).data - x.data
     )))
 
     hand = build_hypergraph(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), 2.0)
@@ -146,7 +146,7 @@ def test_sparsity_contract():
         adapter = MoEAdapter(store, "a", RngStream(n), dim=8, hidden=2, n_experts=n, top_k=1,
                              n_shared=2)
         tokens = constant(RngStream(100 + n).uniform(-1, 1, (t_count, 8)))
-        result = sparse_moe(tokens, adapter.experts, adapter.w_router, 1)
+        result = sparse_moe(tokens, adapter.w_router, 1, **adapter.experts)
         counts[n] = result.n_expert_evals
     ok = all(c == t_count for c in counts.values())
     _report("sparsity contract", ok, f"evals per forward {counts} for T={t_count}")

@@ -234,6 +234,25 @@ def test_cli_gen_data_writes_dataset(tiny_config_file, tmp_path, capsys):
     }
 
 
+def test_cli_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # the mark sits right before the first key, as an editor saving the file writes it
+    text = "\n".join(line for line in TINY_CONFIG.splitlines() if line and line[0] != "#")
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(str(bom)) == load_config(str(plain))
+    archives = []
+    for config in (plain, bom):
+        out = tmp_path / config.stem
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+        archives.append(np.load(out / "dataset.npz"))
+    without, with_mark = archives
+    assert without.files == with_mark.files
+    for key in without.files:
+        np.testing.assert_array_equal(without[key], with_mark[key])
+    assert "config error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--lr", "--epsilon", "--lambda-iou", "--lambda-l1", "--alpha"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_non_finite_float_exits_2(tiny_config_file, tmp_path, capsys, flag, value):

@@ -8,9 +8,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from pairtrack.errors import ContractError, DegenerateInputError, NumericError, ShapeError
 from pairtrack.fusion import (
-    AlignWeights,
-    HyperConvParams,
-    ModalityKeys,
     auto_epsilon,
     build_hypergraph,
     cross_align,
@@ -166,35 +163,31 @@ def test_gram_basis_map_matches_direct_recomputation():
 
 def test_cross_align_blend_cases():
     """cross_align blends each modality's keys with their Gram map by that direction's scalar."""
-    store, keys, weights, fc_w = _align_setup(8, zero_weights=True)
+    store, (k_r, k_x), weights, fc_w = _align_setup(8, zero_weights=True)
     # zero blend weights leave the keys: the FC of the concatenated keys, byte for byte
-    plain = matmul(concat([keys.k_x, keys.k_r], axis=-1), fc_w)
-    assert cross_align(keys, weights, fc_w).data.tobytes() == plain.data.tobytes()
-    d = keys.k_r.shape[1]
-    kr, kx = keys.k_r.data, keys.k_x.data
+    plain = matmul(concat([k_x, k_r], axis=-1), fc_w)
+    assert cross_align(k_r, k_x, **weights, fc_w=fc_w).data.tobytes() == plain.data.tobytes()
+    d = k_r.shape[1]
+    kr, kx = k_r.data, k_x.data
     store.set_values("w_x", np.asarray(0.5))
     store.set_values("w_r", np.asarray(-1.5))
     for selector, own, other, w in ((np.vstack([np.eye(d), np.zeros((d, d))]), kx, kr, 0.5),
                                     (np.vstack([np.zeros((d, d)), np.eye(d)]), kr, kx, -1.5)):
         g = other.T @ other
-        out = cross_align(keys, weights, constant(selector))
+        out = cross_align(k_r, k_x, **weights, fc_w=constant(selector))
         np.testing.assert_allclose(out.data, own + w * (own @ (g / np.linalg.norm(g))),
                                    rtol=0, atol=1e-14)
 
 
 def _align_setup(seed, t=5, d=3, zero_weights=False):
+    """The store, the (k_r, k_x) keys, the blend weights by keyword, and the FC weight."""
     rng = RngStream(seed)
     store = ParamStore()
-    keys = ModalityKeys(
-        k_r=constant(rng.uniform(-1, 1, (t, d))),
-        k_x=constant(rng.uniform(-1, 1, (t, d))),
-    )
+    keys = (constant(rng.uniform(-1, 1, (t, d))), constant(rng.uniform(-1, 1, (t, d))))
     if zero_weights:
-        weights = AlignWeights(
-            w_r=store.zeros_init("w_r", ()), w_x=store.zeros_init("w_x", ())
-        )
+        weights = dict(w_r=store.zeros_init("w_r", ()), w_x=store.zeros_init("w_x", ()))
     else:
-        weights = AlignWeights(
+        weights = dict(
             w_r=store.add("w_r", rng.uniform(-1, 1, ())),
             w_x=store.add("w_x", rng.uniform(-1, 1, ())),
         )
@@ -203,42 +196,56 @@ def _align_setup(seed, t=5, d=3, zero_weights=False):
 
 
 def test_cross_align_disabled_alignment_averaging_selector():
-    store, keys, weights, _ = _align_setup(9, zero_weights=True)
-    d = keys.k_r.shape[1]
+    store, (k_r, k_x), weights, _ = _align_setup(9, zero_weights=True)
+    d = k_r.shape[1]
     averaging = np.vstack([np.eye(d), np.eye(d)]) / 2.0
-    out = cross_align(keys, weights, constant(averaging))
-    np.testing.assert_allclose(out.data, (keys.k_r.data + keys.k_x.data) / 2, atol=1e-14)
+    out = cross_align(k_r, k_x, **weights, fc_w=constant(averaging))
+    np.testing.assert_allclose(out.data, (k_r.data + k_x.data) / 2, atol=1e-14)
 
 
 def test_cross_align_modality_symmetry():
     rng = RngStream(10)
     store = ParamStore()
     k = constant(rng.uniform(-1, 1, (4, 3)))
-    keys = ModalityKeys(k_r=k, k_x=k)
     w = store.add("w", rng.uniform(-1, 1, ()))
     # an identity FC returns [f_x, f_r]; equal keys and blend weights make the halves equal
-    out = cross_align(keys, AlignWeights(w_r=w, w_x=w), constant(np.eye(6)))
+    out = cross_align(k, k, w_r=w, w_x=w, fc_w=constant(np.eye(6)))
     np.testing.assert_array_equal(out.data[:, :3], out.data[:, 3:])
 
 
 def test_cross_align_composition_oracle():
-    store, keys, weights, fc_w = _align_setup(11)
-    out = cross_align(keys, weights, fc_w)
+    store, (k_r, k_x), weights, fc_w = _align_setup(11)
+    out = cross_align(k_r, k_x, **weights, fc_w=fc_w)
     # step-by-step recomputation in plain numpy
-    kr, kx = keys.k_r.data, keys.k_x.data
+    kr, kx = k_r.data, k_x.data
     gr = kr.T @ kr
     gx = kx.T @ kx
-    f_x = kx + float(weights.w_x.data) * (kx @ (gr / np.linalg.norm(gr)))
-    f_r = kr + float(weights.w_r.data) * (kr @ (gx / np.linalg.norm(gx)))
+    f_x = kx + float(weights["w_x"].data) * (kx @ (gr / np.linalg.norm(gr)))
+    f_r = kr + float(weights["w_r"].data) * (kr @ (gx / np.linalg.norm(gx)))
     expected = np.concatenate([f_x, f_r], axis=1) @ fc_w.data
     assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
 def test_cross_align_degenerate_keys():
-    store, keys, weights, fc_w = _align_setup(12)
-    bad = ModalityKeys(k_r=constant(np.zeros((5, 3))), k_x=keys.k_x)
+    store, (_, k_x), weights, fc_w = _align_setup(12)
     with pytest.raises(DegenerateInputError):
-        cross_align(bad, weights, fc_w)
+        cross_align(constant(np.zeros((5, 3))), k_x, **weights, fc_w=fc_w)
+
+
+@pytest.mark.parametrize("r_shape, x_shape", [
+    ((5, 3), (4, 3)), ((5, 3), (5, 4)),
+    ((2, 5, 3), (3, 5, 3)), ((5, 3), (2, 5, 3)), ((2, 5, 3), (5, 3)),
+], ids=["tokens", "width", "samples", "r-one-sample", "x-one-sample"])
+def test_cross_align_rejects_keys_of_different_shapes(r_shape, x_shape):
+    """Keys that differ in token count, width or sample shape raise ShapeError from a kernel."""
+    rng = RngStream(26)
+    store = ParamStore()
+    k_r, k_x = constant(rng.uniform(-1, 1, r_shape)), constant(rng.uniform(-1, 1, x_shape))
+    weights = dict(w_r=store.add("w_r", rng.uniform(-1, 1, ())),
+                   w_x=store.add("w_x", rng.uniform(-1, 1, ())))
+    fc_w = store.add("fc_w", rng.uniform(-1, 1, (2 * r_shape[-1], r_shape[-1])))
+    with pytest.raises(ShapeError):
+        cross_align(k_r, k_x, **weights, fc_w=fc_w)
 
 
 def test_build_hypergraph_three_point_hand_case():
@@ -303,7 +310,7 @@ def _conv_params(store, d, rng=None, zero_theta2=False, identity=False):
             t2 = store.zeros_init("theta2", (d, d))
         else:
             t2 = store.add("theta2", rng.uniform(-1, 1, (d, d)))
-    return HyperConvParams(theta1=t1, theta2=t2)
+    return dict(theta1=t1, theta2=t2)
 
 
 def test_hyperconv_zero_theta2_residual_identity_exact():
@@ -311,7 +318,7 @@ def test_hyperconv_zero_theta2_residual_identity_exact():
     x = constant(rng.uniform(-1, 1, (5, 4)))
     hg = build_hypergraph(x, None)
     params = _conv_params(ParamStore(), 4, rng, zero_theta2=True)
-    out = hyperconv(x, hg, params)
+    out = hyperconv(x, hg, **params)
     assert np.max(np.abs(out.data - x.data)) == 0.0
 
 
@@ -319,7 +326,7 @@ def test_hyperconv_single_vertex_identity_theta_doubles():
     x = constant([[1.0, -2.0, 3.0]])
     hg = build_hypergraph(x, 1.0)
     params = _conv_params(ParamStore(), 3, identity=True)
-    np.testing.assert_allclose(hyperconv(x, hg, params).data, 2.0 * x.data, atol=1e-14)
+    np.testing.assert_allclose(hyperconv(x, hg, **params).data, 2.0 * x.data, atol=1e-14)
 
 
 def test_hyperconv_matrix_chain_oracle():
@@ -328,10 +335,10 @@ def test_hyperconv_matrix_chain_oracle():
     hg = build_hypergraph(pts, 2.0)
     x = rng.uniform(-1, 1, (3, 2))
     params = _conv_params(ParamStore(), 2, rng)
-    out = hyperconv(constant(x), hg, params)
+    out = hyperconv(constant(x), hg, **params)
     h = hg.incidence.astype(float)
     chain = np.diag(1.0 / hg.d_v) @ h @ np.diag(1.0 / hg.d_e) @ h.T
-    expected = x + chain @ x @ params.theta1.data @ params.theta2.data
+    expected = x + chain @ x @ params["theta1"].data @ params["theta2"].data
     assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
@@ -341,7 +348,7 @@ def test_hyperconv_constant_features_double():
     x = constant(np.tile(x_row, (7, 1)))
     hg = build_hypergraph(rng.uniform(-1, 1, (7, 4)), 1.5)
     params = _conv_params(ParamStore(), 4, identity=True)
-    out = hyperconv(x, hg, params)
+    out = hyperconv(x, hg, **params)
     assert np.max(np.abs(out.data - 2.0 * x.data)) <= 1e-10
 
 
@@ -350,9 +357,9 @@ def test_hyperconv_permutation_equivariance():
     x = rng.uniform(-1, 1, (8, 3))
     params = _conv_params(ParamStore(), 3, rng)
     eps = 1.2
-    base = hyperconv(constant(x), build_hypergraph(x, eps), params)
+    base = hyperconv(constant(x), build_hypergraph(x, eps), **params)
     order = np.argsort(RngStream(19).uniform(0, 1, (8,)))
-    permuted = hyperconv(constant(x[order]), build_hypergraph(x[order], eps), params)
+    permuted = hyperconv(constant(x[order]), build_hypergraph(x[order], eps), **params)
     assert np.max(np.abs(permuted.data - base.data[order])) <= 1e-12
 
 
@@ -360,19 +367,18 @@ def test_stacked_fusion_equals_per_sample_calls():
     rng = RngStream(24)
     store, _, weights, fc_w = _align_setup(25, t=6, d=4)
     k_r, k_x = rng.uniform(-1, 1, (3, 6, 4)), rng.uniform(-1, 1, (3, 6, 4))
-    aligned = cross_align(ModalityKeys(k_r=constant(k_r), k_x=constant(k_x)), weights, fc_w)
+    aligned = cross_align(constant(k_r), constant(k_x), **weights, fc_w=fc_w)
     graph = build_hypergraph(aligned, None)
     params = _conv_params(store, 4, rng)
-    out = hyperconv(aligned, graph, params)
+    out = hyperconv(aligned, graph, **params)
     assert out.shape == (3, 6, 4) and graph.incidence.shape == (3, 6, 6)
     for i in range(3):
-        alone = cross_align(ModalityKeys(k_r=constant(k_r[i]), k_x=constant(k_x[i])),
-                            weights, fc_w)
+        alone = cross_align(constant(k_r[i]), constant(k_x[i]), **weights, fc_w=fc_w)
         np.testing.assert_allclose(aligned.data[i], alone.data, rtol=0, atol=1e-14)
-        expected = hyperconv(alone, build_hypergraph(aligned.data[i], None), params)
+        expected = hyperconv(alone, build_hypergraph(aligned.data[i], None), **params)
         np.testing.assert_allclose(out.data[i], expected.data, rtol=0, atol=1e-14)
     with pytest.raises(ShapeError):  # one hypergraph per sample
-        hyperconv(aligned, build_hypergraph(aligned.data[:2], None), params)
+        hyperconv(aligned, build_hypergraph(aligned.data[:2], None), **params)
 
 
 # derandomized and without an example database, so a run of the same tests draws the same examples
@@ -416,30 +422,24 @@ def test_stacked_hypergraph_equals_one_sample_builds(x, epsilon):
 def test_gsahf_zero_init_path_reduces_to_concat_fc():
     rng = RngStream(20)
     store = ParamStore()
-    keys = ModalityKeys(
-        k_r=constant(rng.uniform(-1, 1, (6, 4))),
-        k_x=constant(rng.uniform(-1, 1, (6, 4))),
-    )
-    weights = AlignWeights(
-        w_r=store.zeros_init("w_r", ()), w_x=store.zeros_init("w_x", ())
-    )
+    k_r = constant(rng.uniform(-1, 1, (6, 4)))
+    k_x = constant(rng.uniform(-1, 1, (6, 4)))
+    weights = dict(w_r=store.zeros_init("w_r", ()), w_x=store.zeros_init("w_x", ()))
     fc_w = store.add("fc_w", rng.uniform(-1, 1, (8, 4)))
-    aligned = cross_align(keys, weights, fc_w)
+    aligned = cross_align(k_r, k_x, **weights, fc_w=fc_w)
     hg = build_hypergraph(aligned, None)
     params = _conv_params(store, 4, rng, zero_theta2=True)
-    out = hyperconv(aligned, hg, params)
-    plain = np.concatenate([keys.k_x.data, keys.k_r.data], axis=1) @ fc_w.data
+    out = hyperconv(aligned, hg, **params)
+    plain = np.concatenate([k_x.data, k_r.data], axis=1) @ fc_w.data
     assert np.max(np.abs(out.data - plain)) <= 1e-12
 
 
 def test_fusion_gradients_match_finite_differences():
     rng = RngStream(21)
     store = ParamStore()
-    keys = ModalityKeys(
-        k_r=constant(rng.uniform(-1, 1, (5, 3))),
-        k_x=constant(rng.uniform(-1, 1, (5, 3))),
-    )
-    weights = AlignWeights(
+    k_r = constant(rng.uniform(-1, 1, (5, 3)))
+    k_x = constant(rng.uniform(-1, 1, (5, 3)))
+    weights = dict(
         w_r=store.add("w_r", rng.uniform(-0.5, 0.5, ())),
         w_x=store.add("w_x", rng.uniform(-0.5, 0.5, ())),
     )
@@ -449,9 +449,9 @@ def test_fusion_gradients_match_finite_differences():
     eps = 1.0
 
     def loss_tensor():
-        aligned = cross_align(keys, weights, fc_w)
+        aligned = cross_align(k_r, k_x, **weights, fc_w=fc_w)
         hg = build_hypergraph(aligned, eps)
-        return tsum(mul(hyperconv(aligned, hg, conv), constant(u)))
+        return tsum(mul(hyperconv(aligned, hg, **conv), constant(u)))
 
     store.zero_grad()
     backward(loss_tensor())

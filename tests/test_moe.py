@@ -14,8 +14,6 @@ from pairtrack.harness.verify import param_grad_errors
 from pairtrack.moe import (
     MoEAdapter,
     RouterDecision,
-    DenseSharedParams,
-    SpecificExpertParams,
     adapter_param_count,
     balance_loss,
     dense_shared_moe,
@@ -178,11 +176,9 @@ def test_balance_loss_stats_sums():
 
 
 def _experts_from_arrays(store, per_expert):
-    """One stack per projection from per-expert (w_down, w_gate, w_up) arrays."""
-    return SpecificExpertParams(*(
-        store.add(f"e.{name}", np.stack(mats))
-        for name, mats in zip(("w_down", "w_gate", "w_up"), zip(*per_expert))
-    ))
+    """One stack per projection, by keyword, from per-expert (w_down, w_gate, w_up) arrays."""
+    return {name: store.add(f"e.{name}", np.stack(mats))
+            for name, mats in zip(("w_down", "w_gate", "w_up"), zip(*per_expert))}
 
 
 def _random_experts(store, rng, n):
@@ -195,7 +191,8 @@ def _random_experts(store, rng, n):
 def _one_expert(tokens, params):
     """A stack of one gated expert applied to every token."""
     rows = tokens.shape[0]
-    return routed_experts(tokens, params, np.zeros(rows, dtype=np.int64), constant(np.ones(rows)))
+    return routed_experts(tokens, np.zeros(rows, dtype=np.int64), constant(np.ones(rows)),
+                          **params)
 
 
 def test_specific_expert_zero_cases():
@@ -238,7 +235,7 @@ def test_sparse_moe_identical_experts_symmetry():
     experts = _experts_from_arrays(store, [(w_down, w_gate, w_up)] * 4)
     w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
     tokens = constant(rng.uniform(-1, 1, (10, 8)))
-    result = sparse_moe(tokens, experts, w_router, 1)
+    result = sparse_moe(tokens, w_router, 1, **experts)
     single = _one_expert(tokens, _experts_from_arrays(ParamStore(), [(w_down, w_gate, w_up)]))
     expected = single.data * np.take_along_axis(
         result.decision.scores.data, result.decision.selected, 1)
@@ -248,7 +245,7 @@ def test_sparse_moe_identical_experts_symmetry():
 def test_sparse_moe_dense_evaluation_oracle():
     # brute force: evaluate every expert densely in plain numpy, mask to top-K
     def expert_np(x, p, n):
-        return (_silu(x @ p.w_gate.data[n]) * (x @ p.w_down.data[n])) @ p.w_up.data[n]
+        return (_silu(x @ p["w_gate"].data[n]) * (x @ p["w_down"].data[n])) @ p["w_up"].data[n]
 
     for top_k in (1, 2):
         store = ParamStore()
@@ -256,7 +253,7 @@ def test_sparse_moe_dense_evaluation_oracle():
         experts = _random_experts(store, rng, 4)
         w_router = store.add("router", rng.uniform(-1, 1, (8, 4)))
         toks = rng.uniform(-1, 1, (8, 8))
-        result = sparse_moe(constant(toks), experts, w_router, top_k)
+        result = sparse_moe(constant(toks), w_router, top_k, **experts)
 
         scores = result.decision.scores.data
         expected = np.zeros_like(toks)
@@ -281,13 +278,13 @@ def test_each_pair_gate_is_its_router_score_and_sends_its_gradient_there(top_k, 
     scores = Tensor(decision.scores.data, requires_grad=True)  # a leaf keeps its gradient
     gates, run_experts = [], moe.routed_experts
 
-    def capture_gate(rows, params, expert, gate):
+    def capture_gate(rows, expert, gate, **weights):
         gates.append(gate)
-        return run_experts(rows, params, expert, gate)
+        return run_experts(rows, expert, gate, **weights)
 
     monkeypatch.setattr(moe, "route", lambda *args: RouterDecision(scores, decision.selected))
     monkeypatch.setattr(moe, "routed_experts", capture_gate)
-    sparse_moe(tokens, experts, w_router, top_k)
+    sparse_moe(tokens, w_router, top_k, **experts)
     pairs = sorted(((t, n) for t, picks in enumerate(decision.selected) for n in picks),
                    key=lambda pair: pair[1])  # expert order, token order within an expert
     t_idx, n_idx = np.array(pairs).T
@@ -309,8 +306,9 @@ def _per_token_loop(tokens, experts, w_router, k):
     for t, token_picks in enumerate(picks):
         x, total = gather_rows(tokens, np.array([t])), None
         for n in token_picks:
-            w_down, w_gate, w_up = (reshape(gather_rows(w, np.array([n])), w.shape[1:])
-                                    for w in (experts.w_down, experts.w_gate, experts.w_up))
+            w_down, w_gate, w_up = (reshape(gather_rows(experts[name], np.array([n])),
+                                            experts[name].shape[1:])
+                                    for name in ("w_down", "w_gate", "w_up"))
             gate = gather_rows(flat_scores, np.array([t * scores.shape[1] + n]))
             out = matmul(mul(silu(matmul(x, w_gate)), matmul(x, w_down)), w_up)
             term = scale(out, gate)
@@ -339,7 +337,7 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
     values[:, 0] = 1.0
     u = constant(rng.uniform(-1, 1, values.shape))
     results = []
-    for build in (lambda x: sparse_moe(x, experts, w_router, k).output,
+    for build in (lambda x: sparse_moe(x, w_router, k, **experts).output,
                   lambda x: _per_token_loop(x, experts, w_router, k)):
         store.zero_grad()
         tokens = Tensor(values, requires_grad=True)
@@ -348,7 +346,7 @@ def test_sparse_moe_matches_a_per_token_loop_over_picks(n_and_k, n_seq, t_count,
         results.append({"output": out.data, "tokens": tokens.grad,
                         **{p.name: p.grad for p in store}})
     got, want = results
-    assert starved not in sparse_moe(constant(values), experts, w_router, k).decision.selected
+    assert starved not in sparse_moe(constant(values), w_router, k, **experts).decision.selected
     assert all(not got[name][starved].any() for name in ("e.w_down", "e.w_gate", "e.w_up"))
     assert got.keys() == want.keys()
     for name, value in want.items():
@@ -362,42 +360,42 @@ def test_sparse_moe_dispatch_count_is_exactly_t(n_experts):
     experts = _random_experts(store, rng, n_experts)
     w_router = store.add("router", rng.uniform(-1, 1, (8, n_experts)))
     t_count = 23
-    result = sparse_moe(constant(rng.uniform(-1, 1, (t_count, 8))), experts, w_router, 1)
+    result = sparse_moe(constant(rng.uniform(-1, 1, (t_count, 8))), w_router, 1, **experts)
     assert result.n_expert_evals == t_count
 
 
 def test_sparse_moe_wrong_expert_count():
     experts = _random_experts(ParamStore(), RngStream(28), 3)
     with pytest.raises(ConfigError):
-        sparse_moe(constant(np.zeros((2, 8))), experts, _store_with("w", np.zeros((8, 4))), 1)
+        sparse_moe(constant(np.zeros((2, 8))), _store_with("w", np.zeros((8, 4))), 1, **experts)
 
 
 def test_dense_shared_identity_subexperts():
     adapter, store = _make_adapter(d=8, g=4, m=3, seed=14)
     store.set_values("adapter.shared.sub", np.hstack([np.eye(2)] * 3))
     tokens = constant(RngStream(15).uniform(-1, 1, (6, 8)))
-    out = dense_shared_moe(tokens, adapter.shared)
-    expected = tokens.data @ adapter.shared.w_down.data @ adapter.shared.w_up.data
+    out = dense_shared_moe(tokens, **adapter.shared)
+    expected = tokens.data @ adapter.shared["w_down"].data @ adapter.shared["w_up"].data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_dense_shared_zero_up_projection():
     adapter, store = _make_adapter(d=8, g=4, m=2, seed=16)
     store.set_values("adapter.shared.w_up", np.zeros((2, 8)))
-    out = dense_shared_moe(constant(RngStream(17).uniform(-1, 1, (5, 8))), adapter.shared)
+    out = dense_shared_moe(constant(RngStream(17).uniform(-1, 1, (5, 8))), **adapter.shared)
     np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
 
 def test_dense_shared_hand_oracle():
     store = ParamStore()
     w_down = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    params = DenseSharedParams(
+    params = dict(
         w_down=store.add("d", w_down),
         sub=store.add("s", np.hstack([np.eye(2), 2.0 * np.eye(2)])),
         w_router=store.add("r", np.zeros((2, 2))),
         w_up=store.add("u", np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])),
     )
-    out = dense_shared_moe(constant([[1.0, 2.0, 3.0, 4.0]]), params)
+    out = dense_shared_moe(constant([[1.0, 2.0, 3.0, 4.0]]), **params)
     # h = [1, 2]; uniform router; low = 0.5*h + 0.5*2h = 1.5h
     np.testing.assert_allclose(out.data, [[1.5, 3.0, 0.0, 0.0]], atol=1e-14)
 
@@ -409,22 +407,22 @@ def test_dense_shared_matches_per_sub_expert_loop_with_a_random_router():
     store.set_values("adapter.shared.router.w", rng.uniform(-3, 3, (3, 3)))
     shared = adapter.shared
     x = rng.uniform(-1, 1, (9, 12))
-    h = x @ shared.w_down.data
-    logits = h @ shared.w_router.data
+    h = x @ shared["w_down"].data
+    logits = h @ shared["w_router"].data
     r = np.exp(logits - logits.max(axis=1, keepdims=True))
     r /= r.sum(axis=1, keepdims=True)
     assert np.ptp(r, axis=1).min() > 0.05
     hidden = h.shape[1]
-    sub = [shared.sub.data[:, m * hidden:(m + 1) * hidden] for m in range(3)]  # block m is W_m
+    sub = [shared["sub"].data[:, m * hidden:(m + 1) * hidden] for m in range(3)]  # block m is W_m
     low = np.zeros_like(h)
     for m, w_m in enumerate(sub):
         low += r[:, m:m + 1] * (h @ w_m)
-    expected = low @ shared.w_up.data
-    out = dense_shared_moe(constant(x), shared)
+    expected = low @ shared["w_up"].data
+    out = dense_shared_moe(constant(x), **shared)
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
     # the oracle tells the mixing order apart: other sub-experts per weight give other rows
     swapped = sum(r[:, m:m + 1] * (h @ sub[(m + 1) % 3]) for m in range(3))
-    assert np.abs(swapped @ shared.w_up.data - expected).max() > 1e-6
+    assert np.abs(swapped @ shared["w_up"].data - expected).max() > 1e-6
 
 
 def test_a_fresh_adapter_holds_the_draws_of_one_matrix_per_expert_and_sub_expert():
@@ -449,15 +447,15 @@ def test_a_fresh_adapter_holds_the_draws_of_one_matrix_per_expert_and_sub_expert
     ]
     assert adapter.w_router.data.tobytes() == router.tobytes()
     for n, (w_down, w_gate, w_up) in enumerate(experts):
-        assert adapter.experts.w_down.data[n].tobytes() == w_down.tobytes()
-        assert adapter.experts.w_gate.data[n].tobytes() == w_gate.tobytes()
-        assert adapter.experts.w_up.data[n].tobytes() == w_up.tobytes()
+        assert adapter.experts["w_down"].data[n].tobytes() == w_down.tobytes()
+        assert adapter.experts["w_gate"].data[n].tobytes() == w_gate.tobytes()
+        assert adapter.experts["w_up"].data[n].tobytes() == w_up.tobytes()
     shared = adapter.shared
-    assert shared.w_down.data.tobytes() == shared_down.tobytes()
+    assert shared["w_down"].data.tobytes() == shared_down.tobytes()
     for m, w_m in enumerate(subs):
-        assert shared.sub.data[:, m * h:(m + 1) * h].tobytes() == w_m.tobytes()
-    assert shared.w_router.data.tobytes() == shared_router.tobytes()
-    assert shared.w_up.data.tobytes() == shared_up.tobytes()
+        assert shared["sub"].data[:, m * h:(m + 1) * h].tobytes() == w_m.tobytes()
+    assert shared["w_router"].data.tobytes() == shared_router.tobytes()
+    assert shared["w_up"].data.tobytes() == shared_up.tobytes()
 
 
 def _zero_adapter(store, prefix="adapter"):

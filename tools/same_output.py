@@ -15,8 +15,10 @@ their last bits while it stays the same. That verdict leaves the exit code.
 The ``dataset`` line compares a SHA-256 over every plane, box field and tag
 that ``generate_dataset`` returns for ``DATASETS`` (seeds 0 and 3 at the
 default config: the ``data`` and ``eval`` streams at its training and eval
-sizes, and perfbench's 128-sample ``check`` set). A DIFFERENT digest or a
-failed run exits 1 too.
+sizes, and perfbench's 128-sample ``check`` set). The ``gradcheck`` line
+compares what ``pairtrack gradcheck`` prints: every unit and end-to-end
+gradient check with its error. A DIFFERENT digest or gradcheck output, or a
+failed run of either, exits 1 too.
 
 When either pair differs, it also runs ``PROBE`` in each checkout at K=1 and at
 K=2: ``train()`` takes ``PROBE_STEPS`` SGD steps at the default config (seed
@@ -120,14 +122,21 @@ def train_outputs(checkout: Path, args: list[str], out: Path) -> dict[str, bytes
     return {"metrics.tsv": (out / "metrics.tsv").read_bytes(), **checkpoint}
 
 
-def dataset_digest(checkout: Path) -> str | None:
-    """The checkout's SHA-256 over ``DATASETS``, or None if the run failed."""
-    done = _run(checkout, [DATASET, json.dumps(DATASETS)])
+def run_stdout(checkout: Path, name: str, argv: list[str]) -> str | None:
+    """What the run of ``argv`` in the checkout printed, or None if it failed."""
+    done = _run(checkout, argv)
     if done.returncode != 0:
-        print(f"{checkout}: dataset exited {done.returncode}: {done.stderr.strip()}",
+        print(f"{checkout}: {name} exited {done.returncode}: {done.stderr.strip()}",
               file=sys.stderr)
         return None
-    return done.stdout.strip()
+    return done.stdout
+
+
+def verdict(parent: str | None, change: str | None) -> str:
+    """``same``, ``DIFFERENT`` or ``failed`` for the two checkouts' outputs."""
+    if parent is None or change is None:
+        return "failed"
+    return "same" if parent == change else "DIFFERENT"
 
 
 def checkpoint_verdict(parent: dict | None, change: dict | None) -> str:
@@ -216,14 +225,19 @@ def main(argv=None) -> int:
                              for out in (parent, change))
             print(f"{name:22s} {'same' if same else 'DIFFERENT'} ({sizes}), "
                   f"checkpoint {checkpoint}", flush=True)
-        digests = [dataset_digest(checkout) for checkout in (args.parent, args.change)]
-        if None in digests:
-            verdict = "failed"
-        else:
-            verdict = "same" if digests[0] == digests[1] else "DIFFERENT"
-        differ += verdict != "same"
-        print(f"{'dataset':22s} {verdict} (sha256 "
+        checkouts = (args.parent, args.change)
+        digests = [run_stdout(checkout, "dataset", [DATASET, json.dumps(DATASETS)])
+                   for checkout in checkouts]
+        found = verdict(*digests)
+        differ += found != "same"
+        print(f"{'dataset':22s} {found} (sha256 "
               f"{'/'.join((d or 'failed')[:12] for d in digests)})", flush=True)
+        printed = [run_stdout(checkout, "gradcheck", [RUN, "gradcheck"]) for checkout in checkouts]
+        found = verdict(*printed)
+        differ += found != "same"
+        lines = "/".join("failed" if out is None else str(len(out.splitlines()))
+                         for out in printed)
+        print(f"{'gradcheck':22s} {found} ({lines} lines)", flush=True)
         if probed:
             probe(args.parent, args.change, Path(tmp))
     return 1 if differ else 0
